@@ -238,8 +238,6 @@ class LdoDerived:
     gm2: float
     gm_pass: float
     gm_nload: float
-    psr_floor_db: float
-    p_byp: float
     f_filter: float
     i_q: float
     v_drop: float
@@ -334,8 +332,6 @@ def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
 
     gds_pass = _lambda(v["L_pass"], tc.lambda_n) * i_load
     c_ds_pass = CDS_PER_WIDTH * w_pass
-    psr_floor_db = 20.0 * math.log10(gds_pass / gm_pass)
-    p_byp = gm_pass / (2.0 * math.pi * c_out)
 
     i_q = i_ref + i1 + i2 + V_OUT / space.fixed["r_div"]
     vdd_max = min(V_OUT * (1.0 + 1.0 / a_dc) + i_load / (gm_pass * (1.0 + a_dc)), vdd_in)
@@ -352,8 +348,8 @@ def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
 
     d = LdoDerived(
         a_dc=a_dc, gbw=gbw, p2=p2, f_z=f_z, pm=pm, gm1=gm1, gm2=gm2,
-        gm_pass=gm_pass, gm_nload=gm_nload, psr_floor_db=psr_floor_db,
-        p_byp=p_byp, f_filter=f_filter, i_q=i_q, v_drop=v_drop, vdd_max=vdd_max,
+        gm_pass=gm_pass, gm_nload=gm_nload, f_filter=f_filter, i_q=i_q,
+        v_drop=v_drop, vdd_max=vdd_max,
         psr_curve=np.empty(0), vn_curve=np.empty(0),
         _s_thermal=s_thermal, _s_flicker_1hz=s_flicker_1hz,
         _s_ref_flicker_1hz=s_ref_flicker_1hz, _beta_fb=beta_fb,
@@ -367,11 +363,6 @@ def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
     object.__setattr__(d, "psr_curve", psr_curve)
     object.__setattr__(d, "vn_curve", d.vn_at(FREQ_GRID))
     return d
-
-
-def psr_loop_suppression_db(a_dc: float) -> float:
-    """DC supply-rejection contribution of the regulation loop alone."""
-    return -20.0 * math.log10(abs(1.0 + a_dc))
 
 
 PN_OFFSETS = {"pn100k": 1e5, "pn1m": 1e6, "pn10m": 1e7}

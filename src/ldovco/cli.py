@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .behavior import SWEEP_OFFSETS, evaluate, pn_sweep
+from .behavior import SWEEP_OFFSETS, EvaluationFailure, evaluate, pn_sweep
 from .flows import FlowResult, compare, run_codesign, run_sequential
 from .units import parse_si
 from .iofmt import (
@@ -51,31 +51,22 @@ class RunConfig:
     flow: str = "co"  # co | seq
     seed: int = 1
     budget: int = 500
-    lambda_parents: int = 20
-    children_per_iter: int = 50
-    de_f: float = 0.8
-    de_cr: float = 0.8
-    init_samples: int | None = None
-    no_improve_limit: int = 100
-    beta: float = 0.7
-    refit_epochs: int = 60
+    lambda_parents: int = OptConfig.lambda_parents
+    children_per_iter: int = OptConfig.children_per_iter
+    de_f: float = OptConfig.de_f
+    de_cr: float = OptConfig.de_cr
+    init_samples: int | None = OptConfig.init_samples
+    no_improve_limit: int = OptConfig.no_improve_limit
+    beta: float = OptConfig.beta
+    refit_epochs: int = OptConfig.refit_epochs
     out: str = "runs"
     seeds: tuple[int, ...] = tuple(range(1, 11))
     workers: int = 1
 
     def opt_config(self) -> OptConfig:
-        return OptConfig(
-            eval_budget=self.budget,
-            seed=self.seed,
-            lambda_parents=self.lambda_parents,
-            children_per_iter=self.children_per_iter,
-            de_f=self.de_f,
-            de_cr=self.de_cr,
-            init_samples=self.init_samples,
-            no_improve_limit=self.no_improve_limit,
-            beta=self.beta,
-            refit_epochs=self.refit_epochs,
-        )
+        """The budget plus every field that shares its name with OptConfig."""
+        shared = {f.name for f in fields(OptConfig)} & {f.name for f in fields(self)}
+        return OptConfig(eval_budget=self.budget, **{n: getattr(self, n) for n in shared})
 
 
 _RUNCONFIG_COMMENTS = {
@@ -304,7 +295,11 @@ def cmd_eval(args) -> int:
     per_corner = []
     print("corner," + ",".join(METRIC_NAMES))
     for corner in corners:
-        m = evaluate(space, point, corner, mode, tc, i_load=i_load)
+        try:
+            m = evaluate(space, point, corner, mode, tc, i_load=i_load)
+        except EvaluationFailure as exc:
+            print(f"corner {corner.label()}: {exc}", file=sys.stderr)
+            return 1
         per_corner.append(m)
         print(corner.label() + "," + ",".join(_fmt(getattr(m, n)) for n in METRIC_NAMES))
     worst = worst_case(per_corner)

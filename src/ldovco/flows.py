@@ -113,7 +113,6 @@ class FlowResult:
     violation: float
     evals_used: int
     log_rows: list[dict]
-    stage1_feasible: bool | None = None  # sequential only
     vco_point: DesignPoint | None = None  # sequential only: frozen stage-1 winner
 
     @property
@@ -160,7 +159,6 @@ def run_sequential(
     )
     res1 = run(stage1, cfg1)
     vco_point = res1.incumbent.point
-    stage1_feasible = res1.incumbent.violation == 0.0
 
     mid = repair(space, 0.5 * (space.lowers() + space.uppers()))
     frozen = _embed(space, mid, VCO_VARIABLES, vco_point)
@@ -181,7 +179,7 @@ def run_sequential(
         flow="sequential", seed=seed, final_point=final,
         coupled_nominal=nominal, coupled_worst=worst, violation=violation,
         evals_used=res1.evals_used + res2.evals_used, log_rows=log_rows,
-        stage1_feasible=stage1_feasible, vco_point=vco_point,
+        vco_point=vco_point,
     )
 
 

@@ -120,7 +120,9 @@ class Constraint:
     bound: float
 
     def shortfall(self, value: float) -> float:
-        """Positive amount by which the constraint is missed (0 if met)."""
+        """Positive amount by which the constraint is missed (0 if met, inf if NaN)."""
+        if math.isnan(value):
+            return math.inf
         if self.direction == LE:
             return max(0.0, value - self.bound)
         if self.direction == GE:

@@ -1,10 +1,14 @@
 """Online multi-output neural surrogate: a small ensemble of single-hidden-
-layer tanh networks trained with an adaptive-moment update, used to
-prescreen candidate designs before spending a true evaluation.
+layer tanh networks, used to prescreen candidate designs before spending a
+true evaluation.
 
-All members share one z-score scaler and train on the same split; they
-differ only in their init seeds. Training is vectorized across members
-(weights carry a leading member axis)."""
+All members share one z-score scaler and one seeded train/validation split;
+they differ only in their init seeds. A single adaptive-moment (Adam) loop,
+vectorized across members (weights carry a leading member axis), trains
+them: fit() runs it from fresh weights with patience-based early stopping,
+and update() runs it for a fixed number of epochs from an existing model,
+remapped exactly to the grown dataset's scaler. Either way every member
+returns the weights of its best validation score."""
 
 from __future__ import annotations
 
@@ -94,7 +98,7 @@ def _forward(w1, b1, w2, b2, x):
 
 
 def fit(x: np.ndarray, y: np.ndarray, cfg: MlpConfig, seed: int) -> EnsembleModel:
-    """Train the ensemble on (x, y) with early stopping on a held-out split.
+    """Train a fresh ensemble on (x, y) with early stopping on a held-out split.
 
     Deterministic for a given seed; the returned weights are each member's
     best-validation-epoch snapshot.
@@ -107,18 +111,6 @@ def fit(x: np.ndarray, y: np.ndarray, cfg: MlpConfig, seed: int) -> EnsembleMode
     k = y.shape[1]
     if n < 10:
         raise ValueError(f"need at least 10 samples to fit, got {n}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("fit requires finite inputs and targets")
-
-    scaler = ScalerStats.from_data(x, y)
-    xs, ys = scaler.scale_x(x), scaler.scale_y(y)
-
-    split_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    perm = split_rng.permutation(n)
-    n_val = min(max(1, int(round(cfg.val_fraction * n))), n - 1)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    xt, yt = xs[train_idx], ys[train_idx]
-    xv, yv = xs[val_idx], ys[val_idx]
 
     m = cfg.n_members
     h = cfg.resolve_width(d)
@@ -132,67 +124,8 @@ def fit(x: np.ndarray, y: np.ndarray, cfg: MlpConfig, seed: int) -> EnsembleMode
         b1[i] = init_rng.uniform(-1.0, 1.0, size=h)
         w2[i] = init_rng.normal(0.0, 1.0 / math.sqrt(h), size=(h, k))
     b2 = np.zeros((m, k))
-
-    params = [w1, b1, w2, b2]
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    best_val = np.full(m, np.inf)
-    best_snap = [p.copy() for p in params]
-    stall = np.zeros(m, dtype=int)
-    active = np.ones(m, dtype=bool)
-    n_train = len(xt)
-    epochs_run = 0
-
-    for epoch in range(cfg.epochs):
-        epochs_run = epoch + 1
-        pred, hidden = _forward(w1, b1, w2, b2, xt)
-        err = pred - yt[None, :, :]  # (m, n, k)
-
-        g_out = 2.0 * err / (n_train * k)
-        g_w2 = np.swapaxes(hidden, 1, 2) @ g_out
-        g_b2 = g_out.sum(axis=1)
-        g_hidden = (g_out @ np.swapaxes(w2, 1, 2)) * (1.0 - hidden**2)
-        g_w1 = np.swapaxes(np.broadcast_to(xt, (m, n_train, d)), 1, 2) @ g_hidden
-        g_b1 = g_hidden.sum(axis=1)
-
-        t = epoch + 1
-        corr1 = 1.0 - beta1**t
-        corr2 = 1.0 - beta2**t
-        for p, g, am, av in zip(params, [g_w1, g_b1, g_w2, g_b2], adam_m, adam_v):
-            am += (1.0 - beta1) * (g - am)
-            av += (1.0 - beta2) * (g * g - av)
-            step = cfg.learning_rate * (am / corr1) / (np.sqrt(av / corr2) + eps)
-            # frozen members stop moving once out of patience
-            p -= step * active.reshape((-1,) + (1,) * (p.ndim - 1))
-
-        val_pred, _ = _forward(w1, b1, w2, b2, xv)
-        val_loss = np.mean((val_pred - yv[None, :, :]) ** 2, axis=(1, 2))
-
-        improved = active & (val_loss < best_val - cfg.min_delta)
-        for i in np.flatnonzero(improved):
-            for snap, p in zip(best_snap, params):
-                snap[i] = p[i]
-        best_val = np.where(improved, val_loss, best_val)
-        stall = np.where(improved, 0, stall + 1)
-        active &= stall < cfg.patience
-        if not active.any():
-            break
-
-    w1, b1, w2, b2 = best_snap
-    train_pred, _ = _forward(w1, b1, w2, b2, xt)
-    train_loss = np.mean((train_pred - yt[None, :, :]) ** 2, axis=(1, 2))
-    return EnsembleModel(
-        w1=w1, b1=b1, w2=w2, b2=b2, scaler=scaler, cfg=cfg,
-        train_log={
-            "epochs_run": epochs_run,
-            "best_val_loss": best_val.tolist(),
-            "final_train_loss": train_loss.tolist(),
-            "n_train": int(n_train),
-            "n_val": int(n_val),
-        },
-    )
+    return _train(w1, b1, w2, b2, ScalerStats.from_data(x, y), cfg, x, y, seed,
+                  cfg.epochs, cfg.patience, cfg.min_delta)
 
 
 def _remap_scaler(model: EnsembleModel, new: ScalerStats) -> tuple[np.ndarray, ...]:
@@ -211,23 +144,37 @@ def _remap_scaler(model: EnsembleModel, new: ScalerStats) -> tuple[np.ndarray, .
 
 def update(model: EnsembleModel, x: np.ndarray, y: np.ndarray, epochs: int,
            seed: int) -> EnsembleModel:
-    """Continue training an existing ensemble on the (grown) dataset for a
-    bounded number of epochs. The scaler is recomputed from the data and the
-    inherited weights are remapped to it, so the warm start is exact.
+    """Continue training an existing ensemble on the (grown) dataset for
+    exactly `epochs` epochs, with no early stop. The scaler is recomputed
+    from the data and the inherited weights are remapped to it, so the warm
+    start is exact.
 
     Keeps the best-validation snapshot semantics of fit(); deterministic for
-    a given (model, data, seed). The inner loop is the per-step hot path of
-    the optimizer, hence the flat parameter buffer and fused train+val pass.
+    a given (model, data, seed).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("update requires finite inputs and targets")
-    n = len(x)
-    cfg = model.cfg
     scaler = ScalerStats.from_data(x, y)
-    rw1, rb1, rw2, rb2 = _remap_scaler(model, scaler)
+    return _train(*_remap_scaler(model, scaler), scaler, model.cfg, x, y, seed,
+                  epochs, math.inf, 0.0)
+
+
+def _train(w1, b1, w2, b2, scaler: ScalerStats, cfg: MlpConfig, x: np.ndarray,
+           y: np.ndarray, seed: int, epochs: int, patience: float,
+           min_delta: float) -> EnsembleModel:
+    """Adam training of the members from the given weights (expressed under
+    `scaler`) on a seeded train/validation split of (x, y).
+
+    Each member keeps the weights of its best validation score. A member
+    whose score has not dropped by more than min_delta for `patience` epochs
+    is frozen, and training stops once every member is frozen. The loop is
+    the per-step hot path of the optimizer, hence the flat parameter buffer
+    and the fused train+val forward pass.
+    """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("training requires finite inputs and targets")
     xs, ys = scaler.scale_x(x), scaler.scale_y(y)
+    n = len(xs)
 
     split_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     perm = split_rng.permutation(n)
@@ -236,55 +183,58 @@ def update(model: EnsembleModel, x: np.ndarray, y: np.ndarray, epochs: int,
     xt, yt = xs[train_idx], ys[train_idx]
     xv, yv = xs[val_idx], ys[val_idx]
     n_train = len(xt)
-    m, k = model.n_members, model.output_dim
-    d = xt.shape[1]
-    h = model.w1.shape[2]
+    m, d, h = w1.shape
+    k = w2.shape[2]
 
     # all parameters live in one flat buffer so the adam update is three
     # vector ops instead of a dozen small ones
-    sizes = [m * d * h, m * h, m * h * k, m * k]
-    offs = np.cumsum([0] + sizes)
-    flat = np.empty(offs[-1])
-    w1 = flat[offs[0]:offs[1]].reshape(m, d, h)
-    b1 = flat[offs[1]:offs[2]].reshape(m, h)
-    w2 = flat[offs[2]:offs[3]].reshape(m, h, k)
-    b2 = flat[offs[3]:offs[4]].reshape(m, k)
-    w1[...], b1[...], w2[...], b2[...] = rw1, rb1, rw2, rb2
+    shapes = ((m, d, h), (m, h), (m, h, k), (m, k))
+    offs = np.cumsum([0] + [math.prod(s) for s in shapes])
 
+    def views(buf: np.ndarray) -> list[np.ndarray]:
+        return [buf[o:e].reshape(s) for o, e, s in zip(offs, offs[1:], shapes)]
+
+    flat = np.concatenate([p.ravel() for p in (w1, b1, w2, b2)])
+    params = views(flat)
+    w1, b1, w2, b2 = params
     grad = np.empty_like(flat)
-    g_w1 = grad[offs[0]:offs[1]].reshape(m, d, h)
-    g_b1 = grad[offs[1]:offs[2]].reshape(m, h)
-    g_w2 = grad[offs[2]:offs[3]].reshape(m, h, k)
-    g_b2 = grad[offs[3]:offs[4]].reshape(m, k)
-
+    g_w1, g_b1, g_w2, g_b2 = views(grad)
     adam_m = np.zeros_like(flat)
     adam_v = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    x_all = np.ascontiguousarray(np.concatenate([xt, xv], axis=0))
-    x_all_t = np.swapaxes(np.broadcast_to(x_all[:n_train], (m, n_train, d)), 1, 2)
-
-    pred, _ = _forward(w1, b1, w2, b2, xv)
-    best_val = np.mean((pred - yv[None, :, :]) ** 2, axis=(1, 2))
     best_snap = flat.copy()
+    snaps = views(best_snap)
+    best_val = np.full(m, np.inf)
+    # -1: the loop's first pass re-scores the starting weights, which is no
+    # epoch of training
+    stall = np.full(m, -1)
+    active = np.ones(m, dtype=bool)
 
-    def snapshot(improved: np.ndarray) -> None:
-        for o, size, shape in zip(offs, sizes, ((m, d, h), (m, h), (m, h, k), (m, k))):
-            dst = best_snap[o:o + size].reshape(shape)
-            src = flat[o:o + size].reshape(shape)
-            dst[improved] = src[improved]
+    def keep_best(val_pred: np.ndarray) -> np.ndarray:
+        val_loss = np.mean((val_pred - yv[None, :, :]) ** 2, axis=(1, 2))
+        improved = active & (val_loss < best_val - min_delta)
+        if improved.any():
+            for dst, src in zip(snaps, params):
+                dst[improved] = src[improved]
+            best_val[improved] = val_loss[improved]
+        return improved
 
+    # the starting weights are a candidate too
+    keep_best(_forward(w1, b1, w2, b2, xv)[0])
+    x_all = np.concatenate([xt, xv], axis=0)
+    x_all_t = np.swapaxes(np.broadcast_to(xt, (m, n_train, d)), 1, 2)
+    epochs_run = 0
     for epoch in range(epochs):
         out, hidden = _forward(w1, b1, w2, b2, x_all)
-        pred, val_pred = out[:, :n_train, :], out[:, n_train:, :]
-        hidden_t = hidden[:, :n_train, :]
+        pred, hidden_t = out[:, :n_train, :], hidden[:, :n_train, :]
 
-        # val loss belongs to the current weights: snapshot before stepping
-        val_loss = np.mean((val_pred - yv[None, :, :]) ** 2, axis=(1, 2))
-        improved = val_loss < best_val
-        if improved.any():
-            snapshot(improved)
-            best_val = np.where(improved, val_loss, best_val)
+        # val loss belongs to the current weights: score before stepping
+        improved = keep_best(out[:, n_train:, :])
+        stall = np.where(improved, 0, stall + 1)
+        active &= stall < patience
+        if not active.any():
+            break
 
         err = pred - yt[None, :, :]
         np.multiply(err, 2.0 / (n_train * k), out=err)
@@ -300,27 +250,17 @@ def update(model: EnsembleModel, x: np.ndarray, y: np.ndarray, epochs: int,
         flat -= cfg.learning_rate * (adam_m / (1.0 - beta1**t)) / (
             np.sqrt(adam_v / (1.0 - beta2**t)) + eps
         )
+        epochs_run = t
 
     # the final post-step weights have not been scored yet
-    pred, _ = _forward(w1, b1, w2, b2, xv)
-    val_loss = np.mean((pred - yv[None, :, :]) ** 2, axis=(1, 2))
-    improved = val_loss < best_val
-    if improved.any():
-        snapshot(improved)
-        best_val = np.where(improved, val_loss, best_val)
-
-    fw1 = best_snap[offs[0]:offs[1]].reshape(m, d, h).copy()
-    fb1 = best_snap[offs[1]:offs[2]].reshape(m, h).copy()
-    fw2 = best_snap[offs[2]:offs[3]].reshape(m, h, k).copy()
-    fb2 = best_snap[offs[3]:offs[4]].reshape(m, k).copy()
+    keep_best(_forward(w1, b1, w2, b2, xv)[0])
     return EnsembleModel(
-        w1=fw1, b1=fb1, w2=fw2, b2=fb2, scaler=scaler, cfg=cfg,
+        *snaps, scaler=scaler, cfg=cfg,
         train_log={
-            "epochs_run": epochs,
+            "epochs_run": epochs_run,
             "best_val_loss": best_val.tolist(),
             "n_train": int(n_train),
             "n_val": int(n_val),
-            "warm_start": True,
         },
     )
 
@@ -366,29 +306,3 @@ def predict_conservative(
     lo = np.quantile(preds, 1.0 - beta, axis=0)
     out = np.where(senses > 0, hi, lo)
     return out[0] if single else out
-
-
-def dump_model(model: EnsembleModel) -> str:
-    """Plain-text model dump (topology, scaler, weights) for post-mortems."""
-    lines = [
-        "# ensemble model dump",
-        f"members {model.n_members}",
-        f"input_dim {model.input_dim}",
-        f"hidden {model.w1.shape[2]}",
-        f"output_dim {model.output_dim}",
-    ]
-
-    def emit(name, arr):
-        flat = np.asarray(arr).ravel()
-        lines.append(f"{name} {' '.join(repr(float(v)) for v in flat)}")
-
-    emit("x_mean", model.scaler.x_mean)
-    emit("x_std", model.scaler.x_std)
-    emit("y_mean", model.scaler.y_mean)
-    emit("y_std", model.scaler.y_std)
-    for i in range(model.n_members):
-        emit(f"w1.{i}", model.w1[i])
-        emit(f"b1.{i}", model.b1[i])
-        emit(f"w2.{i}", model.w2[i])
-        emit(f"b2.{i}", model.b2[i])
-    return "\n".join(lines) + "\n"

@@ -24,7 +24,6 @@ from ldovco.behavior import (
     map_vco,
     phase_margin,
     pn_sweep,
-    psr_loop_suppression_db,
     resonant_frequency,
     supply_pn,
     vco_pn_intrinsic,
@@ -169,9 +168,6 @@ class TestLdoModel:
         base = phase_margin(1e6, 1e7)
         assert phase_margin(1e6, 1e7, f_z=-1e6) == pytest.approx(base + 45.0)
         assert phase_margin(1e6, 1e7, f_z=+1e6) == pytest.approx(base - 45.0)
-
-    def test_dc_loop_suppression(self):
-        assert psr_loop_suppression_db(1000.0) == pytest.approx(-60.0, abs=0.05)
 
     def test_map_ldo_quantities(self, space, tc, co_point):
         d = map_ldo(space, co_point, tc, i_load=3e-3, vdd_in=1.62, c_load=1e-12)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ldovco.cli import (
@@ -10,6 +12,7 @@ from ldovco.cli import (
     parse_runconfig,
 )
 from ldovco.iofmt import parse_problem_file
+from ldovco.optimizer import OptConfig
 
 
 @pytest.fixture()
@@ -30,6 +33,9 @@ class TestRunConfig:
         assert cfg.budget == 120
         assert cfg.flow == "seq"
         assert cfg.seed == RunConfig().seed
+
+    def test_defaults_are_the_optimizer_defaults(self):
+        assert RunConfig().opt_config() == OptConfig(eval_budget=500, seed=1)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -177,6 +183,17 @@ class TestEval:
         partial.write_text("M2 300\n")
         assert main(["eval", str(partial)]) == 1
         assert "L_34" in capsys.readouterr().err
+
+    def test_failing_design_exits_1_naming_corner_and_quantity(
+        self, workdir, capsys, co_point_file
+    ):
+        # a one-finger pass device needs more gate drive than the 1.62 V input gives
+        text = re.sub(r"^M_pass .*$", "M_pass 1", co_point_file.read_text(), flags=re.M)
+        co_point_file.write_text(text)
+        assert main(["eval", str(co_point_file)]) == 1
+        err = capsys.readouterr().err
+        assert "corner nominal" in err
+        assert "pass_headroom" in err
 
     def test_ldo_mode_accepts_iload(self, workdir, capsys, co_point_file):
         assert main(["eval", str(co_point_file), "--mode", "ldo", "--iload", "2m"]) == 0

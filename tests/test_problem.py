@@ -120,6 +120,11 @@ class TestViolation:
     def test_boundary_counts_as_satisfied(self):
         assert violation(metrics(pm=50.0), DEFAULT_CONSTRAINTS) == 0.0
 
+    @pytest.mark.parametrize("direction", ["<=", ">="])
+    def test_nan_is_never_satisfied(self, direction):
+        assert Constraint("pm", direction, 50.0).shortfall(math.nan) == math.inf
+        assert violation(metrics(pm=math.nan), DEFAULT_CONSTRAINTS) == math.inf
+
     def test_zero_iff_all_satisfied(self):
         assert violation(metrics(), DEFAULT_CONSTRAINTS) == 0.0
         assert violation(metrics(pdyn=7.1e-3), DEFAULT_CONSTRAINTS) > 0.0

@@ -5,7 +5,6 @@ from ldovco.surrogate import (
     EnsembleModel,
     MlpConfig,
     ScalerStats,
-    dump_model,
     fit,
     predict,
     predict_conservative,
@@ -70,13 +69,11 @@ class TestFit:
         b = fit(x, y, MlpConfig(), seed=12)
         assert not np.array_equal(a.w1, b.w1)
 
-    def test_returned_weights_match_best_val(self):
+    @staticmethod
+    def assert_weights_match_best_val(model, x, y, seed):
         # early stopping must never hand back weights worse than the best
         # validation epoch
-        x = lhs_matrix(150, 2, seed=8)
-        y = np.sin(2 * x[:, :1]) + x[:, 1:2]
-        model = fit(x, y, MlpConfig(epochs=300), seed=3)
-        split_rng = np.random.default_rng(np.random.SeedSequence([3, 0]))
+        split_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         perm = split_rng.permutation(len(x))
         n_val = int(round(0.2 * len(x)))
         xv, yv = x[perm[:n_val]], y[perm[:n_val]]
@@ -85,6 +82,20 @@ class TestFit:
         pred = hidden @ model.w2 + model.b2[:, None, :]
         val = np.mean((pred - model.scaler.scale_y(yv)[None]) ** 2, axis=(1, 2))
         assert np.allclose(val, model.train_log["best_val_loss"], atol=1e-12)
+
+    def test_returned_weights_match_best_val(self):
+        x = lhs_matrix(150, 2, seed=8)
+        y = np.sin(2 * x[:, :1]) + x[:, 1:2]
+        model = fit(x, y, MlpConfig(epochs=300), seed=3)
+        self.assert_weights_match_best_val(model, x, y, seed=3)
+
+    def test_early_stop_keeps_best_weights(self):
+        x = lhs_matrix(150, 2, seed=8)
+        y = np.full((150, 2), 7.0)
+        cfg = MlpConfig(patience=1, min_delta=1e-4)
+        model = fit(x, y, cfg, seed=3)
+        assert 0 < model.train_log["epochs_run"] < cfg.epochs
+        self.assert_weights_match_best_val(model, x, y, seed=3)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -206,12 +217,3 @@ class TestUpdate:
         a = update(base, x, y, epochs=50, seed=7)
         b = update(base, x, y, epochs=50, seed=7)
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.b2, b.b2)
-
-
-def test_dump_model_contains_topology():
-    x = lhs_matrix(60, 2, seed=15)
-    model = fit(x, x[:, :1], MlpConfig(), seed=8)
-    text = dump_model(model)
-    assert "members 5" in text
-    assert "input_dim 2" in text
-    assert "w1.4" in text
