@@ -13,6 +13,7 @@ from .behavior import (
     apply_corner,
     combine_pn,
     evaluate,
+    evaluate_corners,
     evaluate_detailed,
     map_ldo,
     map_vco,
@@ -60,6 +61,7 @@ __all__ = [
     "compare_designs",
     "enumerate_corners",
     "evaluate",
+    "evaluate_corners",
     "evaluate_detailed",
     "fom",
     "load_bundled_constants",

@@ -1,21 +1,31 @@
 """Analytical behavioral models standing in for a transistor-level testbench.
 
-Maps a design point plus a PVT corner to performance metrics in three modes:
-the VCO alone on an ideal 1.2 V supply, the LDO alone driving a fixed load
-current, and the fully coupled LDO-VCO. All closed forms are first-order
+Maps a design point plus its PVT corners to performance metrics in three
+modes: the VCO alone on an ideal 1.2 V supply, the LDO alone driving a fixed
+load current, and the fully coupled LDO-VCO. All closed forms are first-order
 small-signal / Leeson-style models; the constants are calibrated so the
 bundled design points land in physically plausible ranges (GHz oscillation,
 mW power), not to reproduce any particular silicon numbers.
+
+The models run over a leading corner axis: apply_corners stacks the
+corner-dependent constants into arrays once, and evaluate_corners computes a
+design's metrics at all its corners in one numpy pass. Arithmetic, sqrt and
+min are vectorized; log10, atan and the powers go element by element through
+Python's math (libm), because numpy's SIMD versions differ from libm in the
+last bit on some inputs, and every metric equals its scalar closed form
+exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial, reduce
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .problem import Corner, PerfMetrics, fom
+from .problem import METRIC_NAMES, Corner, PerfMetrics, fom
 from .space import DesignPoint, DesignSpace, point_as_dict
 
 MU0 = 4e-7 * math.pi
@@ -48,17 +58,21 @@ MODES = ("ideal_supply", "ldo_only", "coupled")
 
 
 class EvaluationFailure(RuntimeError):
-    """An evaluation could not produce metrics; names the failing quantity."""
+    """An evaluation could not produce metrics; names the failing quantity
+    and, when known, the label of the corner it failed at."""
 
-    def __init__(self, quantity: str, detail: str = ""):
+    def __init__(self, quantity: str, detail: str = "", corner: str | None = None):
         self.quantity = quantity
+        self.corner = corner
         super().__init__(f"evaluation failed at {quantity}" + (f": {detail}" if detail else ""))
 
 
 @dataclass(frozen=True)
 class TechConstants:
     """Process/behavioral constants, all strictly positive. kT is at the
-    300 K reference; apply_corner folds in temperature and process skew."""
+    300 K reference; apply_corner folds in temperature and process skew.
+    apply_corners returns an instance whose CORNER_FIELDS are arrays over a
+    corner axis; the models broadcast over it."""
 
     kT: float = 1.380649e-23 * 300.0
     gamma_excess: float = 0.45
@@ -82,6 +96,9 @@ class TechConstants:
 
 DEFAULT_TECH = TechConstants()
 
+# The constants a corner changes.
+CORNER_FIELDS = ("kp_n", "kp_p", "ind_scale", "c_unit_mom", "kT")
+
 
 def apply_corner(base: TechConstants, corner: Corner) -> TechConstants:
     """Fold a PVT corner into the constants: +-10% process skew on kp,
@@ -102,8 +119,79 @@ def apply_corner(base: TechConstants, corner: Corner) -> TechConstants:
     )
 
 
+def _frozen(values: list[float]) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=16)
+def apply_corners(
+    base: TechConstants, corners: tuple[Corner, ...]
+) -> tuple[TechConstants, np.ndarray]:
+    """Fold every corner into the constants once. The CORNER_FIELDS of the
+    returned constants, and the returned input supplies, are read-only arrays
+    over the corners; the other fields stay scalar."""
+    applied = [apply_corner(base, c) for c in corners]
+    stacked = {name: _frozen([getattr(t, name) for t in applied]) for name in CORNER_FIELDS}
+    return replace(base, **stacked), _frozen([c.vdd_in for c in corners])
+
+
+def _each(fn: Callable[[float], float], x) -> np.ndarray:
+    """fn applied to each element of x as a Python float, shape kept (libm
+    rather than numpy; see the module docstring)."""
+    x = np.asarray(x, dtype=float)
+    return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
+
+
+def _log10(x) -> np.ndarray:
+    return _each(math.log10, x)
+
+
+def _square(x) -> np.ndarray:
+    return _each(partial(pow, exp=2.0), x)
+
+
+def _exp10(x) -> np.ndarray:
+    return _each(partial(pow, 10.0), x)
+
+
+def _item(x, i: int) -> float:
+    """Element i of a corner-axis value; a scalar is the same at every corner."""
+    flat = np.ravel(x)
+    return flat[i if flat.size > 1 else 0].item()
+
+
+class _Failures:
+    """Failure tests over the corner axis, in the order the model computes
+    the quantities. raise_first raises for the lowest-index failing corner,
+    naming the first quantity that fails there."""
+
+    def __init__(self, corners: Sequence[Corner] | None = None):
+        self.corners = corners
+        self.tests: list[tuple[str, np.ndarray, Callable[[int], str]]] = []
+
+    def add(self, name: str, bad, detail: Callable[[int], str]) -> None:
+        self.tests.append((name, np.atleast_1d(bad), detail))
+
+    def require_positive(self, name: str, value) -> None:
+        bad = ~(np.greater(value, 0.0) & np.isfinite(value))
+        self.add(name, bad, lambda i: f"nonpositive or non-finite value {_item(value, i)}")
+
+    def raise_first(self) -> None:
+        if not any(bad.any() for _, bad, _ in self.tests):
+            return
+        bad = np.vstack(np.broadcast_arrays(*(b for _, b, _ in self.tests)))
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        name, _, detail = self.tests[int(np.flatnonzero(bad[:, i])[0])]
+        label = None if self.corners is None else self.corners[i].label()
+        raise EvaluationFailure(name, detail(i), corner=label)
+
+
 @dataclass(frozen=True)
 class VcoDerived:
+    """Tank and oscillator quantities: floats, or arrays over the corners."""
+
     l_tank: float
     q_tank: float
     c_tank: float
@@ -123,33 +211,33 @@ class VcoDerived:
         return self.gm_sw * self.r_p
 
 
-def _require_positive(name: str, value: float) -> float:
-    if not (value > 0.0 and math.isfinite(value)):
-        raise EvaluationFailure(name, f"nonpositive or non-finite value {value}")
-    return value
+def resonant_frequency(l_tank: float, c_tank: float) -> float | np.ndarray:
+    return 1.0 / (2.0 * math.pi * np.sqrt(l_tank * c_tank))
 
 
-def resonant_frequency(l_tank: float, c_tank: float) -> float:
-    return 1.0 / (2.0 * math.pi * math.sqrt(l_tank * c_tank))
-
-
-def phase_margin(gbw: float, p2: float, f_z: float = math.inf) -> float:
+def phase_margin(gbw: float, p2: float, f_z: float = math.inf) -> float | np.ndarray:
     """Two-pole-plus-zero phase margin at the gbw crossover, degrees. f_z is
     signed: negative left-half-plane zeros add phase, positive right-half-
-    plane ones remove it; +-inf means no zero."""
-    pm = 90.0 - math.degrees(math.atan(gbw / p2))
-    if math.isfinite(f_z):
-        pm += math.degrees(math.atan(gbw / abs(f_z))) * (1.0 if f_z < 0 else -1.0)
-    return pm
+    plane ones remove it; +-inf means no zero (atan(0) adds exactly 0)."""
+    f_z = np.asarray(f_z, dtype=float)
+    pm = 90.0 - np.degrees(_each(math.atan, gbw / p2))
+    return pm + np.degrees(_each(math.atan, gbw / np.abs(f_z))) * np.where(f_z < 0, 1.0, -1.0)
 
 
+_ERRSTATE = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+@_ERRSTATE
 def map_vco(space: DesignSpace, point: DesignPoint, tc: TechConstants,
-            amp_limit: float) -> VcoDerived:
+            amp_limit: float, failures: _Failures | None = None) -> VcoDerived:
     """Closed-form mapping from geometry to tank and oscillator quantities.
 
     amp_limit is the swing ceiling of the evaluation mode (ideal supply vs
-    bypass-flattened coupled operation).
+    bypass-flattened coupled operation). If tc carries a corner axis, so do
+    the results. Failing quantities go to `failures` for the caller to
+    raise; without it, the first one is raised here.
     """
+    checks = _Failures() if failures is None else failures
     v = point_as_dict(space, point)
 
     nt = v["NT_ind"]
@@ -157,29 +245,33 @@ def map_vco(space: DesignSpace, point: DesignPoint, tc: TechConstants,
     d_out = d_in + 2.0 * (nt * v["W_ind"] + (nt - 1.0) * v["S_ind"])
     d_avg = 0.5 * (d_in + d_out)
     rho = (d_out - d_in) / (d_out + d_in)
-    l_tank = _require_positive(
-        "l_tank", tc.ind_scale * WHEELER_K1 * MU0 * nt * nt * d_avg / (1.0 + WHEELER_K2 * rho)
-    )
+    l_tank = tc.ind_scale * WHEELER_K1 * MU0 * nt * nt * d_avg / (1.0 + WHEELER_K2 * rho)
+    checks.require_positive("l_tank", l_tank)
     wire_len = 4.0 * nt * d_avg
     r_s = tc.sheet_r * (wire_len / v["W_ind"]) * (1.0 + GR_LOSS_REF / v["GR_ind"])
 
     c_mom = tc.c_unit_mom * v["N_H"] * v["N_V"] * (4.0 - v["M_bot"])
     width_sw = v["W_34"] * v["F_34"] * v["M_34"] + v["W_56"] * v["F_56"] * v["M_56"]
     c_par = tc.c_par_unit * width_sw
-    c_tank = _require_positive("c_tank", c_mom + space.fixed["c_var"] + c_par)
+    c_tank = c_mom + space.fixed["c_var"] + c_par
+    checks.require_positive("c_tank", c_tank)
 
     f0 = resonant_frequency(l_tank, c_tank)
-    q_tank = _require_positive("q_tank", 2.0 * math.pi * f0 * l_tank / r_s)
+    q_tank = 2.0 * math.pi * f0 * l_tank / r_s
+    checks.require_positive("q_tank", q_tank)
     r_p = q_tank * 2.0 * math.pi * f0 * l_tank
 
     i_bias = tc.i_unit * v["M2"]
-    gm_n = math.sqrt(2.0 * tc.kp_n * (v["W_34"] * v["F_34"] * v["M_34"] / v["L_34"]) * i_bias / 2.0)
-    gm_p = math.sqrt(2.0 * tc.kp_p * (v["W_56"] * v["F_56"] * v["M_56"] / v["L_56"]) * i_bias / 2.0)
+    gm_n = np.sqrt(2.0 * tc.kp_n * (v["W_34"] * v["F_34"] * v["M_34"] / v["L_34"]) * i_bias / 2.0)
+    gm_p = np.sqrt(2.0 * tc.kp_p * (v["W_56"] * v["F_56"] * v["M_56"] / v["L_56"]) * i_bias / 2.0)
     gm_sw = 0.5 * (gm_n + gm_p)
 
     amp_unclipped = (4.0 / math.pi) * (i_bias / 2.0) * r_p
-    amplitude = min(amp_unclipped, amp_limit)
-    p_sig = _require_positive("p_sig", amplitude * amplitude / (2.0 * r_p))
+    amplitude = np.minimum(amp_unclipped, amp_limit)
+    p_sig = amplitude * amplitude / (2.0 * r_p)
+    checks.require_positive("p_sig", p_sig)
+    if failures is None:
+        checks.raise_first()
 
     area_56 = v["W_56"] * v["F_56"] * v["M_56"] * v["L_56"]
     f_corner_1f = (tc.kf / (area_56 * C_OX)) * F_CORNER_SCALE
@@ -192,43 +284,71 @@ def map_vco(space: DesignSpace, point: DesignPoint, tc: TechConstants,
     )
 
 
-def vco_pn_intrinsic(d: VcoDerived, delta_f: float, tc: TechConstants) -> float:
-    """Leeson-type single-sideband phase noise in dBc/Hz at offset delta_f."""
-    if delta_f <= 0:
+def _outer(x, f: np.ndarray) -> np.ndarray:
+    """x with one trailing axis per axis of f, to broadcast over frequency."""
+    return np.reshape(x, np.shape(x) + (1,) * np.ndim(f))
+
+
+def vco_pn_intrinsic(d: VcoDerived, delta_f: float, tc: TechConstants) -> float | np.ndarray:
+    """Leeson-type single-sideband phase noise in dBc/Hz at offset delta_f;
+    the axes of delta_f follow the corner axis, if any."""
+    delta_f = np.asarray(delta_f, dtype=float)
+    if np.any(delta_f <= 0):
         raise ValueError("delta_f must be positive")
+    f0, q_tank, f_corner_1f, kT, p_sig = (
+        _outer(x, delta_f) for x in (d.f0, d.q_tank, d.f_corner_1f, tc.kT, d.p_sig)
+    )
     f_noise = 1.0 + tc.gamma_excess
-    leeson = 1.0 + (d.f0 / (2.0 * d.q_tank * delta_f)) ** 2
-    flicker = 1.0 + d.f_corner_1f / delta_f
-    return 10.0 * math.log10((2.0 * f_noise * tc.kT / d.p_sig) * leeson * flicker)
+    leeson = 1.0 + _square(f0 / (2.0 * q_tank * delta_f))
+    flicker = 1.0 + f_corner_1f / delta_f
+    return 10.0 * _log10((2.0 * f_noise * kT / p_sig) * leeson * flicker)
 
 
-def supply_pn(k_push: float, vn: float, delta_f: float) -> float:
-    """Narrowband-FM conversion of supply noise to phase noise, dBc/Hz.
+def supply_pn(k_push: float, vn: float, delta_f: float) -> float | np.ndarray:
+    """Narrowband-FM conversion of supply noise to phase noise, dBc/Hz;
+    the axes of delta_f follow the corner axis of k_push, if any.
     vn = 0 returns -inf (no contribution)."""
-    if delta_f <= 0:
+    delta_f = np.asarray(delta_f, dtype=float)
+    if np.any(delta_f <= 0):
         raise ValueError("delta_f must be positive")
-    if vn < 0:
+    vn = np.asarray(vn, dtype=float)
+    if np.any(vn < 0):
         raise ValueError("vn must be nonnegative")
-    if vn == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(k_push * vn / (math.sqrt(2.0) * delta_f))
+    quiet = vn == 0.0
+    ratio = _outer(k_push, delta_f) * np.where(quiet, 1.0, vn) / (math.sqrt(2.0) * delta_f)
+    return np.where(quiet, -math.inf, 20.0 * _log10(ratio))[()]
 
 
-def combine_pn(parts: list[float]) -> float:
-    """Incoherent power sum of phase-noise contributors (dBc/Hz inputs);
-    -inf entries are identity elements."""
-    if not parts:
+@_ERRSTATE
+def combine_pn(parts: list[float]) -> float | np.ndarray:
+    """Incoherent power sum of phase-noise contributors (dBc/Hz inputs),
+    element by element over array parts; -inf entries are identity
+    elements."""
+    if len(parts) == 0:
         raise ValueError("combine_pn requires at least one part")
-    finite = [p for p in parts if p != -math.inf]
-    if not finite:
-        return -math.inf
-    ref = max(finite)
-    total = sum(10.0 ** ((p - ref) / 10.0) for p in finite)
-    return ref + 10.0 * math.log10(total)
+    parts = [np.asarray(p, dtype=float) for p in parts]
+    ref = reduce(np.maximum, parts)
+    # a -inf part adds 10 ** -inf == 0.0 to the total
+    total = sum(_exp10((p - ref) / 10.0) for p in parts)
+    return np.where(ref == -math.inf, -math.inf, ref + 10.0 * _log10(total))[()]
+
+
+def _loop_gain(a_dc, gbw, p2, f_z, f) -> np.ndarray:
+    """Complex loop gain on the dominant-pole + output-pole + zero model.
+    The zero frequency is signed: positive right-half-plane zeros lose
+    phase, negative left-half-plane ones add it."""
+    jf = 1j * np.asarray(f, dtype=float)
+    a_dc, gbw, p2, f_z = (_outer(x, jf) for x in (a_dc, gbw, p2, f_z))
+    p1 = gbw / a_dc
+    # an infinite f_z (no zero) makes jf / f_z exactly 0
+    return a_dc * (1.0 - jf / f_z) / ((1.0 + jf / p1) * (1.0 + jf / p2))
 
 
 @dataclass(frozen=True)
 class LdoDerived:
+    """Loop and noise quantities: floats, or arrays over the corners (the
+    sampled curves then have the corners on their first axis)."""
+
     a_dc: float
     gbw: float
     p2: float
@@ -243,7 +363,6 @@ class LdoDerived:
     v_drop: float
     vdd_max: float
     psr_curve: np.ndarray  # dB vs FREQ_GRID
-    vn_curve: np.ndarray  # V/sqrt(Hz) vs FREQ_GRID
     # noise-model pieces kept for exact point evaluation off the grid
     _s_thermal: float
     _s_flicker_1hz: float
@@ -251,46 +370,55 @@ class LdoDerived:
     _beta_fb: float
 
     @property
-    def psr_max(self) -> float:
-        return float(self.psr_curve.max())
+    def psr_max(self) -> float | np.ndarray:
+        return self.psr_curve.max(axis=-1)
 
     def vn_at(self, f: float | np.ndarray) -> float | np.ndarray:
-        """Output-referred noise density at frequency f (closed form)."""
+        """Output-referred noise density at frequency f (closed form); the
+        axes of f follow the corner axis, if any."""
         f = np.asarray(f, dtype=float)
-        s_amp = self._s_thermal + self._s_flicker_1hz / f
-        roll = 1.0 + (f / (self._beta_fb * self.gbw)) ** 2
-        s_ref = (self._s_ref_flicker_1hz / f + V_REF_NOISE**2) / (1.0 + (f / self.f_filter) ** 2)
-        out = np.sqrt((s_amp / roll + s_ref)) / self._beta_fb
-        return float(out) if out.ndim == 0 else out
-
-    def loop_gain(self, f: float | np.ndarray) -> np.ndarray:
-        """Complex loop gain on the dominant-pole + output-pole + zero model.
-        The zero frequency is signed: positive right-half-plane zeros lose
-        phase, negative left-half-plane ones add it."""
-        jf = 1j * np.asarray(f, dtype=float)
-        p1 = self.gbw / self.a_dc
-        num = 1.0 - (jf / self.f_z if math.isfinite(self.f_z) else 0.0)
-        return self.a_dc * num / ((1.0 + jf / p1) * (1.0 + jf / self.p2))
+        gbw, s_thermal = _outer(self.gbw, f), _outer(self._s_thermal, f)
+        s_amp = s_thermal + self._s_flicker_1hz / f
+        roll = 1.0 + _square(f / (self._beta_fb * gbw))
+        s_ref = (self._s_ref_flicker_1hz / f + V_REF_NOISE**2) / (1.0 + _square(f / self.f_filter))
+        return np.sqrt((s_amp / roll + s_ref)) / self._beta_fb
 
 
 def _lambda(l_chan: float, lam_per_um: float) -> float:
     return lam_per_um * 1e-6 / l_chan
 
 
+def _psr_curve(gm_pass, gds_pass: float, c_ds_pass: float, c_out: float,
+               a_dc, gbw, p2, f_z) -> np.ndarray:
+    """Supply rejection in dB vs FREQ_GRID: the (gds + j w c_ds) leakage
+    through the pass device against the output node admittance, suppressed
+    by the loop; the output capacitance (bypass included) strictly
+    attenuates it at every frequency."""
+    jw = 2j * math.pi * FREQ_GRID
+    h_open = (gds_pass + jw * c_ds_pass) / (_outer(gm_pass, jw) + gds_pass + jw * c_out)
+    loop = _loop_gain(a_dc, gbw, p2, f_z, FREQ_GRID)
+    return 20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + loop))
+
+
+@_ERRSTATE
 def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
-            i_load: float, vdd_in: float, c_load: float) -> LdoDerived:
+            i_load: float, vdd_in: float, c_load: float,
+            failures: _Failures | None = None) -> LdoDerived:
     """Small-signal model of the two-stage Miller op-amp with NMOS-follower
     pass device: loop gain, poles/zero, phase margin, supply rejection and
-    output noise curves."""
+    output noise curves. tc and vdd_in may carry a corner axis; i_load and
+    c_load are per design. Raises the first failure among `failures` and
+    its own supply and headroom tests before the loop model."""
     if i_load <= 0:
         raise ValueError("i_load must be positive")
+    checks = _Failures() if failures is None else failures
     v = point_as_dict(space, point)
     beta_fb = space.fixed["beta_fb"]
     c_byp = space.fixed["c_byp"]
 
     v_drop = vdd_in - V_OUT
-    if v_drop <= 0:
-        raise EvaluationFailure("v_drop", f"input {vdd_in} V cannot regulate {V_OUT} V")
+    checks.add("v_drop", v_drop <= 0,
+               lambda i: f"input {_item(vdd_in, i)} V cannot regulate {V_OUT} V")
 
     i_ref = tc.i_unit
     i1 = i_ref * v["M_biasIn"] / v["M_bias"]
@@ -301,18 +429,17 @@ def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
     w_nout = v["W_nOut"] * v["F_nOut"] * v["M_nOut"]
     w_pass = v["W_pass"] * v["F_pass"] * v["M_pass"]
 
-    gm1 = math.sqrt(2.0 * tc.kp_p * (w_pin / v["L_pIn"]) * i1 / 2.0)
-    gm_nload = math.sqrt(2.0 * tc.kp_n * (w_nload / v["L_nLoad"]) * i1 / 2.0)
-    gm2 = math.sqrt(2.0 * tc.kp_n * (w_nout / v["L_nOut"]) * i2)
-    gm_pass = math.sqrt(2.0 * tc.kp_n * (w_pass / v["L_pass"]) * i_load)
+    gm1 = np.sqrt(2.0 * tc.kp_p * (w_pin / v["L_pIn"]) * i1 / 2.0)
+    gm_nload = np.sqrt(2.0 * tc.kp_n * (w_nload / v["L_nLoad"]) * i1 / 2.0)
+    gm2 = np.sqrt(2.0 * tc.kp_n * (w_nout / v["L_nOut"]) * i2)
+    gm_pass = np.sqrt(2.0 * tc.kp_n * (w_pass / v["L_pass"]) * i_load)
 
     # NMOS follower headroom: the pass gate cannot rise above the input rail
-    vov_pass = math.sqrt(2.0 * i_load / (tc.kp_n * w_pass / v["L_pass"]))
-    if V_OUT + VTH_PASS + vov_pass > vdd_in:
-        raise EvaluationFailure(
-            "pass_headroom",
-            f"needs {V_OUT + VTH_PASS + vov_pass:.3f} V gate drive from {vdd_in} V",
-        )
+    vov_pass = np.sqrt(2.0 * i_load / (tc.kp_n * w_pass / v["L_pass"]))
+    gate = V_OUT + VTH_PASS + vov_pass
+    checks.add("pass_headroom", gate > vdd_in,
+               lambda i: f"needs {_item(gate, i):.3f} V gate drive from {_item(vdd_in, i)} V")
+    checks.raise_first()
 
     ro1 = 1.0 / ((_lambda(v["L_pIn"], tc.lambda_p) + _lambda(v["L_nLoad"], tc.lambda_n)) * i1 / 2.0)
     ro2 = 1.0 / ((_lambda(v["L_nOut"], tc.lambda_n) + _lambda(v["L_bias"], tc.lambda_p)) * i2)
@@ -327,14 +454,14 @@ def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
 
     # Miller zero with nulling resistor: LHP once R_C exceeds 1/gm2
     denom = 1.0 / gm2 - v["R_C"]
-    f_z = math.inf if denom == 0.0 else 1.0 / (2.0 * math.pi * v["C_C"] * denom)
+    f_z = np.where(denom == 0.0, math.inf, 1.0 / (2.0 * math.pi * v["C_C"] * denom))[()]
     pm = phase_margin(gbw, p2, f_z)
 
     gds_pass = _lambda(v["L_pass"], tc.lambda_n) * i_load
     c_ds_pass = CDS_PER_WIDTH * w_pass
 
     i_q = i_ref + i1 + i2 + V_OUT / space.fixed["r_div"]
-    vdd_max = min(V_OUT * (1.0 + 1.0 / a_dc) + i_load / (gm_pass * (1.0 + a_dc)), vdd_in)
+    vdd_max = np.minimum(V_OUT * (1.0 + 1.0 / a_dc) + i_load / (gm_pass * (1.0 + a_dc)), vdd_in)
 
     # noise model: amp thermal + input-pair flicker roll off at the
     # closed-loop bandwidth; reference/bias flicker is low-pass filtered by
@@ -346,26 +473,19 @@ def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
     s_ref_flicker_1hz = tc.kf / (area_bias * C_OX)
     f_filter = 1.0 / (2.0 * math.pi * v["R_F"] * v["C_F"])
 
-    d = LdoDerived(
+    return LdoDerived(
         a_dc=a_dc, gbw=gbw, p2=p2, f_z=f_z, pm=pm, gm1=gm1, gm2=gm2,
         gm_pass=gm_pass, gm_nload=gm_nload, f_filter=f_filter, i_q=i_q,
         v_drop=v_drop, vdd_max=vdd_max,
-        psr_curve=np.empty(0), vn_curve=np.empty(0),
+        psr_curve=_psr_curve(gm_pass, gds_pass, c_ds_pass, c_out, a_dc, gbw, p2, f_z),
         _s_thermal=s_thermal, _s_flicker_1hz=s_flicker_1hz,
         _s_ref_flicker_1hz=s_ref_flicker_1hz, _beta_fb=beta_fb,
     )
-    # supply path: the (gds + j w c_ds) leakage through the pass device
-    # against the output node admittance, suppressed by the loop; the output
-    # capacitance (bypass included) strictly attenuates it at every frequency
-    jw = 2j * math.pi * FREQ_GRID
-    h_open = (gds_pass + jw * c_ds_pass) / (gm_pass + gds_pass + jw * c_out)
-    psr_curve = 20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + d.loop_gain(FREQ_GRID)))
-    object.__setattr__(d, "psr_curve", psr_curve)
-    object.__setattr__(d, "vn_curve", d.vn_at(FREQ_GRID))
-    return d
 
 
-PN_OFFSETS = {"pn100k": 1e5, "pn1m": 1e6, "pn10m": 1e7}
+# The phase-noise metrics and their offsets.
+PN_METRICS = ("pn100k", "pn1m", "pn10m")
+PN_OFFSETS = np.array([1e5, 1e6, 1e7])
 
 # Placeholder values reported for VCO-side metrics in ldo_only mode and
 # LDO-side metrics in ideal_supply mode.
@@ -388,6 +508,103 @@ def coupled_swing_limit(c_byp: float) -> float:
     return SWING_FRAC * V_OUT * C_SWING_REF / (C_SWING_REF + c_byp)
 
 
+def _pn_metrics(pn: np.ndarray) -> dict[str, np.ndarray]:
+    """The PN_METRICS columns of a (..., offset) array."""
+    return dict(zip(PN_METRICS, np.moveaxis(pn, -1, 0)))
+
+
+def _fom(f0, pn1m, pdyn) -> np.ndarray:
+    """Eq. 1 at 1 MHz per corner, through the scalar fom."""
+    arrays = np.broadcast_arrays(f0, pn1m, pdyn)
+    cols = [a.ravel().tolist() for a in arrays]
+    return np.array([fom(f, 1e6, pn, p) for f, pn, p in zip(*cols)]).reshape(arrays[0].shape)
+
+
+@_ERRSTATE
+def _evaluate(
+    space: DesignSpace,
+    point: DesignPoint,
+    tcc: TechConstants,
+    vdd_in,
+    corners: Sequence[Corner],
+    mode: str,
+    i_load: float | None,
+) -> tuple[dict, VcoDerived | None, LdoDerived | None]:
+    """Metric values of one point at corner-applied constants tcc and input
+    supply vdd_in (scalars, or arrays over `corners`), by metric name."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    failures = _Failures(corners)
+
+    if mode == "ideal_supply":
+        vco = map_vco(space, point, tcc, amp_limit=SWING_FRAC * V_OUT, failures=failures)
+        failures.raise_first()
+        pn = _pn_metrics(vco_pn_intrinsic(vco, PN_OFFSETS, tcc))
+        pdyn = V_OUT * vco.i_bias
+        values = dict(
+            f0=vco.f0, **pn, pdyn=pdyn, psr_max=_IDEAL_PSR, pm=_IDEAL_PM, vdd_max=V_OUT,
+            startup_margin=vco.startup_margin, fom=_fom(vco.f0, pn["pn1m"], pdyn),
+        )
+        return values, vco, None
+
+    if mode == "ldo_only":
+        if i_load is None or i_load <= 0:
+            raise ValueError("ldo_only mode requires a positive i_load")
+        ldo = map_ldo(space, point, tcc, i_load=i_load, vdd_in=vdd_in,
+                      c_load=C_SUP_FIXED, failures=failures)
+        pdyn = vdd_in * (i_load + ldo.i_q)
+        values = dict(
+            f0=_LDO_ONLY_F0, pn100k=_LDO_ONLY_PN, pn1m=_LDO_ONLY_PN, pn10m=_LDO_ONLY_PN,
+            pdyn=pdyn, psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max,
+            startup_margin=_LDO_ONLY_STARTUP, fom=_fom(_LDO_ONLY_F0, _LDO_ONLY_PN, pdyn),
+        )
+        return values, None, ldo
+
+    # coupled
+    vco = map_vco(space, point, tcc, amp_limit=coupled_swing_limit(space.fixed["c_byp"]),
+                  failures=failures)
+    ldo = map_ldo(space, point, tcc, i_load=vco.i_bias, vdd_in=vdd_in,
+                  c_load=vco.c_par + C_SUP_FIXED, failures=failures)
+    pn = _pn_metrics(combine_pn([
+        vco_pn_intrinsic(vco, PN_OFFSETS, tcc),
+        supply_pn(vco.k_push, ldo.vn_at(PN_OFFSETS), PN_OFFSETS),
+    ]))
+    pdyn = vdd_in * (vco.i_bias + ldo.i_q)
+    values = dict(
+        f0=vco.f0, **pn, pdyn=pdyn, psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max,
+        startup_margin=vco.startup_margin, fom=_fom(vco.f0, pn["pn1m"], pdyn),
+    )
+    return values, vco, ldo
+
+
+def _metric_rows(values: dict, n: int) -> list[PerfMetrics]:
+    """One PerfMetrics per corner; a value that is the same at every corner
+    is one shared float."""
+    cols = [
+        np.ravel(x).tolist() if np.ndim(x) else [float(x)] * n
+        for x in (values[name] for name in METRIC_NAMES)
+    ]
+    return [PerfMetrics(*row) for row in zip(*cols)]
+
+
+def evaluate_corners(
+    space: DesignSpace,
+    point: DesignPoint,
+    corners: Sequence[Corner],
+    mode: str,
+    tc: TechConstants,
+    i_load: float | None = None,
+) -> list[PerfMetrics]:
+    """Evaluate one point at every corner in one mode, in one numpy pass
+    over the corner axis; one PerfMetrics per corner. Pure and
+    deterministic. A failure names the lowest-index failing corner and the
+    first quantity that fails there."""
+    corners = tuple(corners)
+    tcc, vdd_in = apply_corners(tc, corners)
+    values, _, _ = _evaluate(space, point, tcc, vdd_in, corners, mode, i_load)
+    return _metric_rows(values, len(corners))
+
+
 def evaluate_detailed(
     space: DesignSpace,
     point: DesignPoint,
@@ -396,54 +613,12 @@ def evaluate_detailed(
     tc: TechConstants,
     i_load: float | None = None,
 ) -> EvalDetail:
-    """Evaluate one point at one corner in one mode. Pure and deterministic."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    tcc = apply_corner(tc, corner)
-
-    if mode == "ideal_supply":
-        vco = map_vco(space, point, tcc, amp_limit=SWING_FRAC * V_OUT)
-        pn = {k: vco_pn_intrinsic(vco, f, tcc) for k, f in PN_OFFSETS.items()}
-        pdyn = V_OUT * vco.i_bias
-        metrics = PerfMetrics(
-            f0=vco.f0, pn100k=pn["pn100k"], pn1m=pn["pn1m"], pn10m=pn["pn10m"],
-            pdyn=pdyn, psr_max=_IDEAL_PSR, pm=_IDEAL_PM, vdd_max=V_OUT,
-            startup_margin=vco.startup_margin,
-            fom=fom(vco.f0, 1e6, pn["pn1m"], pdyn),
-        )
-        return EvalDetail(metrics, vco, None)
-
-    if mode == "ldo_only":
-        if i_load is None or i_load <= 0:
-            raise ValueError("ldo_only mode requires a positive i_load")
-        ldo = map_ldo(space, point, tcc, i_load=i_load, vdd_in=corner.vdd_in,
-                      c_load=C_SUP_FIXED)
-        pdyn = corner.vdd_in * (i_load + ldo.i_q)
-        metrics = PerfMetrics(
-            f0=_LDO_ONLY_F0, pn100k=_LDO_ONLY_PN, pn1m=_LDO_ONLY_PN,
-            pn10m=_LDO_ONLY_PN, pdyn=pdyn, psr_max=ldo.psr_max, pm=ldo.pm,
-            vdd_max=ldo.vdd_max, startup_margin=_LDO_ONLY_STARTUP,
-            fom=fom(_LDO_ONLY_F0, 1e6, _LDO_ONLY_PN, pdyn),
-        )
-        return EvalDetail(metrics, None, ldo)
-
-    # coupled
-    vco = map_vco(space, point, tcc, amp_limit=coupled_swing_limit(space.fixed["c_byp"]))
-    ldo = map_ldo(space, point, tcc, i_load=vco.i_bias, vdd_in=corner.vdd_in,
-                  c_load=vco.c_par + C_SUP_FIXED)
-    pn = {}
-    for key, f in PN_OFFSETS.items():
-        intrinsic = vco_pn_intrinsic(vco, f, tcc)
-        supply = supply_pn(vco.k_push, float(ldo.vn_at(f)), f)
-        pn[key] = combine_pn([intrinsic, supply])
-    pdyn = corner.vdd_in * (vco.i_bias + ldo.i_q)
-    metrics = PerfMetrics(
-        f0=vco.f0, pn100k=pn["pn100k"], pn1m=pn["pn1m"], pn10m=pn["pn10m"],
-        pdyn=pdyn, psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max,
-        startup_margin=vco.startup_margin,
-        fom=fom(vco.f0, 1e6, pn["pn1m"], pdyn),
+    """Evaluate one point at one corner in one mode: the evaluate_corners
+    code on scalar constants, so the vco and ldo parts hold floats."""
+    values, vco, ldo = _evaluate(
+        space, point, apply_corner(tc, corner), corner.vdd_in, (corner,), mode, i_load
     )
-    return EvalDetail(metrics, vco, ldo)
+    return EvalDetail(_metric_rows(values, 1)[0], vco, ldo)
 
 
 def evaluate(
@@ -468,10 +643,8 @@ def pn_sweep(
     """Total phase noise vs offset for export; one dBc/Hz value per offset."""
     detail = evaluate_detailed(space, point, corner, mode, tc)
     tcc = apply_corner(tc, corner)
-    out = np.empty(len(offsets))
-    for i, f in enumerate(offsets):
-        parts = [vco_pn_intrinsic(detail.vco, float(f), tcc)]
-        if mode == "coupled":
-            parts.append(supply_pn(detail.vco.k_push, float(detail.ldo.vn_at(f)), float(f)))
-        out[i] = combine_pn(parts)
-    return out
+    offsets = np.asarray(offsets, dtype=float)
+    parts = [vco_pn_intrinsic(detail.vco, offsets, tcc)]
+    if mode == "coupled":
+        parts.append(supply_pn(detail.vco.k_push, detail.ldo.vn_at(offsets), offsets))
+    return combine_pn(parts)

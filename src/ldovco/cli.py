@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .behavior import SWEEP_OFFSETS, EvaluationFailure, evaluate, pn_sweep
+from .behavior import SWEEP_OFFSETS, EvaluationFailure, evaluate_corners, pn_sweep
 from .flows import FlowResult, compare, run_codesign, run_sequential
 from .units import parse_si
 from .iofmt import (
@@ -292,15 +292,13 @@ def cmd_eval(args) -> int:
     mode = MODE_NAMES[args.mode]
     i_load = args.iload if mode == "ldo_only" else None
 
-    per_corner = []
+    try:
+        per_corner = evaluate_corners(space, point, corners, mode, tc, i_load=i_load)
+    except EvaluationFailure as exc:
+        print(f"corner {exc.corner}: {exc}", file=sys.stderr)
+        return 1
     print("corner," + ",".join(METRIC_NAMES))
-    for corner in corners:
-        try:
-            m = evaluate(space, point, corner, mode, tc, i_load=i_load)
-        except EvaluationFailure as exc:
-            print(f"corner {corner.label()}: {exc}", file=sys.stderr)
-            return 1
-        per_corner.append(m)
+    for corner, m in zip(corners, per_corner):
         print(corner.label() + "," + ",".join(_fmt(getattr(m, n)) for n in METRIC_NAMES))
     worst = worst_case(per_corner)
     print("worst_case," + ",".join(_fmt(getattr(worst, n)) for n in METRIC_NAMES))

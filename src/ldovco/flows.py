@@ -16,7 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .behavior import TechConstants, evaluate
+from .behavior import TechConstants
+# The problem builders reach the behavioral models through this module-level
+# name, one call per design for all its corners; the benchmark's `behavior`
+# span wraps it here.
+from .behavior import evaluate_corners as evaluate
 from .optimizer import OptConfig, run
 from .problem import (
     ConstraintSet,
@@ -58,8 +62,8 @@ def coupled_problem(
     space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
     tc: TechConstants,
 ) -> SizingProblem:
-    def ev(point: DesignPoint, corner: Corner) -> PerfMetrics:
-        return evaluate(space, point, corner, "coupled", tc)
+    def ev(point: DesignPoint, batch: tuple[Corner, ...]) -> list[PerfMetrics]:
+        return evaluate(space, point, batch, "coupled", tc)
 
     return SizingProblem(space, corners, constraints, ev)
 
@@ -81,9 +85,9 @@ def vco_stage_problem(
     mid = repair(space, 0.5 * (space.lowers() + space.uppers()))
     vco_constraints = tuple(c for c in constraints if c.metric in VCO_ONLY_METRICS)
 
-    def ev(sub_point: DesignPoint, corner: Corner) -> PerfMetrics:
+    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> list[PerfMetrics]:
         full = _embed(space, mid, VCO_VARIABLES, sub_point)
-        return evaluate(space, full, corner, "ideal_supply", tc)
+        return evaluate(space, full, batch, "ideal_supply", tc)
 
     return SizingProblem(sub_space, corners, vco_constraints, ev)
 
@@ -96,9 +100,9 @@ def ldo_stage_problem(
     frozen stage-1 VCO, judged against the full constraint set."""
     sub_space = space.subspace(LDO_VARIABLES)
 
-    def ev(sub_point: DesignPoint, corner: Corner) -> PerfMetrics:
+    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> list[PerfMetrics]:
         full = _embed(space, frozen, LDO_VARIABLES, sub_point)
-        return evaluate(space, full, corner, "coupled", tc)
+        return evaluate(space, full, batch, "coupled", tc)
 
     return SizingProblem(sub_space, corners, constraints, ev)
 

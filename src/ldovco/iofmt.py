@@ -109,12 +109,6 @@ def parse_point_file(text: str) -> dict[str, float]:
     return parse_keyvalues(list(_logical_lines(text)))
 
 
-def format_point_file(values: dict[str, float], header: str = "") -> str:
-    lines = [f"# {header}"] if header else []
-    lines += [f"{name} {format_si(value)}" for name, value in values.items()]
-    return "\n".join(lines) + "\n"
-
-
 def parse_constants_file(text: str) -> TechConstants:
     values = parse_keyvalues(list(_logical_lines(text)))
     known = {f.name for f in fields(TechConstants)}

@@ -179,35 +179,41 @@ def compare_designs(a: tuple[float, float], b: tuple[float, float]) -> int:
 
 
 def worst_case(per_corner: Sequence[PerfMetrics]) -> PerfMetrics:
-    """Per-metric pessimization across corners. The worst-case fom is the
-    minimum of the per-corner foms, not Eq.-1 arithmetic on the other
-    worst-case fields."""
+    """Per-metric pessimization across corners; a NaN at any corner makes
+    that metric NaN. The worst-case fom is the minimum of the per-corner
+    foms, not Eq.-1 arithmetic on the other worst-case fields."""
     if len(per_corner) == 0:
         raise ValueError("worst_case requires a nonempty metrics list")
     out = {}
     for name in METRIC_NAMES:
         vals = [getattr(m, name) for m in per_corner]
-        out[name] = min(vals) if name in _WORST_BY_MIN else max(vals)
+        pick = min if name in _WORST_BY_MIN else max
+        out[name] = math.nan if any(map(math.isnan, vals)) else pick(vals)
     return PerfMetrics(**out)
 
 
 @dataclass(frozen=True)
 class SizingProblem:
     """A constrained sizing problem: bounded space, corner list (nominal
-    first), constraint set, and an evaluator mapping (point, corner) to
-    PerfMetrics. Objective: maximize worst-case fom over all corners."""
+    first), constraint set, and a corner-batch evaluator mapping a point and
+    a tuple of corners to one PerfMetrics per corner. Objective: maximize
+    worst-case fom over all corners."""
 
     space: DesignSpace
     corners: tuple[Corner, ...]
     constraints: ConstraintSet
-    evaluator: Callable[[DesignPoint, Corner], PerfMetrics]
+    evaluate_corners: Callable[[DesignPoint, tuple[Corner, ...]], list[PerfMetrics]]
 
     def __post_init__(self):
         if len(self.corners) == 0:
             raise ValueError("a SizingProblem needs at least one corner")
 
     def evaluate_all(self, point: DesignPoint) -> list[PerfMetrics]:
-        return [self.evaluator(point, c) for c in self.corners]
+        return self.evaluate_corners(point, self.corners)
+
+    def evaluator(self, point: DesignPoint, corner: Corner) -> PerfMetrics:
+        """The metrics at one corner, as a one-corner batch."""
+        return self.evaluate_corners(point, (corner,))[0]
 
     def objective(self, worst: PerfMetrics) -> float:
         return worst.fom

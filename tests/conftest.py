@@ -61,13 +61,13 @@ def make_toy_problem():
         Variable("y", "continuous", 0.0, 5.0),
     ))
 
-    def ev(point, corner):
+    def ev(point, corners):
         x, y = point
-        return PerfMetrics(
+        return [PerfMetrics(
             f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
             psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
             fom=-((x - 3.0) ** 2) - (y - 2.0) ** 2,
-        )
+        )] * len(corners)
 
     return SizingProblem(
         toy_space, (NOMINAL_CORNER,), (Constraint("pdyn", "<=", 4.0),), ev

@@ -8,6 +8,7 @@ from ldovco.behavior import (
     C_OX,
     DEFAULT_TECH,
     EvaluationFailure,
+    FREQ_GRID,
     F_CORNER_SCALE,
     GR_LOSS_REF,
     SWEEP_OFFSETS,
@@ -15,10 +16,13 @@ from ldovco.behavior import (
     VcoDerived,
     WHEELER_K1,
     WHEELER_K2,
+    CORNER_FIELDS,
     apply_corner,
+    apply_corners,
     combine_pn,
     coupled_swing_limit,
     evaluate,
+    evaluate_corners,
     evaluate_detailed,
     map_ldo,
     map_vco,
@@ -28,8 +32,8 @@ from ldovco.behavior import (
     supply_pn,
     vco_pn_intrinsic,
 )
-from ldovco.problem import Corner, NOMINAL_CORNER, enumerate_corners, fom
-from ldovco.space import point_as_dict
+from ldovco.problem import METRIC_NAMES, Corner, NOMINAL_CORNER, enumerate_corners, fom
+from ldovco.space import point_as_dict, sample_initial
 
 IDEAL_AMP_LIMIT = 0.9 * 1.2
 
@@ -177,7 +181,7 @@ class TestLdoModel:
         assert d.a_dc > 0
         assert d.i_q > 0
         assert 1.2 <= d.vdd_max <= 1.62
-        assert len(d.psr_curve) == len(d.vn_curve) == 241
+        assert len(d.psr_curve) == len(d.vn_at(FREQ_GRID)) == 241
 
     def test_gm1_improves_dc_psr(self, space, tc, co_point):
         d1 = map_ldo(space, co_point, tc, i_load=3e-3, vdd_in=1.62, c_load=1e-12)
@@ -347,6 +351,91 @@ class TestEvaluate:
         assert SWEEP_OFFSETS[0] == pytest.approx(1e4)
         assert SWEEP_OFFSETS[-1] == pytest.approx(1e8)
         assert len(SWEEP_OFFSETS) == 81  # 20 points per decade over 4 decades
+
+
+def per_corner_run(space, tc, point, corners, mode, i_load):
+    """evaluate at each corner in turn: the metrics, and the (quantity,
+    corner) of the first failing corner, or None."""
+    out = []
+    for corner in corners:
+        try:
+            out.append(evaluate(space, point, corner, mode, tc, i_load=i_load))
+        except EvaluationFailure as exc:
+            return out, (exc.quantity, exc.corner, str(exc))
+    return out, None
+
+
+class TestEvaluateCorners:
+    @pytest.mark.parametrize("mode,n_failing", [
+        ("ideal_supply", 0), ("coupled", 44), ("ldo_only", 30),
+    ])
+    def test_matches_single_corner_evaluations(self, space, tc, co_point, se_point,
+                                               all_corners, mode, n_failing):
+        # the golden-value designs: the batch path against the one-corner
+        # path corner by corner; 14 of the coupled and 7 of the ldo_only
+        # failures pass the nominal corner and fail at a later one
+        i_load = 2e-3 if mode == "ldo_only" else None
+        failures = 0
+        for point in [co_point, se_point] + sample_initial(space, 64, seed=2024):
+            expected, failure = per_corner_run(space, tc, point, all_corners, mode, i_load)
+            try:
+                batch = evaluate_corners(space, point, all_corners, mode, tc, i_load=i_load)
+            except EvaluationFailure as exc:
+                assert (exc.quantity, exc.corner, str(exc)) == failure
+                failures += 1
+                continue
+            assert failure is None
+            assert batch == expected
+            assert all(type(getattr(m, n)) is float for m in batch for n in METRIC_NAMES)
+        assert failures == n_failing
+
+    def test_apply_corners_stacks_apply_corner(self, tc, all_corners):
+        stacked, vdd_in = apply_corners(tc, all_corners)
+        for k, corner in enumerate(all_corners):
+            one = apply_corner(tc, corner)
+            assert all(getattr(stacked, f)[k] == getattr(one, f) for f in CORNER_FIELDS)
+            assert vdd_in[k] == corner.vdd_in
+        assert stacked.kf == tc.kf
+
+    def test_failure_names_lowest_failing_corner(self, space, tc, all_corners):
+        # passes the nominal corner and corners 1-17; at corner 18 (slow-slow,
+        # 125 C) the pass device runs out of gate drive
+        point = sample_initial(space, 64, seed=2024)[22]
+        with pytest.raises(EvaluationFailure) as info:
+            evaluate_corners(space, point, all_corners, "coupled", tc)
+        assert info.value.quantity == "pass_headroom"
+        assert info.value.corner == all_corners[18].label() == "snsp_minL_minC_125C"
+        assert evaluate_corners(space, point, all_corners[:18], "coupled", tc)[0].is_finite()
+        with pytest.raises(EvaluationFailure) as single:
+            evaluate(space, point, all_corners[18], "coupled", tc)
+        assert single.value.corner == "snsp_minL_minC_125C"
+        assert str(single.value) == str(info.value)
+
+    def test_lowest_corner_first_then_model_order(self, space, tc, all_corners):
+        # a negative unit MOM capacitance sized so that the tank capacitance
+        # is positive up to the nominal value but negative on the max-C
+        # corners, the first of which is corner 3
+        lhs = sample_initial(space, 64, seed=2024)
+
+        def failure(point):
+            v = point_as_dict(space, point)
+            fingers = v["N_H"] * v["N_V"] * (4.0 - v["M_bot"])
+            width_sw = v["W_34"] * v["F_34"] * v["M_34"] + v["W_56"] * v["F_56"] * v["M_56"]
+            c_rest = space.fixed["c_var"] + tc.c_par_unit * width_sw
+            shrunk = replace(tc, c_unit_mom=-c_rest / (1.07 * fingers))
+            with pytest.raises(EvaluationFailure) as info:
+                evaluate_corners(space, point, all_corners, "coupled", shrunk)
+            return info.value.quantity, info.value.corner
+
+        # c_tank at corner 3 comes before the headroom failure at corner 18
+        assert failure(lhs[22]) == ("c_tank", all_corners[3].label())
+        # design 5 runs out of headroom at corner 2, before corner 3
+        assert failure(lhs[5]) == ("pass_headroom", all_corners[2].label())
+        # at the nominal corner design 0 fails headroom, and l_tank is tested first
+        negative_l = replace(tc, ind_scale=-1.0)
+        with pytest.raises(EvaluationFailure) as info:
+            evaluate_corners(space, lhs[0], all_corners, "coupled", negative_l)
+        assert (info.value.quantity, info.value.corner) == ("l_tank", "nominal")
 
 
 class TestConstantsFile:

@@ -195,6 +195,20 @@ class TestEval:
         assert "corner nominal" in err
         assert "pass_headroom" in err
 
+    def test_design_failing_at_a_later_corner_names_that_corner(self, capsys, tmp_path):
+        # this LHS design regulates at the nominal corner, but its pass device
+        # runs out of gate drive at the slow-slow hot corner (index 18)
+        from ldovco import load_bundled_problem
+        from ldovco.space import sample_initial
+
+        space, _ = load_bundled_problem()
+        point = sample_initial(space, 64, seed=2024)[22]
+        design = tmp_path / "lhs22.txt"
+        design.write_text("".join(f"{n} {x!r}\n" for n, x in zip(space.names, point.tolist())))
+        assert main(["eval", str(design)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("corner snsp_minL_minC_125C: evaluation failed at pass_headroom")
+
     def test_ldo_mode_accepts_iload(self, workdir, capsys, co_point_file):
         assert main(["eval", str(co_point_file), "--mode", "ldo", "--iload", "2m"]) == 0
         assert main(["eval", str(co_point_file), "--mode", "ldo", "--iload", "0.002"]) == 0
@@ -232,9 +246,8 @@ class TestCompare:
 
 @pytest.fixture()
 def co_point_file(tmp_path):
-    from ldovco import load_bundled_point
-    from ldovco.iofmt import format_point_file
+    from importlib import resources
 
     path = tmp_path / "co.txt"
-    path.write_text(format_point_file(load_bundled_point("codesign")))
+    path.write_text((resources.files("ldovco.data") / "point_codesign.txt").read_text())
     return path

@@ -3,7 +3,6 @@ import pytest
 from ldovco.iofmt import (
     atomic_write,
     format_constants_file,
-    format_point_file,
     format_problem_file,
     load_bundled_constants,
     load_bundled_point,
@@ -124,11 +123,6 @@ class TestBundledPoints:
         assert co["C_C"] == pytest.approx(67e-12)
         assert se["R_F"] == pytest.approx(1.17e6)
         assert co["W_ind"] == pytest.approx(28.2e-6)
-
-    def test_point_file_round_trip(self):
-        values = load_bundled_point("codesign")
-        text = format_point_file(values, header="round trip")
-        assert parse_point_file(text) == pytest.approx(values)
 
     def test_point_file_with_design_section(self):
         text = "[design]\nx 1u\n[result]\nflow co\n"

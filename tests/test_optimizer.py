@@ -111,7 +111,7 @@ class TestInitDb:
     def test_evaluator_failure_becomes_max_violation(self, toy_problem):
         from ldovco.behavior import EvaluationFailure
 
-        def exploding(point, corner):
+        def exploding(point, corners):
             raise EvaluationFailure("q_tank")
 
         broken = type(toy_problem)(
@@ -140,13 +140,13 @@ class TestSelectCandidate:
             Variable("y", "continuous", 0.0, 5.0),
         ))
 
-        def ev(point, corner):
+        def ev(point, corners):
             x, y = point
-            return PerfMetrics(
+            return [PerfMetrics(
                 f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
                 psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
                 fom=2.0 * x + y,
-            )
+            )] * len(corners)
 
         return SizingProblem(space, (NOMINAL_CORNER,), (Constraint("pdyn", "<=", 4.0),), ev)
 

@@ -199,3 +199,11 @@ class TestWorstCase:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             worst_case([])
+
+    @pytest.mark.parametrize("name", ["fom", "pn1m"])
+    def test_nan_propagates_in_either_order(self, name):
+        nan_row, ok = metrics(**{name: math.nan}), metrics()
+        for order in ([nan_row, ok], [ok, nan_row]):
+            w = worst_case(order)
+            assert math.isnan(getattr(w, name))
+            assert w.pdyn == ok.pdyn  # the other columns are untouched
