@@ -100,6 +100,10 @@ def format_runconfig(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_seeds(raw: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in raw.replace(",", " ").split())
+
+
 def parse_runconfig(text: str) -> RunConfig:
     values: dict = {}
     for raw in text.splitlines():
@@ -122,7 +126,7 @@ def parse_runconfig(text: str) -> RunConfig:
             continue
         raw = values[f.name]
         if f.name == "seeds":
-            kwargs[f.name] = tuple(int(s) for s in raw.replace(",", " ").split())
+            kwargs[f.name] = _parse_seeds(raw)
         elif f.name == "init_samples":
             kwargs[f.name] = None if raw == "auto" else int(raw)
         elif f.name in ("problem", "constants", "flow", "out"):
@@ -336,11 +340,11 @@ def cmd_compare(args) -> int:
     config_path = Path(args.config)
     try:
         cfg = parse_runconfig(config_path.read_text())
+        if args.seeds:
+            cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seeds:
-        cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.replace(",", " ").split()))
     if args.budget is not None:
         cfg = replace(cfg, budget=args.budget)
     if args.out:
@@ -357,10 +361,14 @@ def cmd_compare(args) -> int:
         print(f"evaluator setup error: {exc}", file=sys.stderr)
         return 3
 
-    report, _ = compare(
-        space, corners, constraints, tc, cfg.opt_config(), list(cfg.seeds),
-        workers=cfg.workers,
-    )
+    try:
+        report, _ = compare(
+            space, corners, constraints, tc, cfg.opt_config(), list(cfg.seeds),
+            workers=cfg.workers,
+        )
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     out_dir = config_path.parent / cfg.out / "comparison"
     atomic_write(out_dir / "comparison.csv", _csv(COMPARE_HEADER, report.rows))
     summary = [

@@ -438,6 +438,55 @@ class TestEvaluateCorners:
         assert (info.value.quantity, info.value.corner) == ("l_tank", "nominal")
 
 
+# The per-corner inputs of the PSR curve, as LdoDerived names them.
+PSR_INPUTS = ("gm_pass", "a_dc", "gbw", "p2", "f_z")
+
+
+def ldo_rows(d) -> list[tuple]:
+    return list(zip(*(np.atleast_1d(getattr(d, name)).tolist() for name in PSR_INPUTS)))
+
+
+def check_psr_rows(space, tc, point, corners) -> list[tuple]:
+    """The batch PSR curve of a corner list equals, row for row, the curve
+    of each corner on its own; returns the batch's PSR input rows."""
+    tcc, vdd_in = apply_corners(tc, tuple(corners))
+    batch = map_ldo(space, point, tcc, i_load=2e-3, vdd_in=vdd_in, c_load=1e-12)
+    assert batch.psr_curve.shape == (len(corners), FREQ_GRID.size)
+    for row, corner in zip(batch.psr_curve, corners):
+        one = map_ldo(space, point, apply_corner(tc, corner), i_load=2e-3,
+                      vdd_in=corner.vdd_in, c_load=1e-12)
+        assert np.array_equal(row, one.psr_curve)
+    return ldo_rows(batch)
+
+
+class TestPsrDistinctRows:
+    """The PSR curve is computed once per distinct row of its per-corner
+    inputs and gathered back onto the corner axis."""
+
+    def test_all_corners_match_one_corner_curves(self, space, tc, co_point, se_point,
+                                                 all_corners):
+        checked = 0
+        for point in [co_point, se_point] + sample_initial(space, 64, seed=2024):
+            try:
+                rows = check_psr_rows(space, tc, point, all_corners)
+            except EvaluationFailure as exc:
+                assert exc.quantity == "pass_headroom"
+                continue
+            # the LDO sees the MOS skew and the temperature, not L or C
+            assert len(set(rows)) == 9
+            checked += 1
+        assert checked == 36
+
+    @pytest.mark.parametrize("picks,n_distinct", [
+        ((0, 1, 10), 3),  # nominal, fast-fast at -55 C, fast-slow at 125 C
+        ((1, 0, 1), 2),  # one corner twice
+        ((18,), 1),
+    ])
+    def test_corner_lists(self, space, tc, co_point, all_corners, picks, n_distinct):
+        rows = check_psr_rows(space, tc, co_point, [all_corners[i] for i in picks])
+        assert len(set(rows)) == n_distinct
+
+
 class TestConstantsFile:
     def test_code_defaults_match_bundled_file(self, tc):
         assert TechConstants() == tc

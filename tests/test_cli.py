@@ -243,6 +243,17 @@ class TestCompare:
     def test_single_seed_rejected(self, workdir):
         assert main(["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1"]) == 2
 
+    def test_bad_seed_list_is_exit_2(self, workdir, capsys):
+        assert main(["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "a,b"]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid literal for int()")
+
+    def test_budget_below_stage_samples_is_exit_2(self, workdir, capsys):
+        # the sequential flow's first stage gets too few evaluations
+        args = ["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1,2", "--budget", "3"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("config error: eval_budget")
+        assert not (workdir / "runs" / "comparison").exists()
+
 
 @pytest.fixture()
 def co_point_file(tmp_path):
