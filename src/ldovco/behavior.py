@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .problem import METRIC_NAMES, Corner, PerfMetrics, fom
-from .space import DesignPoint, DesignSpace, point_as_dict
+from .problem import METRIC_NAMES, Corner, PerfMetrics
+from .space import DesignPoint, DesignSpace, frozen_array, point_as_dict
 
 MU0 = 4e-7 * math.pi
 V_OUT = 1.2  # regulated VCO supply
@@ -119,12 +119,6 @@ def apply_corner(base: TechConstants, corner: Corner) -> TechConstants:
     )
 
 
-def _frozen(values: list[float]) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=16)
 def apply_corners(
     base: TechConstants, corners: tuple[Corner, ...]
@@ -133,8 +127,8 @@ def apply_corners(
     returned constants, and the returned input supplies, are read-only arrays
     over the corners; the other fields stay scalar."""
     applied = [apply_corner(base, c) for c in corners]
-    stacked = {name: _frozen([getattr(t, name) for t in applied]) for name in CORNER_FIELDS}
-    return replace(base, **stacked), _frozen([c.vdd_in for c in corners])
+    stacked = {name: frozen_array([getattr(t, name) for t in applied]) for name in CORNER_FIELDS}
+    return replace(base, **stacked), frozen_array([c.vdd_in for c in corners])
 
 
 def _each(fn: Callable[[float], float], x) -> np.ndarray:
@@ -524,10 +518,10 @@ def _pn_metrics(pn: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _fom(f0, pn1m, pdyn) -> np.ndarray:
-    """Eq. 1 at 1 MHz per corner, through the scalar fom."""
-    arrays = np.broadcast_arrays(f0, pn1m, pdyn)
-    cols = [a.ravel().tolist() for a in arrays]
-    return np.array([fom(f, 1e6, pn, p) for f, pn, p in zip(*cols)]).reshape(arrays[0].shape)
+    """Eq. 1 at 1 MHz per corner: the scalar fom's operations, elementwise."""
+    if np.any(np.less_equal(f0, 0.0)) or np.any(np.less_equal(pdyn, 0.0)):
+        raise ValueError("fom requires positive f0, delta_f and pdyn")
+    return -10.0 * _log10(_square(1e6 / f0) * (pdyn / 1e-3)) - pn1m
 
 
 @_ERRSTATE
@@ -587,14 +581,12 @@ def _evaluate(
     return values, vco, ldo
 
 
-def _metric_rows(values: dict, n: int) -> list[PerfMetrics]:
-    """One PerfMetrics per corner; a value that is the same at every corner
-    is one shared float."""
-    cols = [
-        np.ravel(x).tolist() if np.ndim(x) else [float(x)] * n
-        for x in (values[name] for name in METRIC_NAMES)
-    ]
-    return [PerfMetrics(*row) for row in zip(*cols)]
+def _metric_table(values: dict, n: int) -> np.ndarray:
+    """The (n, len(METRIC_NAMES)) corner x metric table; a scalar fills a column."""
+    table = np.empty((n, len(METRIC_NAMES)))
+    for k, name in enumerate(METRIC_NAMES):
+        table[:, k] = values[name]
+    return table
 
 
 def evaluate_corners(
@@ -604,15 +596,15 @@ def evaluate_corners(
     mode: str,
     tc: TechConstants,
     i_load: float | None = None,
-) -> list[PerfMetrics]:
+) -> np.ndarray:
     """Evaluate one point at every corner in one mode, in one numpy pass
-    over the corner axis; one PerfMetrics per corner. Pure and
+    over the corner axis; the corner x metric table. Pure and
     deterministic. A failure names the lowest-index failing corner and the
     first quantity that fails there."""
     corners = tuple(corners)
     tcc, vdd_in = apply_corners(tc, corners)
     values, _, _ = _evaluate(space, point, tcc, vdd_in, corners, mode, i_load)
-    return _metric_rows(values, len(corners))
+    return _metric_table(values, len(corners))
 
 
 def evaluate_detailed(
@@ -628,7 +620,7 @@ def evaluate_detailed(
     values, vco, ldo = _evaluate(
         space, point, apply_corner(tc, corner), corner.vdd_in, (corner,), mode, i_load
     )
-    return EvalDetail(_metric_rows(values, 1)[0], vco, ldo)
+    return EvalDetail(PerfMetrics.from_row(_metric_table(values, 1)[0]), vco, ldo)
 
 
 def evaluate(

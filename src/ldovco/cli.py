@@ -297,14 +297,14 @@ def cmd_eval(args) -> int:
     i_load = args.iload if mode == "ldo_only" else None
 
     try:
-        per_corner = evaluate_corners(space, point, corners, mode, tc, i_load=i_load)
+        table = evaluate_corners(space, point, corners, mode, tc, i_load=i_load)
     except EvaluationFailure as exc:
         print(f"corner {exc.corner}: {exc}", file=sys.stderr)
         return 1
     print("corner," + ",".join(METRIC_NAMES))
-    for corner, m in zip(corners, per_corner):
+    for corner, m in zip(corners, map(PerfMetrics.from_row, table)):
         print(corner.label() + "," + ",".join(_fmt(getattr(m, n)) for n in METRIC_NAMES))
-    worst = worst_case(per_corner)
+    worst = worst_case(table)
     print("worst_case," + ",".join(_fmt(getattr(worst, n)) for n in METRIC_NAMES))
     print(f"violation,{_fmt(violation(worst, constraints))}")
 
@@ -319,7 +319,7 @@ def cmd_eval(args) -> int:
         atomic_write(out_dir / "pn_sweep.csv",
                      _csv(["offset_hz", "pn_ideal_dbchz", "pn_coupled_dbchz"], rows))
         corner_rows = []
-        for corner, m in zip(corners, per_corner):
+        for corner, m in zip(corners, map(PerfMetrics.from_row, table)):
             corner_rows.append({"corner": corner.label(), "pn100k": m.pn100k,
                                 "pn1m": m.pn1m, "pn10m": m.pn10m})
         atomic_write(out_dir / "pn_corners.csv",

@@ -62,16 +62,15 @@ def coupled_problem(
     space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
     tc: TechConstants,
 ) -> SizingProblem:
-    def ev(point: DesignPoint, batch: tuple[Corner, ...]) -> list[PerfMetrics]:
+    def ev(point: DesignPoint, batch: tuple[Corner, ...]) -> np.ndarray:
         return evaluate(space, point, batch, "coupled", tc)
 
     return SizingProblem(space, corners, constraints, ev)
 
 
-def _embed(space: DesignSpace, base: DesignPoint, names: list[str], sub: DesignPoint) -> DesignPoint:
+def _embed(base: DesignPoint, indices: list[int], sub: DesignPoint) -> DesignPoint:
     point = np.array(base, dtype=float)
-    for name, value in zip(names, sub):
-        point[space.index_of(name)] = value
+    point[indices] = sub
     return point
 
 
@@ -84,9 +83,10 @@ def vco_stage_problem(
     sub_space = space.subspace(VCO_VARIABLES)
     mid = repair(space, 0.5 * (space.lowers() + space.uppers()))
     vco_constraints = tuple(c for c in constraints if c.metric in VCO_ONLY_METRICS)
+    indices = [space.index_of(n) for n in VCO_VARIABLES]
 
-    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> list[PerfMetrics]:
-        full = _embed(space, mid, VCO_VARIABLES, sub_point)
+    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> np.ndarray:
+        full = _embed(mid, indices, sub_point)
         return evaluate(space, full, batch, "ideal_supply", tc)
 
     return SizingProblem(sub_space, corners, vco_constraints, ev)
@@ -99,9 +99,10 @@ def ldo_stage_problem(
     """Stage-2 problem: the 26 LDO variables in coupled mode around the
     frozen stage-1 VCO, judged against the full constraint set."""
     sub_space = space.subspace(LDO_VARIABLES)
+    indices = [space.index_of(n) for n in LDO_VARIABLES]
 
-    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> list[PerfMetrics]:
-        full = _embed(space, frozen, LDO_VARIABLES, sub_point)
+    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> np.ndarray:
+        full = _embed(frozen, indices, sub_point)
         return evaluate(space, full, batch, "coupled", tc)
 
     return SizingProblem(sub_space, corners, constraints, ev)
@@ -129,9 +130,9 @@ def _rescore(
     tc: TechConstants, point: DesignPoint,
 ) -> tuple[PerfMetrics, PerfMetrics, float]:
     problem = coupled_problem(space, corners, constraints, tc)
-    per_corner = problem.evaluate_all(point)
-    worst = worst_case(per_corner)
-    return per_corner[0], worst, problem.violation(worst)
+    table = problem.evaluate_all(point)
+    worst = worst_case(table)
+    return PerfMetrics.from_row(table[0]), worst, problem.violation(worst)
 
 
 def run_codesign(
@@ -165,7 +166,7 @@ def run_sequential(
     vco_point = res1.incumbent.point
 
     mid = repair(space, 0.5 * (space.lowers() + space.uppers()))
-    frozen = _embed(space, mid, VCO_VARIABLES, vco_point)
+    frozen = _embed(mid, [space.index_of(n) for n in VCO_VARIABLES], vco_point)
 
     stage2 = ldo_stage_problem(space, corners, constraints, tc, frozen)
     cfg2 = replace(
@@ -173,7 +174,7 @@ def run_sequential(
         init_samples=stage_init_samples(stage2.space.dim, budget2),
     )
     res2 = run(stage2, cfg2)
-    final = _embed(space, frozen, LDO_VARIABLES, res2.incumbent.point)
+    final = _embed(frozen, [space.index_of(n) for n in LDO_VARIABLES], res2.incumbent.point)
 
     nominal, worst, violation = _rescore(space, corners, constraints, tc, final)
     log_rows = [dict(r, stage=1) for r in res1.log_rows] + [

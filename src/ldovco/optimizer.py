@@ -71,13 +71,18 @@ class OptConfig:
 @dataclass(frozen=True)
 class TrialRecord:
     point: DesignPoint
-    per_corner: tuple[PerfMetrics, ...]
+    table: np.ndarray | None  # corner x metric table; None on failure
     worst: PerfMetrics | None
     violation: float
     objective: float
     eval_index: int
     origin: str  # "initial" or "de"
     failure: str | None = None
+
+    @property
+    def per_corner(self) -> tuple[PerfMetrics, ...]:
+        """The table's rows as PerfMetrics, built on access."""
+        return () if self.table is None else tuple(map(PerfMetrics.from_row, self.table))
 
 
 @dataclass
@@ -135,16 +140,16 @@ def evaluate_record(
     """One true evaluation over all corners; evaluator failures yield an
     infeasible record with maximal violation instead of aborting the run."""
     try:
-        per_corner = tuple(problem.evaluate_all(point))
-        worst = worst_case(per_corner)
+        table = problem.evaluate_all(point)
+        worst = worst_case(table)
         return TrialRecord(
-            point=point, per_corner=per_corner, worst=worst,
+            point=point, table=table, worst=worst,
             violation=problem.violation(worst), objective=problem.objective(worst),
             eval_index=eval_index, origin=origin,
         )
     except EvaluationFailure as exc:
         return TrialRecord(
-            point=point, per_corner=(), worst=None,
+            point=point, table=None, worst=None,
             violation=math.inf, objective=-math.inf,
             eval_index=eval_index, origin=origin, failure=exc.quantity,
         )

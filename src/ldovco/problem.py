@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .space import DesignPoint, DesignSpace
 
 NOMINAL_TEMP_C = 27.0
@@ -93,11 +95,15 @@ class PerfMetrics:
     def is_finite(self) -> bool:
         return all(math.isfinite(getattr(self, f.name)) for f in fields(self))
 
+    @classmethod
+    def from_row(cls, row: np.ndarray) -> "PerfMetrics":  # METRIC_NAMES order
+        return cls(*row.tolist())
+
 
 METRIC_NAMES = [f.name for f in fields(PerfMetrics)]
 
 # Smaller-is-worse metrics are pessimized by min; the rest by max.
-_WORST_BY_MIN = ("f0", "pm", "startup_margin", "fom")
+_WORST_BY_MIN = np.isin(METRIC_NAMES, ("f0", "pm", "startup_margin", "fom"))
 
 
 def fom(f0: float, delta_f: float, pn: float, pdyn: float) -> float:
@@ -178,42 +184,41 @@ def compare_designs(a: tuple[float, float], b: tuple[float, float]) -> int:
     return 0
 
 
-def worst_case(per_corner: Sequence[PerfMetrics]) -> PerfMetrics:
-    """Per-metric pessimization across corners; a NaN at any corner makes
-    that metric NaN. The worst-case fom is the minimum of the per-corner
-    foms, not Eq.-1 arithmetic on the other worst-case fields."""
+def worst_case(per_corner: np.ndarray | Sequence[PerfMetrics]) -> PerfMetrics:
+    """Per-metric pessimization across the corners of a corner x metric
+    table (or a sequence of PerfMetrics); a NaN at any corner makes that
+    metric NaN. The worst-case fom is the minimum of the per-corner foms,
+    not Eq.-1 arithmetic on the other worst-case fields."""
     if len(per_corner) == 0:
         raise ValueError("worst_case requires a nonempty metrics list")
-    out = {}
-    for name in METRIC_NAMES:
-        vals = [getattr(m, name) for m in per_corner]
-        pick = min if name in _WORST_BY_MIN else max
-        out[name] = math.nan if any(map(math.isnan, vals)) else pick(vals)
-    return PerfMetrics(**out)
+    if not isinstance(per_corner, np.ndarray):  # the same table, then one reduction
+        per_corner = np.array([[getattr(m, n) for n in METRIC_NAMES] for m in per_corner], float)
+    lo, hi = per_corner.min(axis=0), per_corner.max(axis=0)
+    return PerfMetrics.from_row(np.where(_WORST_BY_MIN, lo, hi))
 
 
 @dataclass(frozen=True)
 class SizingProblem:
     """A constrained sizing problem: bounded space, corner list (nominal
     first), constraint set, and a corner-batch evaluator mapping a point and
-    a tuple of corners to one PerfMetrics per corner. Objective: maximize
+    a tuple of corners to their corner x metric table. Objective: maximize
     worst-case fom over all corners."""
 
     space: DesignSpace
     corners: tuple[Corner, ...]
     constraints: ConstraintSet
-    evaluate_corners: Callable[[DesignPoint, tuple[Corner, ...]], list[PerfMetrics]]
+    evaluate_corners: Callable[[DesignPoint, tuple[Corner, ...]], np.ndarray]
 
     def __post_init__(self):
         if len(self.corners) == 0:
             raise ValueError("a SizingProblem needs at least one corner")
 
-    def evaluate_all(self, point: DesignPoint) -> list[PerfMetrics]:
+    def evaluate_all(self, point: DesignPoint) -> np.ndarray:
         return self.evaluate_corners(point, self.corners)
 
     def evaluator(self, point: DesignPoint, corner: Corner) -> PerfMetrics:
         """The metrics at one corner, as a one-corner batch."""
-        return self.evaluate_corners(point, (corner,))[0]
+        return PerfMetrics.from_row(self.evaluate_corners(point, (corner,))[0])
 
     def objective(self, worst: PerfMetrics) -> float:
         return worst.fom

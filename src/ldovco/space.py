@@ -11,6 +11,12 @@ CONTINUOUS = "continuous"
 INTEGER = "integer"
 
 
+def frozen_array(values, dtype=float) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Variable:
     name: str
@@ -35,7 +41,13 @@ class DesignSpace:
     fixed: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
+        vs = tuple(self.variables)
+        object.__setattr__(self, "variables", vs)
+        # derived once; read-only, so an in-place write by a caller fails loudly
+        object.__setattr__(self, "_names", tuple(v.name for v in vs))
+        object.__setattr__(self, "_lowers", frozen_array([v.lower for v in vs]))
+        object.__setattr__(self, "_uppers", frozen_array([v.upper for v in vs]))
+        object.__setattr__(self, "_integer_mask", frozen_array([v.is_integer() for v in vs], bool))
 
     @property
     def dim(self) -> int:
@@ -43,7 +55,7 @@ class DesignSpace:
 
     @property
     def names(self) -> list[str]:
-        return [v.name for v in self.variables]
+        return list(self._names)
 
     def index_of(self, name: str) -> int:
         for i, v in enumerate(self.variables):
@@ -52,13 +64,13 @@ class DesignSpace:
         raise KeyError(f"no variable named {name!r}")
 
     def lowers(self) -> np.ndarray:
-        return np.array([v.lower for v in self.variables], dtype=float)
+        return self._lowers
 
     def uppers(self) -> np.ndarray:
-        return np.array([v.upper for v in self.variables], dtype=float)
+        return self._uppers
 
     def integer_mask(self) -> np.ndarray:
-        return np.array([v.is_integer() for v in self.variables], dtype=bool)
+        return self._integer_mask
 
     def subspace(self, names: list[str]) -> "DesignSpace":
         """New space restricted to the named variables (order as given)."""
@@ -121,7 +133,7 @@ def repair(space: DesignSpace, raw: np.ndarray) -> DesignPoint:
 
 
 def point_as_dict(space: DesignSpace, point: DesignPoint) -> dict[str, float]:
-    return {v.name: float(point[i]) for i, v in enumerate(space.variables)}
+    return dict(zip(space._names, np.asarray(point, dtype=float).tolist()))
 
 
 def point_from_dict(space: DesignSpace, values: dict[str, float]) -> DesignPoint:

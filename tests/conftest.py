@@ -1,3 +1,6 @@
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 
 from ldovco import (
@@ -63,11 +66,11 @@ def make_toy_problem():
 
     def ev(point, corners):
         x, y = point
-        return [PerfMetrics(
+        return np.array([astuple(PerfMetrics(
             f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
             psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
             fom=-((x - 3.0) ** 2) - (y - 2.0) ** 2,
-        )] * len(corners)
+        ))] * len(corners))
 
     return SizingProblem(
         toy_space, (NOMINAL_CORNER,), (Constraint("pdyn", "<=", 4.0),), ev

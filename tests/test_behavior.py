@@ -32,7 +32,9 @@ from ldovco.behavior import (
     supply_pn,
     vco_pn_intrinsic,
 )
-from ldovco.problem import METRIC_NAMES, Corner, NOMINAL_CORNER, enumerate_corners, fom
+from ldovco.problem import (
+    METRIC_NAMES, Corner, NOMINAL_CORNER, PerfMetrics, enumerate_corners, fom,
+)
 from ldovco.space import point_as_dict, sample_initial
 
 IDEAL_AMP_LIMIT = 0.9 * 1.2
@@ -385,8 +387,9 @@ class TestEvaluateCorners:
                 failures += 1
                 continue
             assert failure is None
-            assert batch == expected
-            assert all(type(getattr(m, n)) is float for m in batch for n in METRIC_NAMES)
+            assert batch.dtype == np.float64
+            assert batch.shape == (len(all_corners), len(METRIC_NAMES))
+            assert [PerfMetrics.from_row(row) for row in batch] == expected
         assert failures == n_failing
 
     def test_apply_corners_stacks_apply_corner(self, tc, all_corners):
@@ -405,7 +408,7 @@ class TestEvaluateCorners:
             evaluate_corners(space, point, all_corners, "coupled", tc)
         assert info.value.quantity == "pass_headroom"
         assert info.value.corner == all_corners[18].label() == "snsp_minL_minC_125C"
-        assert evaluate_corners(space, point, all_corners[:18], "coupled", tc)[0].is_finite()
+        assert np.isfinite(evaluate_corners(space, point, all_corners[:18], "coupled", tc)).all()
         with pytest.raises(EvaluationFailure) as single:
             evaluate(space, point, all_corners[18], "coupled", tc)
         assert single.value.corner == "snsp_minL_minC_125C"

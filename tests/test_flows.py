@@ -8,13 +8,14 @@ from ldovco.flows import (
     VCO_VARIABLES,
     _pair_row,
     compare,
+    coupled_problem,
     run_codesign,
     run_sequential,
     stage_init_samples,
     vco_stage_problem,
 )
-from ldovco.optimizer import OptConfig
-from ldovco.problem import worst_case
+from ldovco.optimizer import OptConfig, init_db
+from ldovco.problem import METRIC_NAMES, worst_case
 
 BUDGET = 90  # small smoke budget; the full-scale runs live in the acceptance suite
 
@@ -35,6 +36,26 @@ def flow_pair(bundled, tc, all_corners, small_cfg):
 def test_flows_evaluate_is_the_corner_batch_evaluator():
     # the benchmark's `behavior` span patches this module-level name
     assert flows.evaluate is evaluate_corners
+
+
+@pytest.mark.parametrize("build,min_failed", [(coupled_problem, 1), (vco_stage_problem, 0)])
+def test_record_per_corner_matches_one_corner_evaluations(
+    bundled, tc, all_corners, build, min_failed
+):
+    # the benchmark's screen check compares each record's per-corner metrics
+    # with this corner-by-corner recomputation
+    space, constraints = bundled
+    problem = build(space, all_corners, constraints, tc)
+    db = init_db(problem, OptConfig(eval_budget=13, seed=4, init_samples=12))
+    failed = [r for r in db.records if r.failure is not None]
+    assert len(failed) >= min_failed and len(failed) < len(db.records)
+    for rec in db.records:
+        if rec.failure is not None:
+            assert rec.per_corner == ()
+            continue
+        again = tuple(problem.evaluator(rec.point, c) for c in problem.corners)
+        assert rec.per_corner == again
+        assert all(type(getattr(m, n)) is float for m in rec.per_corner for n in METRIC_NAMES)
 
 
 def test_variable_partition_covers_space(space):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -142,11 +143,11 @@ class TestSelectCandidate:
 
         def ev(point, corners):
             x, y = point
-            return [PerfMetrics(
+            return np.array([astuple(PerfMetrics(
                 f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
                 psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
                 fom=2.0 * x + y,
-            )] * len(corners)
+            ))] * len(corners))
 
         return SizingProblem(space, (NOMINAL_CORNER,), (Constraint("pdyn", "<=", 4.0),), ev)
 
@@ -168,7 +169,7 @@ class TestSelectCandidate:
         ] + [np.array([4.5, 4.0]), np.array([3.5, 3.0])]  # clearly infeasible
 
         def key(p):
-            worst = problem.evaluate_all(p)[0]
+            worst = PerfMetrics.from_row(problem.evaluate_all(p)[0])
             vio = problem.violation(worst)
             return (vio > 0, vio, -worst.fom)
 

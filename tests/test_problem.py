@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ldovco.problem import (
     Constraint,
     DEFAULT_CONSTRAINTS,
+    METRIC_NAMES,
     MOS_PAIRS,
     NOMINAL_CORNER,
     PerfMetrics,
@@ -199,6 +201,29 @@ class TestWorstCase:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             worst_case([])
+
+    # fom is pessimized by min, pn1m by max
+    @pytest.mark.parametrize("name", ["fom", "pn1m"])
+    @pytest.mark.parametrize("nan_at", [None, 0, -1])
+    def test_table_and_sequence_agree(self, name, nan_at):
+        # every column varies over the corners, so a reduction over the
+        # wrong axis or in the wrong direction changes the result
+        rows = [
+            metrics(**{n: v * (1.0 + 0.01 * (k * 7 % 5)) for n, v in metrics().to_dict().items()})
+            for k in range(5)
+        ]
+        expected = {
+            n: (min if n in ("f0", "pm", "startup_margin", "fom") else max)(
+                getattr(m, n) for m in rows
+            )
+            for n in METRIC_NAMES
+        }
+        if nan_at is not None:
+            rows[nan_at] = replace(rows[nan_at], **{name: math.nan})
+            expected[name] = math.nan
+        table = np.array([astuple(m) for m in rows])
+        assert repr(worst_case(table).to_dict()) == repr(expected)
+        assert repr(worst_case(rows).to_dict()) == repr(expected)
 
     @pytest.mark.parametrize("name", ["fom", "pn1m"])
     def test_nan_propagates_in_either_order(self, name):

@@ -127,3 +127,15 @@ def test_subspace_preserves_bounds(space):
     assert sub.names == ["M2", "C_C"]
     assert sub.variables[0].upper == 1000
     assert sub.fixed == space.fixed
+
+
+def test_derived_arrays_are_read_only(space):
+    # derived once per space and shared by every caller
+    assert space.lowers() is space.lowers()
+    for array in (space.lowers(), space.uppers(), space.integer_mask()):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    space.names.append("extra")
+    assert len(space.names) == space.dim
+    assert space.lowers().dtype == space.uppers().dtype == np.float64
+    assert space.integer_mask().dtype == bool
