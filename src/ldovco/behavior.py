@@ -62,9 +62,11 @@ class EvaluationFailure(RuntimeError):
     and, when known, the label of the corner it failed at."""
 
     def __init__(self, quantity: str, detail: str = "", corner: str | None = None):
-        self.quantity = quantity
-        self.corner = corner
+        self.quantity, self.detail, self.corner = quantity, detail, corner
         super().__init__(f"evaluation failed at {quantity}" + (f": {detail}" if detail else ""))
+
+    def __reduce__(self):  # rebuilt from its fields when it crosses a process pool
+        return type(self), (self.quantity, self.detail, self.corner)
 
 
 @dataclass(frozen=True)
@@ -581,11 +583,18 @@ def _evaluate(
     return values, vco, ldo
 
 
-def _metric_table(values: dict, n: int) -> np.ndarray:
-    """The (n, len(METRIC_NAMES)) corner x metric table; a scalar fills a column."""
-    table = np.empty((n, len(METRIC_NAMES)))
+def _metric_table(values: dict, corners: Sequence[Corner]) -> np.ndarray:
+    """The corner x metric table; a scalar fills a column. Every metric that
+    leaves the evaluator is finite: otherwise this fails, naming the
+    lowest-index corner with a non-finite metric and the first such metric
+    there, in METRIC_NAMES order."""
+    table = np.empty((len(corners), len(METRIC_NAMES)))
     for k, name in enumerate(METRIC_NAMES):
         table[:, k] = values[name]
+    if not np.isfinite(table).all():
+        i, k = np.argwhere(~np.isfinite(table))[0]
+        raise EvaluationFailure(METRIC_NAMES[k], f"non-finite value {table[i, k]}",
+                                corner=corners[i].label())
     return table
 
 
@@ -600,11 +609,12 @@ def evaluate_corners(
     """Evaluate one point at every corner in one mode, in one numpy pass
     over the corner axis; the corner x metric table. Pure and
     deterministic. A failure names the lowest-index failing corner and the
-    first quantity that fails there."""
+    first quantity that fails there; a model quantity that fails at any
+    corner comes before a non-finite metric (see _metric_table)."""
     corners = tuple(corners)
     tcc, vdd_in = apply_corners(tc, corners)
     values, _, _ = _evaluate(space, point, tcc, vdd_in, corners, mode, i_load)
-    return _metric_table(values, len(corners))
+    return _metric_table(values, corners)
 
 
 def evaluate_detailed(
@@ -620,7 +630,7 @@ def evaluate_detailed(
     values, vco, ldo = _evaluate(
         space, point, apply_corner(tc, corner), corner.vdd_in, (corner,), mode, i_load
     )
-    return EvalDetail(PerfMetrics.from_row(_metric_table(values, 1)[0]), vco, ldo)
+    return EvalDetail(PerfMetrics.from_row(_metric_table(values, (corner,))[0]), vco, ldo)
 
 
 def evaluate(

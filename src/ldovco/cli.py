@@ -2,8 +2,9 @@
 evaluation with sweep export, and the paired-flow comparison report.
 
 Commands: init, run, eval, compare. Exit codes: 0 success (run: feasible
-final design), 1 infeasible result or evaluation error, 2 config/argument
-parse error, 3 evaluator setup error."""
+final design), 1 infeasible result or evaluation error (including a final
+design that fails its coupled re-score), 2 config/argument parse error, 3
+evaluator setup error."""
 
 from __future__ import annotations
 
@@ -210,6 +211,12 @@ def _design_record(space: DesignSpace, result: FlowResult, constraints) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _final_design_failed(exc: EvaluationFailure) -> int:
+    """Exit 1: the final design failed its re-score, as every coupled evaluation did."""
+    print(f"final design failed: corner {exc.corner}: {exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_run(args) -> int:
     config_path = Path(args.config)
     try:
@@ -238,6 +245,8 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except EvaluationFailure as exc:
+        return _final_design_failed(exc)
 
     out_dir = config_path.parent / cfg.out / f"{cfg.flow}_seed{cfg.seed}"
     header = list(RUN_LOG_HEADER) + (["stage"] if cfg.flow == "seq" else [])
@@ -369,6 +378,8 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except EvaluationFailure as exc:
+        return _final_design_failed(exc)
     out_dir = config_path.parent / cfg.out / "comparison"
     atomic_write(out_dir / "comparison.csv", _csv(COMPARE_HEADER, report.rows))
     summary = [

@@ -27,7 +27,7 @@ from .problem import (
     Corner,
     PerfMetrics,
     SizingProblem,
-    compare_designs,
+    rank_key,
     worst_case,
 )
 from .space import DesignPoint, DesignSpace, repair
@@ -209,10 +209,9 @@ def _pair_row(seed: int, co: FlowResult, seq: FlowResult) -> dict:
     # wins use the same feasibility-first order that ranks designs everywhere
     # else; a constraint-violating design does not outrank a compliant one on
     # raw FoM alone. Ties split 0.5/0.5.
-    outcome = compare_designs(
-        (co.coupled_worst.fom, co.violation), (seq.coupled_worst.fom, seq.violation)
-    )
-    win = 0.5 if outcome == 0 else (1.0 if outcome > 0 else 0.0)
+    co_key = rank_key(co.coupled_worst.fom, co.violation)
+    seq_key = rank_key(seq.coupled_worst.fom, seq.violation)
+    win = 0.5 if co_key == seq_key else float(co_key < seq_key)
     return {
         "seed": seed,
         "codesign_fom": co.coupled_worst.fom,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .behavior import EvaluationFailure
-from .problem import METRIC_NAMES, GE, PerfMetrics, SizingProblem, compare_designs, worst_case
+from .problem import METRIC_NAMES, GE, PerfMetrics, SizingProblem, rank_key, worst_case
 from .space import DesignPoint, repair, sample_initial
 from .surrogate import EnsembleModel, MlpConfig, fit, predict_conservative, update
 
@@ -85,6 +85,10 @@ class TrialRecord:
         return () if self.table is None else tuple(map(PerfMetrics.from_row, self.table))
 
 
+def _rank(rec: TrialRecord) -> tuple[int, float]:
+    return rank_key(rec.objective, rec.violation)
+
+
 @dataclass
 class Database:
     records: list[TrialRecord] = field(default_factory=list)
@@ -97,38 +101,23 @@ class Database:
     def insert(self, rec: TrialRecord) -> bool:
         """Append and update the incumbent; returns True if it changed."""
         self.records.append(rec)
-        if len(self.records) == 1:
-            self.incumbent_index = 0
-            return True
-        inc = self.incumbent
-        if compare_designs((rec.objective, rec.violation), (inc.objective, inc.violation)) > 0:
+        if len(self.records) == 1 or _rank(rec) < _rank(self.incumbent):
             self.incumbent_index = len(self.records) - 1
             return True
         return False
 
-    def ranked_indices(self) -> list[int]:
-        """All record indices, best first, ties broken oldest-first. The key
-        encodes the same feasibility-first order as compare_designs."""
-
-        def key(i: int):
-            r = self.records[i]
-            if r.violation == 0.0:
-                return (0, -r.objective, i)
-            return (1, r.violation, i)
-
-        return sorted(range(len(self.records)), key=key)
-
     def top_distinct_points(self, count: int) -> list[DesignPoint]:
         """Best `count` distinct designs (re-evaluations of one point count
-        once); DE parent diversity depends on distinctness."""
+        once, ties go oldest-first); DE parent diversity depends on
+        distinctness."""
         out: list[DesignPoint] = []
         taken: set[bytes] = set()
-        for i in self.ranked_indices():
-            key = np.asarray(self.records[i].point).tobytes()
+        for rec in sorted(self.records, key=_rank):
+            key = np.asarray(rec.point).tobytes()
             if key in taken:
                 continue
             taken.add(key)
-            out.append(self.records[i].point)
+            out.append(rec.point)
             if len(out) == count:
                 break
         return out
@@ -194,9 +183,7 @@ def _constraint_senses(problem: SizingProblem) -> np.ndarray:
 
 def training_row(rec: TrialRecord) -> np.ndarray | None:
     """Surrogate target vector for a record; None for failed evaluations."""
-    if rec.worst is None or not rec.worst.is_finite():
-        return None
-    return np.array([getattr(rec.worst, name) for name in METRIC_NAMES])
+    return None if rec.worst is None else np.array([getattr(rec.worst, n) for n in METRIC_NAMES])
 
 
 def fit_surrogate(
@@ -236,17 +223,16 @@ def select_candidate(
     preds = predict_conservative(
         model, np.array(children), cfg.beta, senses=_constraint_senses(problem)
     )
-    scores = []
-    for idx, row in enumerate(preds):
+    keys = []
+    for row in preds:
         metrics = dict(zip(METRIC_NAMES, (float(v) for v in row)))
-        obj, vio = metrics["fom"], problem.violation(metrics)
-        scores.append(((0, -obj, idx) if vio == 0.0 else (1, vio, idx), idx))
-    scores.sort()
+        keys.append(rank_key(metrics["fom"], problem.violation(metrics)))
+    order = sorted(range(len(children)), key=keys.__getitem__)
     if seen:
-        for _, idx in scores:
+        for idx in order:
             if children[idx].tobytes() not in seen:
                 return children[idx]
-    return children[scores[0][1]]
+    return children[order[0]]
 
 
 @dataclass
@@ -355,7 +341,7 @@ def _init_log(records: list[TrialRecord]) -> list[dict]:
     rows = []
     best = records[0]
     for rec in records:
-        if compare_designs((rec.objective, rec.violation), (best.objective, best.violation)) > 0:
+        if _rank(rec) < _rank(best):
             best = rec
         rows.append(_log_row(rec, best))
     return rows

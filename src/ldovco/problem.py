@@ -92,9 +92,6 @@ class PerfMetrics:
     def to_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def is_finite(self) -> bool:
-        return all(math.isfinite(getattr(self, f.name)) for f in fields(self))
-
     @classmethod
     def from_row(cls, row: np.ndarray) -> "PerfMetrics":  # METRIC_NAMES order
         return cls(*row.tolist())
@@ -164,24 +161,17 @@ def violation(metrics: PerfMetrics | dict[str, float], constraints: ConstraintSe
     return total
 
 
-def compare_designs(a: tuple[float, float], b: tuple[float, float]) -> int:
-    """Feasibility-first ordering on (objective, violation) pairs.
+def rank_key(objective: float, violation: float) -> tuple[int, float]:
+    """Feasibility-first sort key (Deb, CMAME 2000): feasible designs by
+    objective, highest first, ahead of infeasible ones by violation, lowest
+    first. Smaller is better; a stable sort keeps exact ties oldest-first."""
+    return (0, -objective) if violation == 0.0 else (1, violation)
 
-    Returns +1 if a wins, -1 if b wins, 0 on an exact tie (callers break ties
-    by insertion order: older wins).
-    """
-    obj_a, vio_a = a
-    obj_b, vio_b = b
-    feas_a, feas_b = vio_a == 0.0, vio_b == 0.0
-    if feas_a != feas_b:
-        return 1 if feas_a else -1
-    if feas_a:
-        if obj_a != obj_b:
-            return 1 if obj_a > obj_b else -1
-        return 0
-    if vio_a != vio_b:
-        return 1 if vio_a < vio_b else -1
-    return 0
+
+def compare_designs(a: tuple[float, float], b: tuple[float, float]) -> int:
+    """+1 if (objective, violation) pair a ranks ahead of b, -1 if behind, 0 on a tie."""
+    ka, kb = rank_key(*a), rank_key(*b)
+    return (ka < kb) - (kb < ka)
 
 
 def worst_case(per_corner: np.ndarray | Sequence[PerfMetrics]) -> PerfMetrics:

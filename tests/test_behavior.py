@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from ldovco.behavior import (
     FREQ_GRID,
     F_CORNER_SCALE,
     GR_LOSS_REF,
+    MODES,
     SWEEP_OFFSETS,
     TechConstants,
     VcoDerived,
@@ -321,7 +323,7 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(space, co_point, NOMINAL_CORNER, "ldo_only", tc)
         m = evaluate(space, co_point, NOMINAL_CORNER, "ldo_only", tc, i_load=2e-3)
-        assert m.is_finite()
+        assert np.isfinite(list(m.to_dict().values())).all()
 
     def test_unknown_mode_rejected(self, space, tc, co_point):
         with pytest.raises(ValueError):
@@ -439,6 +441,52 @@ class TestEvaluateCorners:
         with pytest.raises(EvaluationFailure) as info:
             evaluate_corners(space, lhs[0], all_corners, "coupled", negative_l)
         assert (info.value.quantity, info.value.corner) == ("l_tank", "nominal")
+
+
+# The quantities the models test before any metric is formed.
+MODEL_QUANTITIES = ("l_tank", "c_tank", "q_tank", "p_sig", "v_drop", "pass_headroom")
+
+
+class TestFiniteMetrics:
+    """Metrics leave the evaluator finite, or the evaluation fails."""
+
+    @pytest.mark.parametrize("vdd_in", [math.nan, math.inf])
+    def test_non_finite_supply_fails_at_its_corner(self, space, tc, co_point, vdd_in):
+        # the model checks pass, but pdyn = vdd_in * current is not finite
+        hot = Corner(temperature=125.0, vdd_in=vdd_in)
+        with pytest.raises(EvaluationFailure) as batch:
+            evaluate_corners(space, co_point, (NOMINAL_CORNER, hot), "coupled", tc)
+        assert (batch.value.quantity, batch.value.corner) == ("pdyn", hot.label())
+        with pytest.raises(EvaluationFailure) as single:
+            evaluate(space, co_point, hot, "coupled", tc)
+        assert (single.value.quantity, single.value.corner) == ("pdyn", hot.label())
+        assert str(single.value) == str(batch.value)
+
+    def test_design_box_property(self, space, tc, all_corners):
+        # LHS designs and box vertices: each evaluation gives a finite
+        # (33, 10) table or fails with a named quantity at one of the corners
+        rng = np.random.default_rng(7)
+        vertices = np.where(rng.integers(0, 2, size=(100, space.dim)) == 1,
+                            space.uppers(), space.lowers())
+        points = sample_initial(space, 100, seed=7) + list(vertices)
+        labels = {c.label() for c in all_corners}
+        counts = Counter()
+        for mode in MODES:
+            i_load = 2e-3 if mode == "ldo_only" else None
+            for point in points:
+                try:
+                    table = evaluate_corners(space, point, all_corners, mode, tc, i_load=i_load)
+                except EvaluationFailure as exc:
+                    assert exc.quantity in MODEL_QUANTITIES + tuple(METRIC_NAMES)
+                    assert exc.corner in labels
+                    counts[mode, "failed"] += 1
+                    continue
+                assert table.shape == (33, len(METRIC_NAMES))
+                assert np.isfinite(table).all()
+                counts[mode, "ok"] += 1
+        # every mode gives metrics for some designs; coupled mode also rejects some
+        assert all(counts[mode, "ok"] for mode in MODES)
+        assert counts["coupled", "failed"]
 
 
 # The per-corner inputs of the PSR curve, as LdoDerived names them.

@@ -138,6 +138,15 @@ class TestRun:
         stages = {line.rsplit(",", 1)[1] for line in log[1:]}
         assert stages == {"1", "2"}
 
+    def test_failed_final_design_is_exit_1(self, workdir, capsys):
+        # every one of the 5 evaluations fails pass_headroom, so the final
+        # design fails its coupled re-score
+        assert main(["run", str(workdir / RUNCONFIG_FILE), "--budget", "5", "--seed", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("final design failed: corner nominal: evaluation failed at "
+                       "pass_headroom: needs 1.658 V gate drive from 1.62 V\n")
+        assert not (workdir / "runs" / "co_seed4").exists()
+
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.txt")]) == 2
 
@@ -239,6 +248,16 @@ class TestCompare:
         summary = (workdir / "cmp_pct" / "comparison" / "summary.txt").read_text()
         assert "%" in summary
         assert "win rate" in summary
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_final_design_is_exit_1(self, workdir, capsys, workers):
+        args = ["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "4,5", "--budget", "5",
+                "--workers", workers]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("final design failed: corner nominal: evaluation failed at "
+                              "pass_headroom: ")
+        assert not (workdir / "runs" / "comparison").exists()
 
     def test_single_seed_rejected(self, workdir):
         assert main(["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1"]) == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from ldovco import flows
@@ -56,6 +58,34 @@ def test_record_per_corner_matches_one_corner_evaluations(
         again = tuple(problem.evaluator(rec.point, c) for c in problem.corners)
         assert rec.per_corner == again
         assert all(type(getattr(m, n)) is float for m in rec.per_corner for n in METRIC_NAMES)
+
+
+def test_names_the_benchmark_checks_read(bundled, tc, all_corners):
+    # the benchmark ranks by compare_designs on (objective, violation) pairs,
+    # and reads a record's per_corner, worst and failure; worst_case takes
+    # the per_corner list of PerfMetrics
+    from ldovco.behavior import EvaluationFailure
+    from ldovco.optimizer import TrialRecord
+    from ldovco.problem import PerfMetrics, compare_designs
+
+    space, constraints = bundled
+    problem = coupled_problem(space, all_corners, constraints, tc)
+    db = init_db(problem, OptConfig(eval_budget=13, seed=4, init_samples=12))
+    best = db.records[0]
+    for rec in db.records[1:]:
+        if compare_designs((rec.objective, rec.violation), (best.objective, best.violation)) > 0:
+            best = rec
+    assert best is db.incumbent and best.failure is None
+    for rec in db.records:
+        assert isinstance(rec, TrialRecord)
+        if rec.failure is None:
+            assert all(isinstance(m, PerfMetrics) for m in rec.per_corner)
+            assert worst_case(list(rec.per_corner)) == rec.worst
+        else:
+            assert (rec.per_corner, rec.worst) == ((), None)
+            with pytest.raises(EvaluationFailure) as info:
+                problem.evaluate_all(rec.point)
+            assert info.value.quantity == rec.failure
 
 
 def test_variable_partition_covers_space(space):
@@ -139,6 +169,17 @@ def test_self_comparison_convention(flow_pair):
     assert row["codesign_win"] == 0.5
     assert row["fom_delta"] == 0.0
     assert row["pdyn_delta_pct"] == 0.0
+
+
+def test_pair_row_win_is_feasibility_first(flow_pair):
+    co, _ = flow_pair
+    worse = replace(co.coupled_worst, fom=co.coupled_worst.fom - 1.0)
+    better = replace(co.coupled_worst, fom=co.coupled_worst.fom + 1.0)
+    feasible = replace(co, coupled_worst=worse, violation=0.0)
+    infeasible = replace(co, coupled_worst=better, violation=0.25)
+    assert _pair_row(7, feasible, infeasible)["codesign_win"] == 1.0
+    assert _pair_row(7, infeasible, feasible)["codesign_win"] == 0.0
+    assert _pair_row(7, feasible, replace(feasible, coupled_worst=better))["codesign_win"] == 0.0
 
 
 def test_compare_rows_and_determinism(bundled, tc, all_corners):

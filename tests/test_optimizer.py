@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ldovco.optimizer import (
+    Database,
     OptConfig,
+    TrialRecord,
     RUN_LOG_HEADER,
     check_stop,
     de_generate,
@@ -123,6 +125,31 @@ class TestInitDb:
         assert all(r.violation == math.inf for r in db.records)
         assert all(r.failure == "q_tank" for r in db.records)
         assert training_row(db.records[0]) is None
+
+
+class TestDatabase:
+    @staticmethod
+    def _record(i, objective, violation):
+        return TrialRecord(point=np.array([float(i)]), table=None, worst=None,
+                           violation=violation, objective=objective, eval_index=i,
+                           origin="initial")
+
+    def test_ties_rank_oldest_first(self):
+        scores = [(-math.inf, math.inf), (190.0, 0.0), (185.0, 0.2), (190.0, 0.0),
+                  (185.0, 0.2), (192.0, 0.0), (-math.inf, math.inf), (0.0, 0.1)]
+        db = Database()
+        for i, (objective, vio) in enumerate(scores):
+            db.insert(self._record(i, objective, vio))
+        assert db.incumbent_index == 5
+        order = [int(p[0]) for p in db.top_distinct_points(len(scores))]
+        assert order == [5, 1, 3, 7, 2, 4, 0, 6]
+        assert order[:3] == [int(p[0]) for p in db.top_distinct_points(3)]
+
+    def test_first_of_tied_records_stays_incumbent(self):
+        db = Database()
+        for i in range(3):
+            assert db.insert(self._record(i, 190.0, 0.0)) == (i == 0)
+        assert db.incumbent_index == 0
 
 
 class TestSelectCandidate:

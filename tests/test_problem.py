@@ -14,6 +14,7 @@ from ldovco.problem import (
     PerfMetrics,
     compare_designs,
     enumerate_corners,
+    rank_key,
     fom,
     violation,
     worst_case,
@@ -169,6 +170,35 @@ class TestCompareDesigns:
         for a, b, c in itertools.combinations(pool, 3):
             if compare_designs(a, b) >= 0 and compare_designs(b, c) >= 0:
                 assert compare_designs(a, c) >= 0
+
+
+def pairwise_reference(a, b):
+    """Feasibility-first comparison written out pairwise: +1 if a wins."""
+    (obj_a, vio_a), (obj_b, vio_b) = a, b
+    if (vio_a == 0.0) != (vio_b == 0.0):
+        return 1 if vio_a == 0.0 else -1
+    if vio_a == 0.0:
+        return (obj_a > obj_b) - (obj_a < obj_b)
+    return (vio_a < vio_b) - (vio_a > vio_b)
+
+
+class TestRankKey:
+    def test_orders_as_compare_designs(self):
+        # feasible, infeasible and failed (-inf, inf) records, with exact ties
+        rng = np.random.default_rng(11)
+        pool = [(float(rng.normal(190, 3)), 0.0) for _ in range(15)]
+        pool += [(float(rng.normal(190, 3)), float(rng.choice([0.1, 0.4, rng.exponential()])))
+                 for _ in range(15)]
+        pool += [(-math.inf, math.inf)] * 3 + [pool[0], pool[20], (pool[1][0], 0.5)]
+        for a, b in itertools.product(pool, repeat=2):
+            assert (compare_designs(a, b) > 0) == (rank_key(*a) < rank_key(*b))
+            assert (compare_designs(a, b) == 0) == (rank_key(*a) == rank_key(*b))
+            assert compare_designs(a, b) == pairwise_reference(a, b)
+
+    def test_key_shape(self):
+        assert rank_key(191.0, 0.0) == (0, -191.0)
+        assert rank_key(195.0, 0.3) == (1, 0.3)
+        assert rank_key(-math.inf, math.inf) == (1, math.inf)
 
 
 class TestWorstCase:
