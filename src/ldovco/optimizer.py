@@ -85,6 +85,9 @@ class TrialRecord:
         return () if self.table is None else tuple(map(PerfMetrics.from_row, self.table))
 
 
+_FOM = METRIC_NAMES.index("fom")
+
+
 def _rank(rec: TrialRecord) -> tuple[int, float]:
     return rank_key(rec.objective, rec.violation)
 
@@ -158,14 +161,25 @@ def de_generate(
     parents: list[DesignPoint], best: DesignPoint, cfg: OptConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """current-to-best/1 mutation with binomial crossover; returns the raw
-    child vector (pass through repair before evaluating)."""
+    (children_per_iter, dim) batch of children (pass it through repair
+    before evaluating). Each child draws its parents, crossover mask and
+    guaranteed gene in turn, so the random stream is the same as breeding
+    them one at a time."""
     if len(parents) < 4:
         raise ValueError("need at least 4 distinct parents")
-    i, r1, r2 = rng.choice(len(parents), size=3, replace=False)
-    x_i, x_r1, x_r2 = parents[i], parents[r1], parents[r2]
+    pool = np.asarray(parents, dtype=float)
+    n, d = cfg.children_per_iter, pool.shape[1]
+    picks = np.empty((n, 3), dtype=np.intp)
+    u = np.empty((n, d))
+    gene = np.empty(n, dtype=np.intp)
+    for j in range(n):
+        picks[j] = rng.choice(len(parents), size=3, replace=False)
+        u[j] = rng.uniform(size=d)
+        gene[j] = rng.integers(d)
+    x_i, x_r1, x_r2 = pool[picks[:, 0]], pool[picks[:, 1]], pool[picks[:, 2]]
     mutant = x_i + cfg.de_f * (best - x_i) + cfg.de_f * (x_r1 - x_r2)
-    cross = rng.uniform(size=len(x_i)) < cfg.de_cr
-    cross[rng.integers(len(x_i))] = True  # at least one mutant gene
+    cross = u < cfg.de_cr
+    cross[np.arange(n), gene] = True  # at least one mutant gene
     return np.where(cross, mutant, x_i)
 
 
@@ -203,36 +217,32 @@ def fit_surrogate(
 
 
 def select_candidate(
-    children: list[DesignPoint],
+    children: np.ndarray,
     model: EnsembleModel | None,
     problem: SizingProblem,
     cfg: OptConfig,
     seen: set[bytes] | None = None,
 ) -> DesignPoint:
-    """Score children with the conservative surrogate and return the one the
-    feasibility-first ranking likes best (ties to the lowest index). With no
-    model yet, the first child stands in.
+    """Score the (n, dim) batch of children with the conservative surrogate
+    and return a copy of the one the feasibility-first ranking likes best
+    (ties to the lowest index). With no model yet, the first child stands in.
 
     Children identical to an already-evaluated point carry no information, so
     the best not-yet-seen child wins when there is one (`seen` holds the raw
     bytes of evaluated points)."""
-    if not children:
+    children = np.asarray(children, dtype=float)
+    if len(children) == 0:
         raise ValueError("select_candidate needs at least one child")
     if model is None:
-        return children[0]
-    preds = predict_conservative(
-        model, np.array(children), cfg.beta, senses=_constraint_senses(problem)
-    )
-    keys = []
-    for row in preds:
-        metrics = dict(zip(METRIC_NAMES, (float(v) for v in row)))
-        keys.append(rank_key(metrics["fom"], problem.violation(metrics)))
+        return children[0].copy()
+    preds = predict_conservative(model, children, cfg.beta, senses=_constraint_senses(problem))
+    keys = list(map(rank_key, preds[:, _FOM].tolist(), problem.violation(preds).tolist()))
     order = sorted(range(len(children)), key=keys.__getitem__)
     if seen:
         for idx in order:
             if children[idx].tobytes() not in seen:
-                return children[idx]
-    return children[order[0]]
+                return children[idx].copy()
+    return children[order[0]].copy()
 
 
 @dataclass
@@ -288,10 +298,7 @@ def step(state: RunState) -> bool:
     while len(parents) < 4:  # tiny databases: pad with the incumbent
         parents.append(best)
 
-    children = [
-        repair(problem.space, de_generate(parents, best, cfg, state.rng))
-        for _ in range(cfg.children_per_iter)
-    ]
+    children = repair(problem.space, de_generate(parents, best, cfg, state.rng))
     fit_seed = int(np.random.SeedSequence([cfg.seed, 2, state.evals_used]).generate_state(1)[0])
     state.model = fit_surrogate(
         state.train_x, state.train_y, cfg, problem.space.dim, fit_seed, prev=state.model

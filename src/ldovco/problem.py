@@ -122,15 +122,20 @@ class Constraint:
     direction: str  # LE or GE
     bound: float
 
-    def shortfall(self, value: float) -> float:
-        """Positive amount by which the constraint is missed (0 if met, inf if NaN)."""
-        if math.isnan(value):
-            return math.inf
+    def shortfall(self, value: float | np.ndarray) -> float | np.ndarray:
+        """Positive amount by which the constraint is missed (0 if met, inf if
+        NaN); elementwise on an array of values."""
         if self.direction == LE:
-            return max(0.0, value - self.bound)
-        if self.direction == GE:
-            return max(0.0, self.bound - value)
-        raise ValueError(f"unknown constraint direction {self.direction!r}")
+            miss = value - self.bound
+        elif self.direction == GE:
+            miss = self.bound - value
+        else:
+            raise ValueError(f"unknown constraint direction {self.direction!r}")
+        if isinstance(value, np.ndarray):
+            # the scalar rule below, elementwise: max(0.0, miss) keeps miss
+            # only where it exceeds 0.0
+            return np.where(np.isnan(value), math.inf, np.where(miss > 0.0, miss, 0.0))
+        return math.inf if math.isnan(value) else max(0.0, miss)
 
 
 ConstraintSet = tuple[Constraint, ...]
@@ -148,10 +153,24 @@ DEFAULT_CONSTRAINTS: ConstraintSet = (
 )
 
 
-def violation(metrics: PerfMetrics | dict[str, float], constraints: ConstraintSet) -> float:
-    """Sum of bound-normalized constraint shortfalls; zero iff all satisfied."""
-    values = metrics.to_dict() if isinstance(metrics, PerfMetrics) else metrics
-    total = 0.0
+def violation(
+    metrics: PerfMetrics | dict[str, float] | np.ndarray, constraints: ConstraintSet
+) -> float | np.ndarray:
+    """Sum of bound-normalized constraint shortfalls; zero iff all satisfied.
+
+    One design's PerfMetrics or name->value dict gives a float; a (designs,
+    metrics) table in METRIC_NAMES column order gives one violation per row,
+    summed in the same constraint order."""
+    if isinstance(metrics, np.ndarray):
+        if metrics.ndim != 2 or metrics.shape[1] != len(METRIC_NAMES):
+            raise ValueError(
+                f"metrics table has shape {metrics.shape}, expected (n, {len(METRIC_NAMES)})"
+            )
+        values = dict(zip(METRIC_NAMES, metrics.T))
+        total = np.zeros(len(metrics))
+    else:
+        values = metrics.to_dict() if isinstance(metrics, PerfMetrics) else metrics
+        total = 0.0
     for c in constraints:
         if c.metric not in values:
             raise KeyError(f"metrics are missing {c.metric!r}")
@@ -213,5 +232,6 @@ class SizingProblem:
     def objective(self, worst: PerfMetrics) -> float:
         return worst.fom
 
-    def violation(self, worst: PerfMetrics) -> float:
-        return violation(worst, self.constraints)
+    def violation(self, metrics: PerfMetrics | np.ndarray) -> float | np.ndarray:
+        """A design's violation, or each row's of a (designs, metrics) table."""
+        return violation(metrics, self.constraints)

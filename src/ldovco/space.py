@@ -120,10 +120,13 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 
 def repair(space: DesignSpace, raw: np.ndarray) -> DesignPoint:
     """Clamp to bounds; round integer variables half-away-from-zero, then
-    re-clamp. Idempotent."""
+    re-clamp. Idempotent. `raw` is one (dim,) vector or an (n, dim) batch,
+    repaired row by row."""
     raw = np.asarray(raw, dtype=float)
-    if raw.shape != (space.dim,):
-        raise ValueError(f"raw vector has shape {raw.shape}, expected ({space.dim},)")
+    if raw.ndim not in (1, 2) or raw.shape[-1] != space.dim:
+        raise ValueError(
+            f"raw vector has shape {raw.shape}, expected ({space.dim},) or (n, {space.dim})"
+        )
     lo, hi = space.lowers(), space.uppers()
     x = np.clip(raw, lo, hi)
     mask = space.integer_mask()

@@ -168,8 +168,8 @@ def _train(w1, b1, w2, b2, scaler: ScalerStats, cfg: MlpConfig, x: np.ndarray,
     Each member keeps the weights of its best validation score. A member
     whose score has not dropped by more than min_delta for `patience` epochs
     is frozen, and training stops once every member is frozen. The loop is
-    the per-step hot path of the optimizer, hence the flat parameter buffer
-    and the fused train+val forward pass.
+    the per-step hot path of the optimizer, hence the flat parameter buffer,
+    the fused train+val forward pass and an epoch that allocates nothing.
     """
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("training requires finite inputs and targets")
@@ -186,8 +186,8 @@ def _train(w1, b1, w2, b2, scaler: ScalerStats, cfg: MlpConfig, x: np.ndarray,
     m, d, h = w1.shape
     k = w2.shape[2]
 
-    # all parameters live in one flat buffer so the adam update is three
-    # vector ops instead of a dozen small ones
+    # all parameters live in one flat buffer so the adam update runs on one
+    # vector instead of four arrays per moment
     shapes = ((m, d, h), (m, h), (m, h, k), (m, k))
     offs = np.cumsum([0] + [math.prod(s) for s in shapes])
 
@@ -205,51 +205,92 @@ def _train(w1, b1, w2, b2, scaler: ScalerStats, cfg: MlpConfig, x: np.ndarray,
 
     best_snap = flat.copy()
     snaps = views(best_snap)
-    best_val = np.full(m, np.inf)
+    # per-member bookkeeping in Python floats: five members are too few for
+    # array ops to pay off
+    best_val = [math.inf] * m
     # -1: the loop's first pass re-scores the starting weights, which is no
     # epoch of training
-    stall = np.full(m, -1)
-    active = np.ones(m, dtype=bool)
+    stall = [-1] * m
+    active = [True] * m
+    vres = np.empty((m, len(xv), k))
+    val_items = vres[0].size
 
-    def keep_best(val_pred: np.ndarray) -> np.ndarray:
-        val_loss = np.mean((val_pred - yv[None, :, :]) ** 2, axis=(1, 2))
-        improved = active & (val_loss < best_val - min_delta)
-        if improved.any():
-            for dst, src in zip(snaps, params):
-                dst[improved] = src[improved]
-            best_val[improved] = val_loss[improved]
+    def keep_best(val_pred: np.ndarray) -> list[bool]:
+        # np.mean's own sum-then-divide, without its Python wrapper
+        np.subtract(val_pred, yv, out=vres)
+        np.multiply(vres, vres, out=vres)
+        val_loss = (np.add.reduce(vres, axis=(1, 2)) / val_items).tolist()
+        improved = [a and v < b - min_delta for a, v, b in zip(active, val_loss, best_val)]
+        for i, better in enumerate(improved):
+            if better:
+                for dst, src in zip(snaps, params):
+                    dst[i] = src[i]
+                best_val[i] = val_loss[i]
         return improved
 
     # the starting weights are a candidate too
     keep_best(_forward(w1, b1, w2, b2, xv)[0])
-    x_all = np.concatenate([xt, xv], axis=0)
+    x_all = np.concatenate([xt, xv], axis=0)[None, :, :]
     x_all_t = np.swapaxes(np.broadcast_to(xt, (m, n_train, d)), 1, 2)
+    # every per-epoch array is allocated once and written in place below, in
+    # the operation order of the allocating expressions (bit-identical to them)
+    hidden = np.empty((m, x_all.shape[1], h))
+    out = np.empty((m, x_all.shape[1], k))
+    err = np.empty((m, n_train, k))
+    g_hidden = np.empty((m, n_train, h))
+    dtanh = np.empty((m, n_train, h))
+    step_a = np.empty_like(flat)
+    step_b = np.empty_like(flat)
+    hidden_t = hidden[:, :n_train, :]
+    pred, val_pred = out[:, :n_train, :], out[:, n_train:, :]
+    # views of the buffers above and of the flat parameters, made once
+    hidden_tt, w2_t = np.swapaxes(hidden_t, 1, 2), np.swapaxes(w2, 1, 2)
+    b1_rows, b2_rows = b1[:, None, :], b2[:, None, :]
+    lr = cfg.learning_rate
     epochs_run = 0
     for epoch in range(epochs):
-        out, hidden = _forward(w1, b1, w2, b2, x_all)
-        pred, hidden_t = out[:, :n_train, :], hidden[:, :n_train, :]
+        # forward pass over train and val rows: _forward, written in place
+        np.matmul(x_all, w1, out=hidden)
+        np.add(hidden, b1_rows, out=hidden)
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, w2, out=out)
+        np.add(out, b2_rows, out=out)
 
         # val loss belongs to the current weights: score before stepping
-        improved = keep_best(out[:, n_train:, :])
-        stall = np.where(improved, 0, stall + 1)
-        active &= stall < patience
-        if not active.any():
+        improved = keep_best(val_pred)
+        stall = [0 if better else s + 1 for better, s in zip(improved, stall)]
+        active = [a and s < patience for a, s in zip(active, stall)]
+        if not any(active):
             break
 
-        err = pred - yt[None, :, :]
+        np.subtract(pred, yt, out=err)
         np.multiply(err, 2.0 / (n_train * k), out=err)
-        g_w2[...] = np.swapaxes(hidden_t, 1, 2) @ err
-        g_b2[...] = err.sum(axis=1)
-        g_hidden = (err @ np.swapaxes(w2, 1, 2)) * (1.0 - hidden_t**2)
-        g_w1[...] = x_all_t @ g_hidden
-        g_b1[...] = g_hidden.sum(axis=1)
+        np.matmul(hidden_tt, err, out=g_w2)
+        np.add.reduce(err, axis=1, out=g_b2)
+        np.matmul(err, w2_t, out=g_hidden)
+        np.multiply(hidden_t, hidden_t, out=dtanh)
+        np.subtract(1.0, dtanh, out=dtanh)
+        np.multiply(g_hidden, dtanh, out=g_hidden)
+        np.matmul(x_all_t, g_hidden, out=g_w1)
+        np.add.reduce(g_hidden, axis=1, out=g_b1)
 
+        # adam: m += (1-b1)(g-m); v += (1-b2)(g*g-v);
+        # w -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
         t = epoch + 1
-        adam_m += (1.0 - beta1) * (grad - adam_m)
-        adam_v += (1.0 - beta2) * (grad * grad - adam_v)
-        flat -= cfg.learning_rate * (adam_m / (1.0 - beta1**t)) / (
-            np.sqrt(adam_v / (1.0 - beta2**t)) + eps
-        )
+        np.subtract(grad, adam_m, out=step_a)
+        np.multiply(1.0 - beta1, step_a, out=step_a)
+        adam_m += step_a
+        np.multiply(grad, grad, out=step_a)
+        np.subtract(step_a, adam_v, out=step_a)
+        np.multiply(1.0 - beta2, step_a, out=step_a)
+        adam_v += step_a
+        np.divide(adam_m, 1.0 - beta1**t, out=step_a)
+        np.multiply(lr, step_a, out=step_a)
+        np.divide(adam_v, 1.0 - beta2**t, out=step_b)
+        np.sqrt(step_b, out=step_b)
+        np.add(step_b, eps, out=step_b)
+        np.divide(step_a, step_b, out=step_a)
+        flat -= step_a
         epochs_run = t
 
     # the final post-step weights have not been scored yet
@@ -258,7 +299,7 @@ def _train(w1, b1, w2, b2, scaler: ScalerStats, cfg: MlpConfig, x: np.ndarray,
         *snaps, scaler=scaler, cfg=cfg,
         train_log={
             "epochs_run": epochs_run,
-            "best_val_loss": best_val.tolist(),
+            "best_val_loss": best_val,
             "n_train": int(n_train),
             "n_val": int(n_val),
         },
@@ -302,7 +343,6 @@ def predict_conservative(
     senses = np.asarray(senses)
     if senses.shape != (model.output_dim,):
         raise ValueError("senses must have one entry per output")
-    hi = np.quantile(preds, beta, axis=0)
-    lo = np.quantile(preds, 1.0 - beta, axis=0)
+    hi, lo = np.quantile(preds, [beta, 1.0 - beta], axis=0)
     out = np.where(senses > 0, hi, lo)
     return out[0] if single else out

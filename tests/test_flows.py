@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -86,6 +87,43 @@ def test_names_the_benchmark_checks_read(bundled, tc, all_corners):
             with pytest.raises(EvaluationFailure) as info:
                 problem.evaluate_all(rec.point)
             assert info.value.quantity == rec.failure
+
+
+# (module, attribute) of every function the benchmark's tracer wraps, in the
+# namespace its callers look it up from (bench/spans.py, LAYER_TARGETS)
+TRACED_NAMES = [
+    ("ldovco.flows", "run_codesign"),
+    ("ldovco.flows", "run_sequential"),
+    ("ldovco.flows", "run"),
+    ("ldovco.flows", "_rescore"),
+    ("ldovco.flows", "evaluate"),
+    ("ldovco.flows", "worst_case"),
+    ("ldovco.flows", "repair"),
+    ("ldovco.problem", "SizingProblem.evaluate_all"),
+    ("ldovco.problem", "SizingProblem.violation"),
+    ("ldovco.optimizer", "init_db"),
+    ("ldovco.optimizer", "step"),
+    ("ldovco.optimizer", "de_generate"),
+    ("ldovco.optimizer", "select_candidate"),
+    ("ldovco.optimizer", "evaluate_record"),
+    ("ldovco.optimizer", "worst_case"),
+    ("ldovco.optimizer", "repair"),
+    ("ldovco.optimizer", "sample_initial"),
+    ("ldovco.optimizer", "fit"),
+    ("ldovco.optimizer", "update"),
+    ("ldovco.optimizer", "predict_conservative"),
+    ("ldovco.space", "repair"),
+]
+
+
+@pytest.mark.parametrize("module,attr", TRACED_NAMES)
+def test_names_the_benchmark_tracer_wraps(module, attr):
+    # a renamed or moved function would silently drop out of the traced
+    # per-layer metrics
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
 
 
 def test_variable_partition_covers_space(space):

@@ -1,4 +1,5 @@
-"""Golden values of the behavioral evaluator.
+"""Golden values of the behavioral evaluator, and of the training and search
+path (at the end of this file).
 
 Every metric float (as its repr) and every failure quantity of the two
 bundled points and a 64-point LHS set, on all 33 corners in all three modes,
@@ -10,11 +11,15 @@ where a mismatch starts.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from ldovco.behavior import EvaluationFailure, evaluate
+from ldovco.flows import run_codesign, run_sequential
+from ldovco.optimizer import RUN_LOG_HEADER, OptConfig
 from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER
 from ldovco.space import sample_initial
+from ldovco.surrogate import MlpConfig, fit, update
 
 LDO_ONLY_I_LOAD = 2e-3
 
@@ -68,3 +73,63 @@ def test_golden_spot_values(space, tc, all_corners, co_point, golden_points):
     assert corner_line(space, tc, lhs0, NOMINAL_CORNER, "coupled") == "fail pass_headroom"
     assert corner_line(space, tc, lhs0, all_corners[2], "ldo_only") == "fail pass_headroom"
     assert not corner_line(space, tc, lhs0, NOMINAL_CORNER, "ldo_only").startswith("fail")
+
+
+# Golden values of the training and search path: the weights and train_log
+# of one cold fit followed by a warm update chain, and the run_log rows of
+# short co-design and sequential runs, each hashed with sha256 over the
+# repr of every value. They were recorded from the per-child breeding,
+# per-row prescreen and allocating training epoch; any moved bit in a
+# weight, a prediction, an RNG draw or a selected child changes them.
+
+TRAINING_DIGESTS = {
+    "optimizer": "2814420117e2bc357c5be49de57bc688f9b7a623be0ccda2d3d8a3e77c059cf2",
+    "early_stop": "c1c62fb6d7e12b454a16fb4e0680bfefee400098778d6ef59f55542876c7bf46",
+}
+
+FLOW_DIGESTS = {
+    "codesign": "b99098cf2eb3bcadab23af3d7f2483befed3866f01e428eb9a9f80da94ab53e9",
+    "sequential": "769a38583cbb0d6467a7845949c32df02baa4c34aff79bb10b69f376ded9381e",
+}
+
+
+def _training_data(n: int):
+    rng = np.random.default_rng(20240)
+    x = rng.uniform(-2.0, 3.0, size=(n, 43)) * rng.uniform(0.1, 10.0, size=43)
+    w = rng.normal(size=(43, 10)) / 20.0
+    y = np.tanh(x @ w) * rng.uniform(0.5, 50.0, size=10) + rng.normal(size=(n, 10))
+    return x, y
+
+
+def _model_lines(model) -> list[str]:
+    return [repr(p.tolist()) for p in (model.w1, model.b1, model.w2, model.b2)] + [
+        repr(sorted(model.train_log.items()))
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_DIGESTS))
+def test_training_digest(name):
+    if name == "optimizer":
+        cfg = OptConfig(eval_budget=200, seed=0).resolve_surrogate(43)
+    else:  # members freeze at different epochs
+        cfg = MlpConfig(hidden_width=12, epochs=400, patience=8, min_delta=1e-3)
+    x, y = _training_data(80)
+    model = fit(x[:60], y[:60], cfg, seed=11)
+    lines = _model_lines(model)
+    for rows, epochs, seed in ((67, 60, 12), (67, 0, 13), (80, 60, 14)):
+        model = update(model, x[:rows], y[:rows], epochs, seed)
+        lines += _model_lines(model)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TRAINING_DIGESTS[name]
+
+
+@pytest.mark.parametrize("flow", sorted(FLOW_DIGESTS))
+def test_flow_digest(bundled, tc, all_corners, flow):
+    space, constraints = bundled
+    runner = run_codesign if flow == "codesign" else run_sequential
+    cfg = OptConfig(eval_budget=40, seed=0, init_samples=30, no_improve_limit=40)
+    res = runner(space, all_corners, constraints, tc, cfg, seed=5)
+    header = list(RUN_LOG_HEADER) + (["stage"] if flow == "sequential" else [])
+    lines = [",".join(repr(row[h]) for h in header) for row in res.log_rows]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FLOW_DIGESTS[flow]

@@ -20,6 +20,7 @@ from ldovco.optimizer import (
     training_row,
 )
 from ldovco.problem import PerfMetrics, compare_designs
+from ldovco.space import repair, sample_initial
 
 
 def cfg_for(problem, budget=60, seed=1, **kw):
@@ -49,24 +50,24 @@ class TestDeGenerate:
     def test_direct_arithmetic_example(self):
         # x_i=2, best=6, x_r1=3, x_r2=1, F=0.5 -> 2 + 0.5*4 + 0.5*2 = 5
         parents = [np.array([2.0]), np.array([3.0]), np.array([1.0]), np.array([9.0])]
-        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, de_f=0.5, de_cr=1.0)
-        child = de_generate(parents, np.array([6.0]), cfg, FakeRng([0, 1, 2]))
+        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, children_per_iter=1, de_f=0.5, de_cr=1.0)
+        child = de_generate(parents, np.array([6.0]), cfg, FakeRng([0, 1, 2]))[0]
         assert child[0] == pytest.approx(5.0)
 
     def test_zero_f_full_crossover_returns_parent(self):
         rng = np.random.default_rng(3)
         parents = [rng.uniform(size=4) for _ in range(6)]
-        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, de_f=0.0, de_cr=1.0)
+        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, children_per_iter=1, de_f=0.0, de_cr=1.0)
         for _ in range(10):
-            child = de_generate(parents, rng.uniform(size=4), cfg, rng)
+            child = de_generate(parents, rng.uniform(size=4), cfg, rng)[0]
             assert any(np.allclose(child, p) for p in parents)
 
     def test_identical_parents_reproduce_themselves(self):
         p = np.array([1.0, 2.0, 3.0])
         parents = [p.copy() for _ in range(5)]
         rng = np.random.default_rng(0)
-        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2)
-        child = de_generate(parents, p.copy(), cfg, rng)
+        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, children_per_iter=1)
+        child = de_generate(parents, p.copy(), cfg, rng)[0]
         assert np.allclose(child, p)
 
     def test_needs_four_parents(self):
@@ -78,13 +79,43 @@ class TestDeGenerate:
         # CR = 0 would otherwise clone the parent entirely
         parents = [np.array([0.0, 0.0]), np.array([1.0, 1.0]),
                    np.array([2.0, 2.0]), np.array([3.0, 3.0])]
-        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, de_f=0.8, de_cr=0.0)
+        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, children_per_iter=1, de_f=0.8, de_cr=0.0)
         rng = np.random.default_rng(1)
         diffs = 0
         for _ in range(20):
-            child = de_generate(parents, np.array([5.0, 5.0]), cfg, rng)
+            child = de_generate(parents, np.array([5.0, 5.0]), cfg, rng)[0]
             diffs += int(not any(np.allclose(child, p) for p in parents))
         assert diffs > 0
+
+
+def reference_child(parents, best, cfg, rng):
+    """One child of current-to-best/1 with binomial crossover, bred on its own."""
+    i, r1, r2 = rng.choice(len(parents), size=3, replace=False)
+    x_i, x_r1, x_r2 = parents[i], parents[r1], parents[r2]
+    mutant = x_i + cfg.de_f * (best - x_i) + cfg.de_f * (x_r1 - x_r2)
+    cross = rng.uniform(size=len(x_i)) < cfg.de_cr
+    cross[rng.integers(len(x_i))] = True
+    return np.where(cross, mutant, x_i)
+
+
+@pytest.mark.parametrize("seed,de_f,de_cr", [(0, 0.8, 0.8), (1, 0.5, 0.0), (2, 1.2, 1.0)])
+def test_batch_breeding_equals_per_child_breeding(space, seed, de_f, de_cr):
+    # the bundled space mixes integer and continuous variables, and DE with
+    # F > 1 leaves the box, so repair has work to do
+    parents = sample_initial(space, 20, seed)
+    best = parents[3]
+    cfg = OptConfig(eval_budget=10, seed=seed, init_samples=2, de_f=de_f, de_cr=de_cr)
+    rng_batch = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    rng_ref = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    for _ in range(3):  # successive steps draw on from where the last left off
+        batch = repair(space, de_generate(parents, best, cfg, rng_batch))
+        ref = np.array([
+            repair(space, reference_child(parents, best, cfg, rng_ref))
+            for _ in range(cfg.children_per_iter)
+        ])
+        assert batch.shape == (cfg.children_per_iter, space.dim)
+        assert np.array_equal(batch, ref)
+    assert rng_batch.uniform() == rng_ref.uniform()
 
 
 class TestInitDb:
@@ -261,6 +292,13 @@ class TestStepAndRun:
         res = run(toy_problem, cfg_for(toy_problem, budget=40))
         for row in res.log_rows:
             assert set(row) == set(RUN_LOG_HEADER)
+
+    def test_record_violation_is_a_float(self, toy_problem):
+        # run_log.csv writes it through repr
+        res = run(toy_problem, cfg_for(toy_problem, budget=40))
+        assert {r.origin for r in res.db.records} == {"initial", "de"}
+        assert all(type(r.violation) is float for r in res.db.records)
+        assert all(type(row["violation"]) is float for row in res.log_rows)
 
 
 class TestCheckStop:

@@ -146,6 +146,60 @@ class TestViolation:
             violation(metrics(), (Constraint("pm", ">=", 0.0),))
 
 
+class TestViolationTable:
+    """A (designs, metrics) table follows the scalar rule row by row."""
+
+    @staticmethod
+    def _table():
+        rng = np.random.default_rng(17)
+        base = np.array(astuple(metrics()))
+        # around the default bounds: some rows feasible, some not
+        table = base * rng.uniform(0.9, 1.1, size=(60, len(METRIC_NAMES)))
+        table[:10] = base  # feasible
+        table[10, 4] = math.nan
+        table[11, 0] = math.nan
+        table[12, 1] = math.inf  # pn100k, upper-bounded
+        table[13, 1] = -math.inf
+        table[14, 7] = math.inf  # vdd_max, upper-bounded
+        table[15, 6] = -math.inf  # pm, lower-bounded
+        table[16, 6] = math.inf
+        table[17] = math.nan
+        return table
+
+    def test_rows_match_the_scalar_rule(self):
+        table = self._table()
+        vio = violation(table, DEFAULT_CONSTRAINTS)
+        assert vio.shape == (len(table),)
+        expected = [violation(PerfMetrics.from_row(row), DEFAULT_CONSTRAINTS) for row in table]
+        assert vio.tolist() == expected  # bit for bit; inf compares equal
+        assert [repr(v) for v in vio.tolist()] == [repr(v) for v in expected]
+        # the table holds feasible, finitely infeasible and infinite rows
+        assert 0.0 in expected and math.inf in expected
+        assert any(0.0 < v < math.inf for v in expected)
+
+    def test_shortfall_matches_elementwise(self):
+        values = np.array([-math.inf, -1.0, 0.0, 49.0, 50.0, 51.0, math.inf, math.nan])
+        for direction in ("<=", ">="):
+            c = Constraint("pm", direction, 50.0)
+            assert c.shortfall(values).tolist() == [c.shortfall(v) for v in values.tolist()]
+
+    def test_missing_metric_rejected(self):
+        with pytest.raises(KeyError):
+            violation(self._table(), (Constraint("gain", ">=", 1.0),))
+
+    def test_zero_bound_rejected(self):
+        with pytest.raises(ValueError):
+            violation(self._table(), (Constraint("pm", ">=", 0.0),))
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError):
+            violation(self._table()[:, :-1], DEFAULT_CONSTRAINTS)
+
+    def test_scalar_result_is_a_float(self):
+        assert type(violation(metrics(), DEFAULT_CONSTRAINTS)) is float
+        assert type(violation(metrics(pdyn=8e-3), DEFAULT_CONSTRAINTS)) is float
+
+
 class TestCompareDesigns:
     def test_feasible_beats_infeasible(self):
         assert compare_designs((191.0, 0.0), (195.0, 0.3)) == 1

@@ -112,6 +112,23 @@ def test_repair_rejects_wrong_length(space):
         repair(space, np.zeros(7))
 
 
+def test_repair_batch_is_row_wise(space):
+    rng = np.random.default_rng(8)
+    lo, hi = space.lowers(), space.uppers()
+    # half of the values fall outside the bounds, a quarter on either side
+    raw = lo + rng.uniform(-0.5, 1.5, size=(40, space.dim)) * (hi - lo)
+    batch = repair(space, raw)
+    assert batch.shape == raw.shape
+    assert np.array_equal(batch, np.array([repair(space, row) for row in raw]))
+    assert np.array_equal(repair(space, batch), batch)
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (2, 3, 43), ()])
+def test_repair_batch_rejects_wrong_shape(space, shape):
+    with pytest.raises(ValueError):
+        repair(space, np.zeros(shape))
+
+
 def test_point_dict_round_trip(space, co_point):
     values = point_as_dict(space, co_point)
     assert np.array_equal(point_from_dict(space, values), co_point)
