@@ -351,9 +351,7 @@ class LdoDerived:
     f_z: float  # signed zero frequency (negative = left-half-plane); inf = none
     pm: float
     gm1: float
-    gm2: float
     gm_pass: float
-    gm_nload: float
     f_filter: float
     i_q: float
     v_drop: float
@@ -480,9 +478,8 @@ def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
     f_filter = 1.0 / (2.0 * math.pi * v["R_F"] * v["C_F"])
 
     return LdoDerived(
-        a_dc=a_dc, gbw=gbw, p2=p2, f_z=f_z, pm=pm, gm1=gm1, gm2=gm2,
-        gm_pass=gm_pass, gm_nload=gm_nload, f_filter=f_filter, i_q=i_q,
-        v_drop=v_drop, vdd_max=vdd_max,
+        a_dc=a_dc, gbw=gbw, p2=p2, f_z=f_z, pm=pm, gm1=gm1, gm_pass=gm_pass,
+        f_filter=f_filter, i_q=i_q, v_drop=v_drop, vdd_max=vdd_max,
         psr_curve=_psr_curve(gm_pass, gds_pass, c_ds_pass, c_out, a_dc, gbw, p2, f_z),
         _s_thermal=s_thermal, _s_flicker_1hz=s_flicker_1hz,
         _s_ref_flicker_1hz=s_ref_flicker_1hz, _beta_fb=beta_fb,

@@ -76,7 +76,8 @@ _RUNCONFIG_COMMENTS = {
     "flow": "co = joint co-design, seq = VCO-first sequential",
     "seed": "root seed; all run randomness derives from it",
     "budget": "total true evaluations per run",
-    "init_samples": "initial LHS size; auto = max(80, 4*dim)",
+    "init_samples": "initial LHS size, co-design only; auto = max(80, 4*dim) capped at"
+                    " half the budget (each seq stage always uses auto on its own budget)",
     "no_improve_limit": "stop after this many non-improving iterations",
     "beta": "conservatism of the surrogate prescreen quantile",
     "refit_epochs": "surrogate training epochs per iteration (warm start)",
@@ -301,6 +302,13 @@ def cmd_eval(args) -> int:
     except KeyError as exc:
         print(f"design error: {exc}", file=sys.stderr)
         return 1
+    for var, x in zip(space.variables, point.tolist()):
+        # a bound holds to the 10 digits a best-design record prints
+        slack = 1e-9 * max(abs(var.lower), abs(var.upper))
+        if not var.lower - slack <= x <= var.upper + slack:
+            print(f"design error: {var.name} = {_fmt(x)} outside"
+                  f" [{_fmt(var.lower)}, {_fmt(var.upper)}]", file=sys.stderr)
+            return 1
 
     mode = MODE_NAMES[args.mode]
     i_load = args.iload if mode == "ldo_only" else None
@@ -395,6 +403,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _positive_si(text: str) -> float:
+    value = parse_si(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite current, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldovco",
@@ -419,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("design", help="design point file (name value per line)")
     p_eval.add_argument("--mode", choices=tuple(MODE_NAMES), default="coupled")
     p_eval.add_argument("--config", help="run config naming problem/constants files")
-    p_eval.add_argument("--iload", type=parse_si, default=2e-3,
+    p_eval.add_argument("--iload", type=_positive_si, default=2e-3,
                         help="load current for ldo mode (SI suffixes ok)")
     p_eval.add_argument("--sweep", action="store_true", help="write PN sweep CSVs")
     p_eval.add_argument("--out", help="directory for sweep artifacts")

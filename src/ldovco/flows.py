@@ -13,6 +13,7 @@ from __future__ import annotations
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -52,12 +53,6 @@ STAGE_SPLIT = (7, 18)
 VCO_ONLY_METRICS = ("f0", "pn100k", "pn1m", "pn10m", "pdyn", "startup_margin")
 
 
-def stage_init_samples(dim: int, budget: int) -> int:
-    """Initial LHS size for a stage: the usual 4x-dimension rule, but never
-    more than half the stage budget."""
-    return max(2, min(max(80, 4 * dim), budget // 2))
-
-
 def coupled_problem(
     space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
     tc: TechConstants,
@@ -68,10 +63,31 @@ def coupled_problem(
     return SizingProblem(space, corners, constraints, ev)
 
 
-def _embed(base: DesignPoint, indices: list[int], sub: DesignPoint) -> DesignPoint:
-    point = np.array(base, dtype=float)
-    point[indices] = sub
-    return point
+def _mid_box(space: DesignSpace) -> DesignPoint:
+    return repair(space, 0.5 * (space.lowers() + space.uppers()))
+
+
+def _stage_problem(
+    space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
+    tc: TechConstants, names: list[str], base: DesignPoint, mode: str,
+) -> tuple[SizingProblem, Callable[[DesignPoint], DesignPoint]]:
+    """A sequential stage: the named variables sized in `mode` with every
+    other variable held at `base`. Returns the problem and its map from a
+    stage point to the full design. On an ideal supply only the
+    VCO-meaningful constraints apply."""
+    indices = [space.index_of(n) for n in names]
+    if mode == "ideal_supply":
+        constraints = tuple(c for c in constraints if c.metric in VCO_ONLY_METRICS)
+
+    def full(sub_point: DesignPoint) -> DesignPoint:
+        point = np.array(base, dtype=float)
+        point[indices] = sub_point
+        return point
+
+    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> np.ndarray:
+        return evaluate(space, full(sub_point), batch, mode, tc)
+
+    return SizingProblem(space.subspace(names), corners, constraints, ev), full
 
 
 def vco_stage_problem(
@@ -79,33 +95,11 @@ def vco_stage_problem(
     tc: TechConstants,
 ) -> SizingProblem:
     """Stage-1 problem: the 17 VCO variables against the ideal-supply
-    evaluator, with the VCO-meaningful constraint subset."""
-    sub_space = space.subspace(VCO_VARIABLES)
-    mid = repair(space, 0.5 * (space.lowers() + space.uppers()))
-    vco_constraints = tuple(c for c in constraints if c.metric in VCO_ONLY_METRICS)
-    indices = [space.index_of(n) for n in VCO_VARIABLES]
-
-    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> np.ndarray:
-        full = _embed(mid, indices, sub_point)
-        return evaluate(space, full, batch, "ideal_supply", tc)
-
-    return SizingProblem(sub_space, corners, vco_constraints, ev)
-
-
-def ldo_stage_problem(
-    space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
-    tc: TechConstants, frozen: DesignPoint,
-) -> SizingProblem:
-    """Stage-2 problem: the 26 LDO variables in coupled mode around the
-    frozen stage-1 VCO, judged against the full constraint set."""
-    sub_space = space.subspace(LDO_VARIABLES)
-    indices = [space.index_of(n) for n in LDO_VARIABLES]
-
-    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> np.ndarray:
-        full = _embed(frozen, indices, sub_point)
-        return evaluate(space, full, batch, "coupled", tc)
-
-    return SizingProblem(sub_space, corners, constraints, ev)
+    evaluator, the LDO held at mid-box, with the VCO-meaningful constraint
+    subset."""
+    return _stage_problem(
+        space, corners, constraints, tc, VCO_VARIABLES, _mid_box(space), "ideal_supply"
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -126,13 +120,23 @@ class FlowResult:
 
 
 def _rescore(
-    space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
-    tc: TechConstants, point: DesignPoint,
+    problem: SizingProblem, point: DesignPoint
 ) -> tuple[PerfMetrics, PerfMetrics, float]:
-    problem = coupled_problem(space, corners, constraints, tc)
     table = problem.evaluate_all(point)
     worst = worst_case(table)
     return PerfMetrics.from_row(table[0]), worst, problem.violation(worst)
+
+
+def _flow_result(
+    flow: str, seed: int, coupled: SizingProblem, point: DesignPoint,
+    log_rows: list[dict], evals_used: int, vco_point: DesignPoint | None = None,
+) -> FlowResult:
+    nominal, worst, violation = _rescore(coupled, point)
+    return FlowResult(
+        flow=flow, seed=seed, final_point=point,
+        coupled_nominal=nominal, coupled_worst=worst, violation=violation,
+        evals_used=evals_used, log_rows=log_rows, vco_point=vco_point,
+    )
 
 
 def run_codesign(
@@ -141,12 +145,8 @@ def run_codesign(
 ) -> FlowResult:
     problem = coupled_problem(space, corners, constraints, tc)
     result = run(problem, replace(cfg, seed=seed))
-    point = result.incumbent.point
-    nominal, worst, violation = _rescore(space, corners, constraints, tc, point)
-    return FlowResult(
-        flow="codesign", seed=seed, final_point=point,
-        coupled_nominal=nominal, coupled_worst=worst, violation=violation,
-        evals_used=result.evals_used, log_rows=result.log_rows,
+    return _flow_result(
+        "codesign", seed, problem, result.incumbent.point, result.log_rows, result.evals_used
     )
 
 
@@ -154,36 +154,28 @@ def run_sequential(
     space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
     tc: TechConstants, cfg: OptConfig, seed: int,
 ) -> FlowResult:
+    """Each stage sizes its initial sample by the auto rule on its own
+    budget; a set `cfg.init_samples` applies to co-design only."""
     budget1 = round(cfg.eval_budget * STAGE_SPLIT[0] / STAGE_SPLIT[1])
     budget2 = cfg.eval_budget - budget1
 
-    stage1 = vco_stage_problem(space, corners, constraints, tc)
-    cfg1 = replace(
-        cfg, eval_budget=budget1, seed=seed,
-        init_samples=stage_init_samples(stage1.space.dim, budget1),
+    stage1, vco_full = _stage_problem(
+        space, corners, constraints, tc, VCO_VARIABLES, _mid_box(space), "ideal_supply"
     )
-    res1 = run(stage1, cfg1)
+    res1 = run(stage1, replace(cfg, eval_budget=budget1, seed=seed, init_samples=None))
     vco_point = res1.incumbent.point
 
-    mid = repair(space, 0.5 * (space.lowers() + space.uppers()))
-    frozen = _embed(mid, [space.index_of(n) for n in VCO_VARIABLES], vco_point)
-
-    stage2 = ldo_stage_problem(space, corners, constraints, tc, frozen)
-    cfg2 = replace(
-        cfg, eval_budget=budget2, seed=seed + 1,
-        init_samples=stage_init_samples(stage2.space.dim, budget2),
+    stage2, ldo_full = _stage_problem(
+        space, corners, constraints, tc, LDO_VARIABLES, vco_full(vco_point), "coupled"
     )
-    res2 = run(stage2, cfg2)
-    final = _embed(frozen, [space.index_of(n) for n in LDO_VARIABLES], res2.incumbent.point)
+    res2 = run(stage2, replace(cfg, eval_budget=budget2, seed=seed + 1, init_samples=None))
 
-    nominal, worst, violation = _rescore(space, corners, constraints, tc, final)
     log_rows = [dict(r, stage=1) for r in res1.log_rows] + [
         dict(r, stage=2) for r in res2.log_rows
     ]
-    return FlowResult(
-        flow="sequential", seed=seed, final_point=final,
-        coupled_nominal=nominal, coupled_worst=worst, violation=violation,
-        evals_used=res1.evals_used + res2.evals_used, log_rows=log_rows,
+    return _flow_result(
+        "sequential", seed, coupled_problem(space, corners, constraints, tc),
+        ldo_full(res2.incumbent.point), log_rows, res1.evals_used + res2.evals_used,
         vco_point=vco_point,
     )
 

@@ -1,5 +1,6 @@
 """Line-oriented text formats: sectioned key/value files for the problem
-definition, constants, design points and run configs, plus atomic writes.
+definition, constants and design points, plus atomic writes. (Run configs
+are parsed and formatted in cli.py.)
 
 All numeric fields accept SI suffixes (f p n u m K M G); '#' starts a
 comment.

@@ -33,10 +33,9 @@ class OptConfig:
     children_per_iter: int = 50
     de_f: float = 0.8
     de_cr: float = 0.8
-    init_samples: int | None = None  # None -> max(80, 4 * dim)
+    init_samples: int | None = None  # None -> max(80, 4 * dim), at most half the budget
     no_improve_limit: int = 100
     beta: float = 0.7
-    surrogate: MlpConfig | None = None  # None -> desk-scale refit settings
     refit_epochs: int = 60  # warm-start training budget per iteration
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class OptConfig:
         return n
 
     def resolve_surrogate(self, dim: int) -> MlpConfig:
-        if self.surrogate is not None:
-            return self.surrogate
         # per-iteration refits warm-start from the previous model, so the
         # full-length training defaults are only paid once
         return MlpConfig(
@@ -329,39 +326,31 @@ class RunResult:
         return self.db.incumbent
 
 
-def _log_row(rec: TrialRecord, incumbent: TrialRecord) -> dict:
-    row = {
-        "eval_index": rec.eval_index,
-        "origin": rec.origin,
-        "objective": rec.objective,
-        "violation": rec.violation,
-        "incumbent_objective": incumbent.objective,
-        "incumbent_violation": incumbent.violation,
-    }
-    for name in METRIC_NAMES:
-        row[f"worst_{name}"] = getattr(rec.worst, name) if rec.worst else math.nan
-    return row
-
-
-def _init_log(records: list[TrialRecord]) -> list[dict]:
-    """Per-record rows with the incumbent as it stood when each landed."""
+def _log_rows(records: list[TrialRecord]) -> list[dict]:
+    """One row per record, with the incumbent as it stood when the record
+    landed (the order `Database.insert` keeps)."""
     rows = []
     best = records[0]
     for rec in records:
         if _rank(rec) < _rank(best):
             best = rec
-        rows.append(_log_row(rec, best))
+        row = {
+            "eval_index": rec.eval_index,
+            "origin": rec.origin,
+            "objective": rec.objective,
+            "violation": rec.violation,
+            "incumbent_objective": best.objective,
+            "incumbent_violation": best.violation,
+        }
+        for name in METRIC_NAMES:
+            row[f"worst_{name}"] = getattr(rec.worst, name) if rec.worst else math.nan
+        rows.append(row)
     return rows
 
 
 def run(problem: SizingProblem, cfg: OptConfig) -> RunResult:
     """Full optimization run; deterministic for a given (problem, cfg)."""
     state = start(problem, cfg)
-    log_rows = _init_log(state.db.records)
-    if check_stop(state):
-        return RunResult(state.db, log_rows, state.stop_reason, state.evals_used)
-    while True:
-        stop = step(state)
-        log_rows.append(_log_row(state.db.records[-1], state.db.incumbent))
-        if stop:
-            return RunResult(state.db, log_rows, state.stop_reason, state.evals_used)
+    while not check_stop(state):
+        step(state)
+    return RunResult(state.db, _log_rows(state.db.records), state.stop_reason, state.evals_used)

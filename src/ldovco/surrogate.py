@@ -79,10 +79,6 @@ class EnsembleModel:
     train_log: dict = field(default_factory=dict)
 
     @property
-    def n_members(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.w1.shape[1]
 

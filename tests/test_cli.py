@@ -218,6 +218,22 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("corner snsp_minL_minC_125C: evaluation failed at pass_headroom")
 
+    @pytest.mark.parametrize("value,mode", [("0", "coupled"), ("-1", "coupled"), ("-1", "ideal")])
+    def test_value_outside_bounds_is_exit_1_naming_it(
+        self, capsys, co_point_file, value, mode
+    ):
+        text = re.sub(r"^M2 .*$", f"M2 {value}", co_point_file.read_text(), flags=re.M)
+        co_point_file.write_text(text)
+        assert main(["eval", str(co_point_file), "--mode", mode]) == 1
+        assert capsys.readouterr().err == f"design error: M2 = {value} outside [1, 1000]\n"
+
+    @pytest.mark.parametrize("iload", ["0", "-0.002"])
+    def test_nonpositive_iload_is_exit_2(self, capsys, co_point_file, iload):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", str(co_point_file), "--mode", "ldo", "--iload", iload])
+        assert info.value.code == 2
+        assert "--iload" in capsys.readouterr().err
+
     def test_ldo_mode_accepts_iload(self, workdir, capsys, co_point_file):
         assert main(["eval", str(co_point_file), "--mode", "ldo", "--iload", "2m"]) == 0
         assert main(["eval", str(co_point_file), "--mode", "ldo", "--iload", "0.002"]) == 0

@@ -14,10 +14,9 @@ from ldovco.flows import (
     coupled_problem,
     run_codesign,
     run_sequential,
-    stage_init_samples,
     vco_stage_problem,
 )
-from ldovco.optimizer import OptConfig, init_db
+from ldovco.optimizer import OptConfig, init_db, run
 from ldovco.problem import METRIC_NAMES, worst_case
 
 BUDGET = 90  # small smoke budget; the full-scale runs live in the acceptance suite
@@ -138,9 +137,39 @@ def test_stage_budget_split():
 
 
 def test_stage_init_respects_budget():
-    assert stage_init_samples(17, 194) == 80
-    assert stage_init_samples(26, 306) == 104
-    assert stage_init_samples(26, 40) == 20
+    # each sequential stage runs with init_samples=None: the auto rule on
+    # the stage's own budget
+    def auto(dim, budget):
+        return OptConfig(eval_budget=budget, seed=0).resolve_init_samples(dim)
+
+    assert auto(17, 194) == 80
+    assert auto(26, 306) == 104
+    assert auto(26, 40) == 20
+
+
+def test_stage_one_is_the_vco_stage_problem_run(bundled, tc, all_corners, small_cfg, flow_pair):
+    # the benchmark screens vco_stage_problem as the sequential flow's stage 1
+    space, constraints = bundled
+    _, seq = flow_pair
+    b1 = round(BUDGET * STAGE_SPLIT[0] / STAGE_SPLIT[1])
+    stage1 = run(
+        vco_stage_problem(space, all_corners, constraints, tc),
+        replace(small_cfg, eval_budget=b1, seed=3, init_samples=None),
+    )
+    assert list(map(repr, (dict(r, stage=1) for r in stage1.log_rows))) == list(
+        map(repr, seq.log_rows[:b1])
+    )
+    assert stage1.incumbent.point.tolist() == seq.vco_point.tolist()
+
+
+def test_set_init_samples_leaves_sequential_unchanged(bundled, tc, all_corners, small_cfg, flow_pair):
+    # a set init_samples sizes co-design's sample only
+    space, constraints = bundled
+    _, seq = flow_pair
+    again = run_sequential(
+        space, all_corners, constraints, tc, replace(small_cfg, init_samples=12), seed=3
+    )
+    assert list(map(repr, again.log_rows)) == list(map(repr, seq.log_rows))
 
 
 def test_codesign_budget_and_legality(bundled, tc, all_corners, small_cfg, flow_pair):
