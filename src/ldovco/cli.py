@@ -1,23 +1,26 @@
 """Batch front door: problem/config loading, flow runs, standalone design
 evaluation with sweep export, and the paired-flow comparison report.
 
-Commands: init, run, eval, compare. Exit codes: 0 success (run: feasible
+Commands: init, run, eval, compare. A flag named after a run-config key
+(--flow, --seed, --budget, --out, --seeds, --workers) overrides that key's
+line and is read by the same rule. Exit codes: 0 success (run: feasible
 final design), 1 infeasible result or evaluation error (including a final
 design that fails its coupled re-score), 2 config/argument parse error, 3
-evaluator setup error."""
+evaluator setup error (a problem or constants file that cannot be loaded)."""
 
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .behavior import SWEEP_OFFSETS, EvaluationFailure, evaluate_corners, pn_sweep
 from .flows import FlowResult, compare, run_codesign, run_sequential
 from .units import parse_si
 from .iofmt import (
+    _logical_lines,
     atomic_write,
     format_constants_file,
     format_problem_file,
@@ -43,6 +46,7 @@ CONSTANTS_FILE = "constants.txt"
 RUNCONFIG_FILE = "runconfig.txt"
 
 MODE_NAMES = {"ideal": "ideal_supply", "ldo": "ldo_only", "coupled": "coupled"}
+CORNERS = (NOMINAL_CORNER, *enumerate_corners())
 
 
 @dataclass(frozen=True)
@@ -102,41 +106,34 @@ def format_runconfig(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_seeds(raw: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in raw.replace(",", " ").split())
+def _parse_value(default, raw: str):
+    """One config value, typed by its field's default: a tuple is a seed
+    list, None means 'auto' or an int, anything else is type(default)(raw)."""
+    if isinstance(default, tuple):
+        return tuple(int(s) for s in raw.replace(",", " ").split())
+    if default is None:
+        return None if raw == "auto" else int(raw)
+    return type(default)(raw)
 
 
-def parse_runconfig(text: str) -> RunConfig:
-    values: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if not rest:
-            raise ValueError(f"config line {line!r} has no value")
-        values[name] = rest
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(values) - known
+def parse_runconfig(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
+    """A run config from its 'key value' lines, with raw-string overrides
+    (command-line flags) merged over them before typing."""
+    values = {}
+    for line in _logical_lines(text):
+        name, _, raw = line.partition(" ")
+        values[name] = raw
+    values.update(overrides or {})
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    unknown = set(values) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    kwargs: dict = {}
-    for f in fields(RunConfig):
-        if f.name not in values:
-            continue
-        raw = values[f.name]
-        if f.name == "seeds":
-            kwargs[f.name] = _parse_seeds(raw)
-        elif f.name == "init_samples":
-            kwargs[f.name] = None if raw == "auto" else int(raw)
-        elif f.name in ("problem", "constants", "flow", "out"):
-            kwargs[f.name] = raw
-        elif f.name in ("de_f", "de_cr", "beta"):
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = int(raw)
+    kwargs = {}
+    for name, raw in values.items():
+        raw = raw.strip()
+        if not raw:
+            raise ValueError(f"config key {name!r} has no value")
+        kwargs[name] = _parse_value(defaults[name], raw)
     cfg = RunConfig(**kwargs)
     if cfg.flow not in ("co", "seq"):
         raise ValueError(f"flow must be 'co' or 'seq', got {cfg.flow!r}")
@@ -160,11 +157,45 @@ def _csv(header: list[str], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_setup(cfg: RunConfig, config_dir: Path):
-    space, constraints = parse_problem_file((config_dir / cfg.problem).read_text())
-    tc = parse_constants_file((config_dir / cfg.constants).read_text())
-    corners = tuple([NOMINAL_CORNER] + enumerate_corners())
-    return space, constraints, tc, corners
+class _Exit(Exception):
+    """A command failure: main prints the message to stderr and returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _load(args):
+    """The run config (file lines, then the flags named after its keys), its
+    directory, and the problem, constraints and constants it names; without
+    a config file (eval only), the default config and the bundled setup."""
+    if args.config is None:
+        space, constraints = load_bundled_problem()
+        return RunConfig(), None, space, constraints, load_bundled_constants()
+    config_path = Path(args.config)
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
+    try:
+        cfg = parse_runconfig(config_path.read_text(), overrides)
+    except (OSError, ValueError) as exc:
+        raise _Exit(2, f"config error: {exc}") from None
+    try:
+        space, constraints = parse_problem_file((config_path.parent / cfg.problem).read_text())
+        tc = parse_constants_file((config_path.parent / cfg.constants).read_text())
+    except (OSError, ValueError) as exc:
+        raise _Exit(3, f"evaluator setup error: {exc}") from None
+    return cfg, config_path.parent, space, constraints, tc
+
+
+def _run_flow(flow, *args, **kwargs):
+    """A flow's result; a config the flow rejects exits 2, and a final design
+    that fails its re-score (as every coupled evaluation did) exits 1."""
+    try:
+        return flow(*args, **kwargs)
+    except ValueError as exc:
+        raise _Exit(2, f"config error: {exc}") from None
+    except EvaluationFailure as exc:
+        raise _Exit(1, f"final design failed: corner {exc.corner}: {exc}") from None
 
 
 def cmd_init(args) -> int:
@@ -172,8 +203,7 @@ def cmd_init(args) -> int:
     targets = [out / PROBLEM_FILE, out / CONSTANTS_FILE, out / RUNCONFIG_FILE]
     existing = [str(t) for t in targets if t.exists()]
     if existing and not args.force:
-        print(f"refusing to overwrite {', '.join(existing)} (use --force)", file=sys.stderr)
-        return 1
+        raise _Exit(1, f"refusing to overwrite {', '.join(existing)} (use --force)")
     space, constraints = load_bundled_problem()
     tc = load_bundled_constants()
     atomic_write(targets[0], format_problem_file(space, constraints))
@@ -197,9 +227,11 @@ def _violation_breakdown(worst: PerfMetrics, constraints) -> list[str]:
 
 
 def _design_record(space: DesignSpace, result: FlowResult, constraints) -> str:
+    # design values in repr, so that evaluating the record evaluates the
+    # exact design the run re-scored
     lines = ["# best design record", "", "[design]"]
-    for name, value in zip(space.names, result.final_point):
-        lines.append(f"{name} {_fmt(float(value))}")
+    for name, value in zip(space.names, result.final_point.tolist()):
+        lines.append(f"{name} {value!r}")
     lines += ["", "[result]"]
     lines.append(f"flow {result.flow}")
     lines.append(f"seed {result.seed}")
@@ -212,44 +244,12 @@ def _design_record(space: DesignSpace, result: FlowResult, constraints) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _final_design_failed(exc: EvaluationFailure) -> int:
-    """Exit 1: the final design failed its re-score, as every coupled evaluation did."""
-    print(f"final design failed: corner {exc.corner}: {exc}", file=sys.stderr)
-    return 1
-
-
 def cmd_run(args) -> int:
-    config_path = Path(args.config)
-    try:
-        cfg = parse_runconfig(config_path.read_text())
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.flow:
-        cfg = replace(cfg, flow=args.flow)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.budget is not None:
-        cfg = replace(cfg, budget=args.budget)
-    if args.out:
-        cfg = replace(cfg, out=args.out)
-
-    try:
-        space, constraints, tc, corners = _load_setup(cfg, config_path.parent)
-    except (OSError, ValueError) as exc:
-        print(f"evaluator setup error: {exc}", file=sys.stderr)
-        return 3
-
+    cfg, config_dir, space, constraints, tc = _load(args)
     runner = run_codesign if cfg.flow == "co" else run_sequential
-    try:
-        result = runner(space, corners, constraints, tc, cfg.opt_config(), cfg.seed)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except EvaluationFailure as exc:
-        return _final_design_failed(exc)
+    result = _run_flow(runner, space, CORNERS, constraints, tc, cfg.opt_config(), cfg.seed)
 
-    out_dir = config_path.parent / cfg.out / f"{cfg.flow}_seed{cfg.seed}"
+    out_dir = config_dir / cfg.out / f"{cfg.flow}_seed{cfg.seed}"
     header = list(RUN_LOG_HEADER) + (["stage"] if cfg.flow == "seq" else [])
     atomic_write(out_dir / "run_log.csv", _csv(header, result.log_rows))
     atomic_write(out_dir / "best_design.txt", _design_record(space, result, constraints))
@@ -269,10 +269,8 @@ def cmd_run(args) -> int:
     print(f"artifacts in {out_dir}")
 
     if not result.feasible:
-        print("final design violates:", file=sys.stderr)
-        for line in _violation_breakdown(result.coupled_worst, constraints):
-            print(line, file=sys.stderr)
-        return 1
+        breakdown = _violation_breakdown(result.coupled_worst, constraints)
+        raise _Exit(1, "\n".join(["final design violates:", *breakdown]))
     return 0
 
 
@@ -281,52 +279,37 @@ def cmd_eval(args) -> int:
     try:
         values = parse_point_file(design_path.read_text())
     except (OSError, ValueError) as exc:
-        print(f"design file error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.config:
-        config_path = Path(args.config)
-        try:
-            cfg = parse_runconfig(config_path.read_text())
-            space, constraints, tc, corners = _load_setup(cfg, config_path.parent)
-        except (OSError, ValueError) as exc:
-            print(f"evaluator setup error: {exc}", file=sys.stderr)
-            return 3
-    else:
-        space, constraints = load_bundled_problem()
-        tc = load_bundled_constants()
-        corners = tuple([NOMINAL_CORNER] + enumerate_corners())
+        raise _Exit(2, f"design file error: {exc}") from None
+    _, _, space, constraints, tc = _load(args)
 
     try:
         point = point_from_dict(space, values)
     except KeyError as exc:
-        print(f"design error: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, f"design error: {exc}") from None
     for var, x in zip(space.variables, point.tolist()):
-        # a bound holds to the 10 digits a best-design record prints
+        # a hand-typed value need not round to its bound exactly: 3e-05
+        # reads one ulp above a bound written 30u
         slack = 1e-9 * max(abs(var.lower), abs(var.upper))
         if not var.lower - slack <= x <= var.upper + slack:
-            print(f"design error: {var.name} = {_fmt(x)} outside"
-                  f" [{_fmt(var.lower)}, {_fmt(var.upper)}]", file=sys.stderr)
-            return 1
+            raise _Exit(1, f"design error: {var.name} = {_fmt(x)} outside"
+                           f" [{_fmt(var.lower)}, {_fmt(var.upper)}]")
 
     mode = MODE_NAMES[args.mode]
     i_load = args.iload if mode == "ldo_only" else None
 
     try:
-        table = evaluate_corners(space, point, corners, mode, tc, i_load=i_load)
+        table = evaluate_corners(space, point, CORNERS, mode, tc, i_load=i_load)
     except EvaluationFailure as exc:
-        print(f"corner {exc.corner}: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, f"corner {exc.corner}: {exc}") from None
     print("corner," + ",".join(METRIC_NAMES))
-    for corner, m in zip(corners, map(PerfMetrics.from_row, table)):
+    for corner, m in zip(CORNERS, map(PerfMetrics.from_row, table)):
         print(corner.label() + "," + ",".join(_fmt(getattr(m, n)) for n in METRIC_NAMES))
     worst = worst_case(table)
     print("worst_case," + ",".join(_fmt(getattr(worst, n)) for n in METRIC_NAMES))
     print(f"violation,{_fmt(violation(worst, constraints))}")
 
     if args.sweep:
-        out_dir = Path(args.out) if args.out else design_path.parent
+        out_dir = Path(args.sweep_dir) if args.sweep_dir else design_path.parent
         rows = []
         ideal = pn_sweep(space, point, NOMINAL_CORNER, "ideal_supply", tc)
         coupled = pn_sweep(space, point, NOMINAL_CORNER, "coupled", tc)
@@ -336,7 +319,7 @@ def cmd_eval(args) -> int:
         atomic_write(out_dir / "pn_sweep.csv",
                      _csv(["offset_hz", "pn_ideal_dbchz", "pn_coupled_dbchz"], rows))
         corner_rows = []
-        for corner, m in zip(corners, map(PerfMetrics.from_row, table)):
+        for corner, m in zip(CORNERS, map(PerfMetrics.from_row, table)):
             corner_rows.append({"corner": corner.label(), "pn100k": m.pn100k,
                                 "pn1m": m.pn1m, "pn10m": m.pn10m})
         atomic_write(out_dir / "pn_corners.csv",
@@ -354,41 +337,10 @@ COMPARE_HEADER = [
 
 
 def cmd_compare(args) -> int:
-    config_path = Path(args.config)
-    try:
-        cfg = parse_runconfig(config_path.read_text())
-        if args.seeds:
-            cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.budget is not None:
-        cfg = replace(cfg, budget=args.budget)
-    if args.out:
-        cfg = replace(cfg, out=args.out)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if len(cfg.seeds) < 2:
-        print("compare needs at least two seeds", file=sys.stderr)
-        return 2
-
-    try:
-        space, constraints, tc, corners = _load_setup(cfg, config_path.parent)
-    except (OSError, ValueError) as exc:
-        print(f"evaluator setup error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        report, _ = compare(
-            space, corners, constraints, tc, cfg.opt_config(), list(cfg.seeds),
-            workers=cfg.workers,
-        )
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except EvaluationFailure as exc:
-        return _final_design_failed(exc)
-    out_dir = config_path.parent / cfg.out / "comparison"
+    cfg, config_dir, space, constraints, tc = _load(args)
+    report, _ = _run_flow(compare, space, CORNERS, constraints, tc, cfg.opt_config(),
+                          list(cfg.seeds), workers=cfg.workers)
+    out_dir = config_dir / cfg.out / "comparison"
     atomic_write(out_dir / "comparison.csv", _csv(COMPARE_HEADER, report.rows))
     summary = [
         f"seeds: {len(report.rows)}",
@@ -411,6 +363,7 @@ def _positive_si(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags whose dest is a RunConfig key are raw-string overrides of it."""
     parser = argparse.ArgumentParser(
         prog="ldovco",
         description="Corner-aware surrogate-assisted sizing of an LDO-regulated LC VCO.",
@@ -425,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one sizing flow")
     p_run.add_argument("config", help="run configuration file")
     p_run.add_argument("--flow", choices=("co", "seq"))
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--budget", type=int)
+    p_run.add_argument("--seed")
+    p_run.add_argument("--budget")
     p_run.add_argument("--out")
     p_run.set_defaults(func=cmd_run)
 
@@ -437,14 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--iload", type=_positive_si, default=2e-3,
                         help="load current for ldo mode (SI suffixes ok)")
     p_eval.add_argument("--sweep", action="store_true", help="write PN sweep CSVs")
-    p_eval.add_argument("--out", help="directory for sweep artifacts")
+    # not the config's out: eval writes no run artifacts
+    p_eval.add_argument("--out", dest="sweep_dir", help="directory for sweep artifacts")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="paired sequential-vs-codesign comparison")
     p_cmp.add_argument("config", help="run configuration file")
     p_cmp.add_argument("--seeds", help="comma or space separated seed list")
-    p_cmp.add_argument("--budget", type=int)
-    p_cmp.add_argument("--workers", type=int)
+    p_cmp.add_argument("--budget")
+    p_cmp.add_argument("--workers")
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
@@ -452,7 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

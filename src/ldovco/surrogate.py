@@ -46,23 +46,21 @@ class ScalerStats:
         return y * self.y_std + self.y_mean
 
 
+LEARNING_RATE = 1e-3
+VAL_FRACTION = 0.2  # share of rows held out for early stopping
+N_MEMBERS = 5
+
+
 @dataclass(frozen=True)
 class MlpConfig:
     hidden_width: int | None = None  # None -> max(10, 2 * input dim)
     epochs: int = 2000
-    learning_rate: float = 1e-3
     patience: int = 100
-    val_fraction: float = 0.2
-    n_members: int = 5
     min_delta: float = 1e-6  # smallest val-loss drop that counts as progress
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.patience <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs, patience and learning_rate must be positive")
-        if not 0.0 < self.val_fraction <= 0.5:
-            raise ValueError("val_fraction must be in (0, 0.5]")
-        if self.n_members < 1:
-            raise ValueError("need at least one ensemble member")
+        if self.epochs <= 0 or self.patience <= 0:
+            raise ValueError("epochs and patience must be positive")
 
     def resolve_width(self, input_dim: int) -> int:
         return self.hidden_width if self.hidden_width else max(10, 2 * input_dim)
@@ -108,7 +106,7 @@ def fit(x: np.ndarray, y: np.ndarray, cfg: MlpConfig, seed: int) -> EnsembleMode
     if n < 10:
         raise ValueError(f"need at least 10 samples to fit, got {n}")
 
-    m = cfg.n_members
+    m = N_MEMBERS
     h = cfg.resolve_width(d)
     w1 = np.empty((m, d, h))
     b1 = np.empty((m, h))
@@ -174,7 +172,7 @@ def _train(w1, b1, w2, b2, scaler: ScalerStats, cfg: MlpConfig, x: np.ndarray,
 
     split_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     perm = split_rng.permutation(n)
-    n_val = min(max(1, int(round(cfg.val_fraction * n))), n - 1)
+    n_val = min(max(1, int(round(VAL_FRACTION * n))), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     xt, yt = xs[train_idx], ys[train_idx]
     xv, yv = xs[val_idx], ys[val_idx]
@@ -242,7 +240,7 @@ def _train(w1, b1, w2, b2, scaler: ScalerStats, cfg: MlpConfig, x: np.ndarray,
     # views of the buffers above and of the flat parameters, made once
     hidden_tt, w2_t = np.swapaxes(hidden_t, 1, 2), np.swapaxes(w2, 1, 2)
     b1_rows, b2_rows = b1[:, None, :], b2[:, None, :]
-    lr = cfg.learning_rate
+    lr = LEARNING_RATE
     epochs_run = 0
     for epoch in range(epochs):
         # forward pass over train and val rows: _forward, written in place

@@ -11,6 +11,7 @@ from ldovco.cli import (
     main,
     parse_runconfig,
 )
+from ldovco.flows import run_codesign
 from ldovco.iofmt import parse_problem_file
 from ldovco.optimizer import OptConfig
 
@@ -161,6 +162,24 @@ class TestRun:
         assert main(["run", str(cfg)]) == 3
 
 
+    def test_best_design_record_round_trips_exactly(self, workdir, monkeypatch):
+        from ldovco import cli
+        from ldovco.iofmt import parse_point_file
+
+        results = []
+
+        def spy(*args):
+            results.append(run_codesign(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_codesign", spy)
+        main(["run", str(workdir / RUNCONFIG_FILE), "--budget", "60", "--seed", "4",
+              "--out", "exact"])
+        record = (workdir / "exact" / "co_seed4" / "best_design.txt").read_text()
+        space, _ = parse_problem_file((workdir / PROBLEM_FILE).read_text())
+        values = parse_point_file(record)
+        assert [values[n] for n in space.names] == results[0].final_point.tolist()
+
 class TestEval:
     def test_prints_33_corner_rows(self, workdir, capsys, co_point_file):
         assert main(["eval", str(co_point_file)]) == 0
@@ -289,6 +308,24 @@ class TestCompare:
         assert capsys.readouterr().err.startswith("config error: eval_budget")
         assert not (workdir / "runs" / "comparison").exists()
 
+
+@pytest.mark.parametrize("argv,code,prefix", [
+    (["run", "{config}", "--budget", "ten"], 2, "config error: "),
+    (["compare", "{config}", "--workers", "x"], 2, "config error: "),
+    (["run", "{config}", "--seed", "1.5"], 2, "config error: "),
+    (["run", "{bogus}"], 2, "config error: unknown config keys: bogus"),
+    (["eval", "{design}", "--config", "{bogus}"], 2, "config error: "),
+    (["compare", "{no_problem}"], 3, "evaluator setup error: "),
+    (["eval", "{design}", "--config", "{no_problem}"], 3, "evaluator setup error: "),
+], ids=["run-budget", "compare-workers", "run-seed", "unknown-key", "eval-config",
+        "compare-no-problem", "eval-no-problem"])
+def test_exit_codes(workdir, co_point_file, capsys, argv, code, prefix):
+    (workdir / "bogus.txt").write_text("bogus 3\n")
+    (workdir / "no_problem.txt").write_text("problem missing.txt\n")
+    paths = {"config": workdir / RUNCONFIG_FILE, "bogus": workdir / "bogus.txt",
+             "no_problem": workdir / "no_problem.txt", "design": co_point_file}
+    assert main([a.format(**paths) for a in argv]) == code
+    assert capsys.readouterr().err.startswith(prefix)
 
 @pytest.fixture()
 def co_point_file(tmp_path):

@@ -88,6 +88,15 @@ def test_names_the_benchmark_checks_read(bundled, tc, all_corners):
             assert info.value.quantity == rec.failure
 
 
+
+def test_cli_csv_the_benchmark_digests_read():
+    # bench/workloads.py hashes its row digests over cli._csv, and falls back
+    # to another format if the name is gone
+    from ldovco import cli
+
+    row = {"i": 3, "s": "co", "f": 1 / 3, "n": float("nan"), "m": float("-inf")}
+    assert cli._csv(list(row), [row]) == "i,s,f,n,m\n3,co,0.3333333333,nan,-inf\n"
+
 # (module, attribute) of every function the benchmark's tracer wraps, in the
 # namespace its callers look it up from (bench/spans.py, LAYER_TARGETS)
 TRACED_NAMES = [

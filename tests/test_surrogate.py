@@ -110,8 +110,6 @@ class TestFit:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            MlpConfig(val_fraction=0.9)
-        with pytest.raises(ValueError):
             MlpConfig(epochs=0)
 
 
