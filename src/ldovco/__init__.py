@@ -14,7 +14,6 @@ from .behavior import (
     combine_pn,
     evaluate,
     evaluate_corners,
-    evaluate_detailed,
     map_ldo,
     map_vco,
     supply_pn,
@@ -62,7 +61,6 @@ __all__ = [
     "enumerate_corners",
     "evaluate",
     "evaluate_corners",
-    "evaluate_detailed",
     "fom",
     "load_bundled_constants",
     "load_bundled_point",

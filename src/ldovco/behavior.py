@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .problem import METRIC_NAMES, Corner, PerfMetrics
+from .problem import METRIC_NAMES, Corner, PerfMetrics, fom
 from .space import DesignPoint, DesignSpace, frozen_array, point_as_dict
 
 MU0 = 4e-7 * math.pi
@@ -499,13 +499,6 @@ _LDO_ONLY_PN = -200.0
 _LDO_ONLY_STARTUP = 10.0
 
 
-@dataclass(frozen=True)
-class EvalDetail:
-    metrics: PerfMetrics
-    vco: VcoDerived | None
-    ldo: LdoDerived | None
-
-
 def coupled_swing_limit(c_byp: float) -> float:
     """Bypass capacitance at the supply flattens the achievable tank swing."""
     return SWING_FRAC * V_OUT * C_SWING_REF / (C_SWING_REF + c_byp)
@@ -517,67 +510,68 @@ def _pn_metrics(pn: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _fom(f0, pn1m, pdyn) -> np.ndarray:
-    """Eq. 1 at 1 MHz per corner: the scalar fom's operations, elementwise."""
-    if np.any(np.less_equal(f0, 0.0)) or np.any(np.less_equal(pdyn, 0.0)):
-        raise ValueError("fom requires positive f0, delta_f and pdyn")
-    return -10.0 * _log10(_square(1e6 / f0) * (pdyn / 1e-3)) - pn1m
+    """Eq. 1 at 1 MHz (problem.fom) at each corner."""
+    columns = (c.tolist() for c in np.broadcast_arrays(f0, pn1m, pdyn))
+    return np.array([fom(f, 1e6, pn, p) for f, pn, p in zip(*columns)])
+
+
+def _phase_noise(vco: VcoDerived, ldo: LdoDerived | None, tcc: TechConstants,
+                 offsets: np.ndarray) -> np.ndarray:
+    """Phase noise in dBc/Hz over (corners, offsets): the VCO's intrinsic
+    part, power-summed with the supply part when an LDO feeds it."""
+    intrinsic = vco_pn_intrinsic(vco, offsets, tcc)
+    if ldo is None:
+        return intrinsic
+    return combine_pn([intrinsic, supply_pn(vco.k_push, ldo.vn_at(offsets), offsets)])
 
 
 @_ERRSTATE
 def _evaluate(
     space: DesignSpace,
     point: DesignPoint,
-    tcc: TechConstants,
-    vdd_in,
-    corners: Sequence[Corner],
+    corners: tuple[Corner, ...],
     mode: str,
+    tc: TechConstants,
     i_load: float | None,
-) -> tuple[dict, VcoDerived | None, LdoDerived | None]:
-    """Metric values of one point at corner-applied constants tcc and input
-    supply vdd_in (scalars, or arrays over `corners`), by metric name."""
+) -> tuple[np.ndarray, VcoDerived | None, LdoDerived | None, TechConstants]:
+    """The one evaluation path: fold the corners into tc, run the models of
+    `mode` over the corner axis and check the corner x metric table. Returns
+    the table, the model parts and the corner-applied constants."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    tcc, vdd_in = apply_corners(tc, corners)
     failures = _Failures(corners)
+    vco = ldo = None
 
     if mode == "ideal_supply":
         vco = map_vco(space, point, tcc, amp_limit=SWING_FRAC * V_OUT, failures=failures)
         failures.raise_first()
-        pn = _pn_metrics(vco_pn_intrinsic(vco, PN_OFFSETS, tcc))
         pdyn = V_OUT * vco.i_bias
-        values = dict(
-            f0=vco.f0, **pn, pdyn=pdyn, psr_max=_IDEAL_PSR, pm=_IDEAL_PM, vdd_max=V_OUT,
-            startup_margin=vco.startup_margin, fom=_fom(vco.f0, pn["pn1m"], pdyn),
-        )
-        return values, vco, None
-
-    if mode == "ldo_only":
+    elif mode == "ldo_only":
         if i_load is None or i_load <= 0:
             raise ValueError("ldo_only mode requires a positive i_load")
         ldo = map_ldo(space, point, tcc, i_load=i_load, vdd_in=vdd_in,
                       c_load=C_SUP_FIXED, failures=failures)
         pdyn = vdd_in * (i_load + ldo.i_q)
-        values = dict(
-            f0=_LDO_ONLY_F0, pn100k=_LDO_ONLY_PN, pn1m=_LDO_ONLY_PN, pn10m=_LDO_ONLY_PN,
-            pdyn=pdyn, psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max,
-            startup_margin=_LDO_ONLY_STARTUP, fom=_fom(_LDO_ONLY_F0, _LDO_ONLY_PN, pdyn),
-        )
-        return values, None, ldo
+    else:  # coupled
+        vco = map_vco(space, point, tcc, amp_limit=coupled_swing_limit(space.fixed["c_byp"]),
+                      failures=failures)
+        ldo = map_ldo(space, point, tcc, i_load=vco.i_bias, vdd_in=vdd_in,
+                      c_load=vco.c_par + C_SUP_FIXED, failures=failures)
+        pdyn = vdd_in * (vco.i_bias + ldo.i_q)
 
-    # coupled
-    vco = map_vco(space, point, tcc, amp_limit=coupled_swing_limit(space.fixed["c_byp"]),
-                  failures=failures)
-    ldo = map_ldo(space, point, tcc, i_load=vco.i_bias, vdd_in=vdd_in,
-                  c_load=vco.c_par + C_SUP_FIXED, failures=failures)
-    pn = _pn_metrics(combine_pn([
-        vco_pn_intrinsic(vco, PN_OFFSETS, tcc),
-        supply_pn(vco.k_push, ldo.vn_at(PN_OFFSETS), PN_OFFSETS),
-    ]))
-    pdyn = vdd_in * (vco.i_bias + ldo.i_q)
-    values = dict(
-        f0=vco.f0, **pn, pdyn=pdyn, psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max,
-        startup_margin=vco.startup_margin, fom=_fom(vco.f0, pn["pn1m"], pdyn),
-    )
-    return values, vco, ldo
+    if vco is None:
+        values = dict(f0=_LDO_ONLY_F0, startup_margin=_LDO_ONLY_STARTUP,
+                      **dict.fromkeys(PN_METRICS, _LDO_ONLY_PN))
+    else:
+        values = dict(f0=vco.f0, startup_margin=vco.startup_margin,
+                      **_pn_metrics(_phase_noise(vco, ldo, tcc, PN_OFFSETS)))
+    if ldo is None:
+        values.update(psr_max=_IDEAL_PSR, pm=_IDEAL_PM, vdd_max=V_OUT)
+    else:
+        values.update(psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max)
+    values.update(pdyn=pdyn, fom=_fom(values["f0"], values["pn1m"], pdyn))
+    return _metric_table(values, corners), vco, ldo, tcc
 
 
 def _metric_table(values: dict, corners: Sequence[Corner]) -> np.ndarray:
@@ -608,26 +602,7 @@ def evaluate_corners(
     deterministic. A failure names the lowest-index failing corner and the
     first quantity that fails there; a model quantity that fails at any
     corner comes before a non-finite metric (see _metric_table)."""
-    corners = tuple(corners)
-    tcc, vdd_in = apply_corners(tc, corners)
-    values, _, _ = _evaluate(space, point, tcc, vdd_in, corners, mode, i_load)
-    return _metric_table(values, corners)
-
-
-def evaluate_detailed(
-    space: DesignSpace,
-    point: DesignPoint,
-    corner: Corner,
-    mode: str,
-    tc: TechConstants,
-    i_load: float | None = None,
-) -> EvalDetail:
-    """Evaluate one point at one corner in one mode: the evaluate_corners
-    code on scalar constants, so the vco and ldo parts hold floats."""
-    values, vco, ldo = _evaluate(
-        space, point, apply_corner(tc, corner), corner.vdd_in, (corner,), mode, i_load
-    )
-    return EvalDetail(PerfMetrics.from_row(_metric_table(values, (corner,))[0]), vco, ldo)
+    return _evaluate(space, point, tuple(corners), mode, tc, i_load)[0]
 
 
 def evaluate(
@@ -638,7 +613,8 @@ def evaluate(
     tc: TechConstants,
     i_load: float | None = None,
 ) -> PerfMetrics:
-    return evaluate_detailed(space, point, corner, mode, tc, i_load=i_load).metrics
+    """The metrics at one corner: row 0 of a one-corner batch."""
+    return PerfMetrics.from_row(evaluate_corners(space, point, (corner,), mode, tc, i_load)[0])
 
 
 def pn_sweep(
@@ -649,11 +625,8 @@ def pn_sweep(
     tc: TechConstants,
     offsets: np.ndarray = SWEEP_OFFSETS,
 ) -> np.ndarray:
-    """Total phase noise vs offset for export; one dBc/Hz value per offset."""
-    detail = evaluate_detailed(space, point, corner, mode, tc)
-    tcc = apply_corner(tc, corner)
-    offsets = np.asarray(offsets, dtype=float)
-    parts = [vco_pn_intrinsic(detail.vco, offsets, tcc)]
-    if mode == "coupled":
-        parts.append(supply_pn(detail.vco.k_push, detail.ldo.vn_at(offsets), offsets))
-    return combine_pn(parts)
+    """Total phase noise vs offset at one corner, for export; one dBc/Hz
+    value per offset. The corner is evaluated as a one-corner batch, so a
+    design that fails there raises as evaluate would."""
+    _, vco, ldo, tcc = _evaluate(space, point, (corner,), mode, tc, None)
+    return _phase_noise(vco, ldo, tcc, np.asarray(offsets, dtype=float))[0]

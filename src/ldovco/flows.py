@@ -236,6 +236,11 @@ def compare(
     over worker processes without affecting the results."""
     if len(seeds) < 2:
         raise ValueError("compare needs at least two seeds")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"compare seeds must be distinct; repeated: {repeated}")
+    if workers < 1:
+        raise ValueError(f"compare needs at least one worker, got {workers}")
     cfg = replace(cfg, no_improve_limit=max(cfg.no_improve_limit, cfg.eval_budget))
     tasks = [
         (flow, seed, space, corners, constraints, tc, cfg)

@@ -8,6 +8,7 @@ comment.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import fields
@@ -15,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .behavior import TechConstants
-from .problem import Constraint, ConstraintSet, GE, LE
+from .problem import METRIC_NAMES, Constraint, ConstraintSet, GE, LE
 from .space import CONTINUOUS, INTEGER, DesignSpace, Variable, validate_space
 from .units import format_si, parse_si
 
@@ -80,7 +81,15 @@ def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
         parts = line.split()
         if len(parts) != 3 or parts[1] not in (LE, GE):
             raise ValueError(f"expected 'metric <=|>= bound', got {line!r}")
-        constraints.append(Constraint(parts[0], parts[1], parse_si(parts[2])))
+        metric, direction, bound = parts[0], parts[1], parse_si(parts[2])
+        if metric not in METRIC_NAMES:
+            raise ValueError(f"constraint on unknown metric {metric!r}; expected one of"
+                             f" {', '.join(METRIC_NAMES)}")
+        # violation normalizes each shortfall by the bound
+        if bound == 0.0 or not math.isfinite(bound):
+            raise ValueError(f"constraint on {metric} needs a finite non-zero bound,"
+                             f" got {parts[2]!r}")
+        constraints.append(Constraint(metric, direction, bound))
     return space, tuple(constraints)
 
 

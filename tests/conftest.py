@@ -9,7 +9,10 @@ from ldovco import (
     load_bundled_constants,
     load_bundled_point,
     load_bundled_problem,
+    map_ldo,
+    map_vco,
 )
+from ldovco.behavior import C_SUP_FIXED, coupled_swing_limit
 from ldovco.problem import Constraint, PerfMetrics, SizingProblem
 from ldovco.space import DesignSpace, Variable, point_from_dict
 
@@ -48,6 +51,16 @@ def co_point(space):
 @pytest.fixture(scope="session")
 def se_point(space):
     return point_from_dict(space, load_bundled_point("sedesign"))
+
+
+def coupled_parts(space, point, tc):
+    """The coupled VCO and LDO model parts at the nominal corner, as the
+    coupled evaluator builds them: the LDO carries the VCO's bias current
+    and drives its parasitic capacitance."""
+    vco = map_vco(space, point, tc, amp_limit=coupled_swing_limit(space.fixed["c_byp"]))
+    ldo = map_ldo(space, point, tc, i_load=vco.i_bias, vdd_in=NOMINAL_CORNER.vdd_in,
+                  c_load=vco.c_par + C_SUP_FIXED)
+    return vco, ldo
 
 
 def make_toy_problem():

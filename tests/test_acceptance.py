@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import make_toy_problem
+from conftest import coupled_parts, make_toy_problem
 
 from ldovco import (
     NOMINAL_CORNER,
@@ -20,7 +20,7 @@ from ldovco import (
     fom,
     worst_case,
 )
-from ldovco.behavior import combine_pn, evaluate_detailed, pn_sweep
+from ldovco.behavior import combine_pn, pn_sweep
 from ldovco.cli import main
 from ldovco.flows import compare
 from ldovco.optimizer import OptConfig, run
@@ -183,9 +183,8 @@ def test_criterion_6_directional_physics(bundled, tc, all_corners, co_point, se_
     psr, p_sig = [], []
     for c_byp in (10e-12, 20e-12, 40e-12, 80e-12):
         sp = DesignSpace(space.variables, dict(space.fixed, c_byp=c_byp))
-        d = evaluate_detailed(sp, co_point, NOMINAL_CORNER, "coupled", tc)
-        psr.append(d.metrics.psr_max)
-        p_sig.append(d.vco.p_sig)
+        psr.append(evaluate(sp, co_point, NOMINAL_CORNER, "coupled", tc).psr_max)
+        p_sig.append(coupled_parts(sp, co_point, tc)[0].p_sig)
     assert all(b < a for a, b in zip(psr, psr[1:]))
     assert all(b < a for a, b in zip(p_sig, p_sig[1:]))
 

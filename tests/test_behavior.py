@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import coupled_parts
+
 from ldovco.behavior import (
     C_OX,
     DEFAULT_TECH,
@@ -25,7 +27,6 @@ from ldovco.behavior import (
     coupled_swing_limit,
     evaluate,
     evaluate_corners,
-    evaluate_detailed,
     map_ldo,
     map_vco,
     phase_margin,
@@ -256,12 +257,11 @@ class TestCombinePn:
         # sweep oracle: the supply part overtakes the intrinsic part at
         # 100 kHz but has fallen back below it by 10 MHz, for both points
         for point in (co_point, se_point):
-            detail = evaluate_detailed(space, point, NOMINAL_CORNER, "coupled", tc)
-            tcc = apply_corner(tc, NOMINAL_CORNER)
-            intr_100k = vco_pn_intrinsic(detail.vco, 1e5, tcc)
-            sup_100k = supply_pn(detail.vco.k_push, float(detail.ldo.vn_at(1e5)), 1e5)
-            intr_10m = vco_pn_intrinsic(detail.vco, 1e7, tcc)
-            sup_10m = supply_pn(detail.vco.k_push, float(detail.ldo.vn_at(1e7)), 1e7)
+            vco, ldo = coupled_parts(space, point, tc)
+            intr_100k = vco_pn_intrinsic(vco, 1e5, tc)
+            sup_100k = supply_pn(vco.k_push, float(ldo.vn_at(1e5)), 1e5)
+            intr_10m = vco_pn_intrinsic(vco, 1e7, tc)
+            sup_10m = supply_pn(vco.k_push, float(ldo.vn_at(1e7)), 1e7)
             assert sup_100k > intr_100k
             assert sup_10m < intr_10m
 
@@ -300,9 +300,8 @@ class TestEvaluate:
         for c_byp in values:
             fixed = dict(space.fixed, c_byp=c_byp)
             sp = DesignSpace(space.variables, fixed)
-            d = evaluate_detailed(sp, co_point, NOMINAL_CORNER, "coupled", tc)
-            psr.append(d.metrics.psr_max)
-            p_sig.append(d.vco.p_sig)
+            psr.append(evaluate(sp, co_point, NOMINAL_CORNER, "coupled", tc).psr_max)
+            p_sig.append(coupled_parts(sp, co_point, tc)[0].p_sig)
         assert all(b < a for a, b in zip(psr, psr[1:]))
         assert all(b < a for a, b in zip(p_sig, p_sig[1:]))
 
@@ -316,8 +315,8 @@ class TestEvaluate:
 
     def test_coupled_power_includes_ldo(self, space, tc, co_point):
         m = evaluate(space, co_point, NOMINAL_CORNER, "coupled", tc)
-        d = evaluate_detailed(space, co_point, NOMINAL_CORNER, "coupled", tc)
-        assert m.pdyn == pytest.approx(1.62 * (d.vco.i_bias + d.ldo.i_q), rel=1e-12)
+        vco, ldo = coupled_parts(space, co_point, tc)
+        assert m.pdyn == pytest.approx(1.62 * (vco.i_bias + ldo.i_q), rel=1e-12)
 
     def test_ldo_only_requires_i_load(self, space, tc, co_point):
         with pytest.raises(ValueError):
@@ -338,12 +337,12 @@ class TestEvaluate:
         for m2 in (30, 60, 120, 240, 480, 960):
             pt = np.array(base)
             pt[space.index_of("M2")] = m2
-            d = evaluate_detailed(space, pt, NOMINAL_CORNER, "coupled", tc)
-            if d.vco.amp_unclipped < d.vco.amplitude + 1e-15:
-                assert d.vco.p_sig > p_prev
+            vco, _ = coupled_parts(space, pt, tc)
+            if vco.amp_unclipped < vco.amplitude + 1e-15:
+                assert vco.p_sig > p_prev
             else:
                 clipped_seen = True
-            p_prev = d.vco.p_sig
+            p_prev = vco.p_sig
         assert clipped_seen
 
     def test_monotonicity_q_improves_pn(self, tc):

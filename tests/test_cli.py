@@ -301,6 +301,20 @@ class TestCompare:
         assert main(["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "a,b"]) == 2
         assert capsys.readouterr().err.startswith("config error: invalid literal for int()")
 
+    def test_repeated_seed_is_exit_2(self, workdir, capsys):
+        assert main(["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1,2,1"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: compare seeds must be distinct; repeated: [1]\n")
+        assert not (workdir / "runs" / "comparison").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_exit_2(self, workdir, capsys, workers):
+        args = ["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1,2", "--workers", workers]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"config error: compare needs at least one worker, got {workers}\n")
+        assert not (workdir / "runs" / "comparison").exists()
+
     def test_budget_below_stage_samples_is_exit_2(self, workdir, capsys):
         # the sequential flow's first stage gets too few evaluations
         args = ["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1,2", "--budget", "3"]
@@ -326,6 +340,22 @@ def test_exit_codes(workdir, co_point_file, capsys, argv, code, prefix):
              "no_problem": workdir / "no_problem.txt", "design": co_point_file}
     assert main([a.format(**paths) for a in argv]) == code
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "compare"])
+@pytest.mark.parametrize("line", ["pmx >= 50", "pm >= 0", "f0 >= NaN", "f0 >= Infinity"])
+def test_bad_constraint_is_exit_3(workdir, co_point_file, capsys, command, line):
+    problem = (workdir / PROBLEM_FILE).read_text() + line + "\n"
+    (workdir / "bad_problem.txt").write_text(problem)
+    config = workdir / "bad_constraint.txt"
+    config.write_text("problem bad_problem.txt\nbudget 30\n")
+    argv = {"run": ["run", str(config)], "compare": ["compare", str(config)],
+            "eval": ["eval", str(co_point_file), "--config", str(config)]}[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("evaluator setup error: constraint")
+    assert err.count("\n") == 1
+
 
 @pytest.fixture()
 def co_point_file(tmp_path):

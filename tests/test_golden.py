@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ldovco.behavior import EvaluationFailure, evaluate
+from ldovco.behavior import EvaluationFailure, evaluate, pn_sweep
 from ldovco.flows import run_codesign, run_sequential
 from ldovco.optimizer import RUN_LOG_HEADER, OptConfig
 from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER
@@ -74,6 +74,25 @@ def test_golden_spot_values(space, tc, all_corners, co_point, golden_points):
     assert corner_line(space, tc, lhs0, all_corners[2], "ldo_only") == "fail pass_headroom"
     assert not corner_line(space, tc, lhs0, NOMINAL_CORNER, "ldo_only").startswith("fail")
 
+
+# Golden phase-noise sweeps: every swept value (as its repr) of the two
+# bundled points and the 64-point LHS set, at the nominal corner and the
+# first five grid corners, on an ideal supply and coupled; a failure is its
+# quantity and corner label. Recorded from the per-corner scalar sweep.
+PN_SWEEP_DIGEST = "7a3a9c2c930c21f36c6b427ca127521c83cc6cba4009d1fc4f9c1c30596d49a0"
+
+
+def test_pn_sweep_digest(space, tc, all_corners, golden_points):
+    h = hashlib.sha256()
+    for mode in ("ideal_supply", "coupled"):
+        for point in golden_points:
+            for corner in all_corners[:6]:
+                try:
+                    line = repr(pn_sweep(space, point, corner, mode, tc).tolist())
+                except EvaluationFailure as exc:
+                    line = f"fail {exc.quantity} {exc.corner}"
+                h.update((line + "\n").encode())
+    assert h.hexdigest() == PN_SWEEP_DIGEST
 
 # Golden values of the training and search path: the weights and train_log
 # of one cold fit followed by a warm update chain, and the run_log rows of

@@ -109,6 +109,19 @@ class TestBundledProblem:
         with pytest.raises(ValueError):
             parse_point_file("a 1\na 2\n")
 
+    @pytest.mark.parametrize("line,match", [
+        ("pmx >= 50", "constraint on unknown metric 'pmx'"),
+        ("pm >= 0", "finite non-zero bound"),
+        ("f0 >= NaN", "finite non-zero bound"),
+        ("f0 >= Infinity", "finite non-zero bound"),
+        ("pdyn <= -Infinity", "finite non-zero bound"),
+    ])
+    def test_bad_constraint_rejected(self, bundled, line, match):
+        # [constraints] is the last section of the formatted file
+        text = format_problem_file(*bundled) + line + "\n"
+        with pytest.raises(ValueError, match=match):
+            parse_problem_file(text)
+
 
 class TestBundledPoints:
     def test_both_points_cover_all_variables(self, space):
