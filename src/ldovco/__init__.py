@@ -10,14 +10,9 @@ from .behavior import (
     DEFAULT_TECH,
     EvaluationFailure,
     TechConstants,
-    apply_corner,
-    combine_pn,
     evaluate,
     evaluate_corners,
-    map_ldo,
-    map_vco,
-    supply_pn,
-    vco_pn_intrinsic,
+    pn_sweep,
 )
 from .iofmt import load_bundled_constants, load_bundled_point, load_bundled_problem
 from .problem import (
@@ -55,8 +50,6 @@ __all__ = [
     "SizingProblem",
     "TechConstants",
     "Variable",
-    "apply_corner",
-    "combine_pn",
     "compare_designs",
     "enumerate_corners",
     "evaluate",
@@ -65,15 +58,12 @@ __all__ = [
     "load_bundled_constants",
     "load_bundled_point",
     "load_bundled_problem",
-    "map_ldo",
-    "map_vco",
+    "pn_sweep",
     "point_as_dict",
     "point_from_dict",
     "repair",
     "sample_initial",
-    "supply_pn",
     "validate_space",
-    "vco_pn_intrinsic",
     "violation",
     "worst_case",
 ]

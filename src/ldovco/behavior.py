@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .problem import METRIC_NAMES, Corner, PerfMetrics, fom
-from .space import DesignPoint, DesignSpace, frozen_array, point_as_dict
+from .space import DesignPoint, DesignSpace, frozen_array
 
 MU0 = 4e-7 * math.pi
 V_OUT = 1.2  # regulated VCO supply
@@ -56,6 +56,22 @@ SWEEP_OFFSETS = np.logspace(4.0, 8.0, 4 * 20 + 1)
 
 MODES = ("ideal_supply", "ldo_only", "coupled")
 
+# The design variables map_vco and map_ldo read, and the fixed elements the
+# models read; a problem file must define every one of them.
+VCO_VARIABLES = [
+    "M2", "L_34", "W_34", "F_34", "M_34", "L_56", "W_56", "F_56", "M_56",
+    "N_H", "N_V", "M_bot", "W_ind", "R_ind", "NT_ind", "S_ind", "GR_ind",
+]
+LDO_VARIABLES = [
+    "L_nLoad", "W_nLoad", "F_nLoad", "M_nLoad",
+    "L_pIn", "W_pIn", "F_pIn", "M_pIn",
+    "L_bias", "W_bias", "F_bias", "M_bias", "M_biasIn", "M_biasOut",
+    "L_nOut", "W_nOut", "F_nOut", "M_nOut",
+    "C_C", "R_C", "C_F", "R_F",
+    "L_pass", "W_pass", "F_pass", "M_pass",
+]
+FIXED_ELEMENTS = ("c_var", "c_byp", "beta_fb", "r_div")
+
 
 class EvaluationFailure(RuntimeError):
     """An evaluation could not produce metrics; names the failing quantity
@@ -72,9 +88,9 @@ class EvaluationFailure(RuntimeError):
 @dataclass(frozen=True)
 class TechConstants:
     """Process/behavioral constants, all strictly positive. kT is at the
-    300 K reference; apply_corner folds in temperature and process skew.
-    apply_corners returns an instance whose CORNER_FIELDS are arrays over a
-    corner axis; the models broadcast over it."""
+    300 K reference; apply_corners folds in temperature and process skew,
+    returning an instance whose CORNER_FIELDS are arrays over a corner axis,
+    which the models broadcast over."""
 
     kT: float = 1.380649e-23 * 300.0
     gamma_excess: float = 0.45
@@ -102,34 +118,34 @@ DEFAULT_TECH = TechConstants()
 CORNER_FIELDS = ("kp_n", "kp_p", "ind_scale", "c_unit_mom", "kT")
 
 
-def apply_corner(base: TechConstants, corner: Corner) -> TechConstants:
-    """Fold a PVT corner into the constants: +-10% process skew on kp,
-    -+10% inductance, -+15% unit MOM capacitance, kT proportional to absolute
-    temperature (27 C == 300 K reference), mobility ~ T^-1.5."""
-    skew = {"fast": 1.10, "slow": 0.90, "nominal": 1.0}
-    ext_l = {"min": 0.90, "max": 1.10, "nominal": 1.0}
-    ext_c = {"min": 0.85, "max": 1.15, "nominal": 1.0}
-    t_ratio = (corner.temperature + 273.0) / 300.0
-    mobility = t_ratio ** -1.5
-    return replace(
-        base,
-        kp_n=base.kp_n * skew[corner.nmos] * mobility,
-        kp_p=base.kp_p * skew[corner.pmos] * mobility,
-        ind_scale=base.ind_scale * ext_l[corner.inductor],
-        c_unit_mom=base.c_unit_mom * ext_c[corner.capacitor],
-        kT=base.kT * t_ratio,
-    )
+# Corner multipliers: process skew on kp, inductance and unit MOM
+# capacitance extremes.
+_SKEW = {"fast": 1.10, "slow": 0.90, "nominal": 1.0}
+_EXT_L = {"min": 0.90, "max": 1.10, "nominal": 1.0}
+_EXT_C = {"min": 0.85, "max": 1.15, "nominal": 1.0}
 
 
-@lru_cache(maxsize=16)
+# room for a corner list and each of its 33 corners on its own
+@lru_cache(maxsize=64)
 def apply_corners(
     base: TechConstants, corners: tuple[Corner, ...]
 ) -> tuple[TechConstants, np.ndarray]:
-    """Fold every corner into the constants once. The CORNER_FIELDS of the
-    returned constants, and the returned input supplies, are read-only arrays
-    over the corners; the other fields stay scalar."""
-    applied = [apply_corner(base, c) for c in corners]
-    stacked = {name: frozen_array([getattr(t, name) for t in applied]) for name in CORNER_FIELDS}
+    """Fold every corner into the constants once: +-10% process skew on kp,
+    -+10% inductance, -+15% unit MOM capacitance, kT proportional to
+    absolute temperature (27 C == 300 K reference), mobility ~ T^-1.5. The
+    CORNER_FIELDS of the returned constants, and the returned input
+    supplies, are read-only arrays over the corners; the other fields stay
+    scalar."""
+    columns: dict[str, list[float]] = {name: [] for name in CORNER_FIELDS}
+    for c in corners:
+        t_ratio = (c.temperature + 273.0) / 300.0
+        mobility = t_ratio ** -1.5
+        columns["kp_n"].append(base.kp_n * _SKEW[c.nmos] * mobility)
+        columns["kp_p"].append(base.kp_p * _SKEW[c.pmos] * mobility)
+        columns["ind_scale"].append(base.ind_scale * _EXT_L[c.inductor])
+        columns["c_unit_mom"].append(base.c_unit_mom * _EXT_C[c.capacitor])
+        columns["kT"].append(base.kT * t_ratio)
+    stacked = {name: frozen_array(column) for name, column in columns.items()}
     return replace(base, **stacked), frozen_array([c.vdd_in for c in corners])
 
 
@@ -152,58 +168,62 @@ def _exp10(x) -> np.ndarray:
     return _each(partial(pow, 10.0), x)
 
 
-def _item(x, i: int) -> float:
-    """Element i of a corner-axis value; a scalar is the same at every corner."""
-    flat = np.ravel(x)
-    return flat[i if flat.size > 1 else 0].item()
-
-
 class _Failures:
-    """Failure tests over the corner axis, in the order the model computes
-    the quantities. raise_first raises for the lowest-index failing corner,
-    naming the first quantity that fails there."""
+    """Failure tests over the corner axis of `corners`, in the order the
+    models compute the quantities. raise_first raises for the lowest-index
+    failing corner, naming the first quantity that fails there."""
 
-    def __init__(self, corners: Sequence[Corner] | None = None):
+    def __init__(self, corners: Sequence[Corner]):
         self.corners = corners
         self.tests: list[tuple[str, np.ndarray, Callable[[int], str]]] = []
 
-    def add(self, name: str, bad, detail: Callable[[int], str]) -> None:
-        self.tests.append((name, np.atleast_1d(bad), detail))
+    def add(self, name: str, bad: np.ndarray, detail: Callable[[int], str]) -> None:
+        self.tests.append((name, bad, detail))
 
-    def require_positive(self, name: str, value) -> None:
-        bad = ~(np.greater(value, 0.0) & np.isfinite(value))
-        self.add(name, bad, lambda i: f"nonpositive or non-finite value {_item(value, i)}")
+    def require_positive(self, name: str, value: np.ndarray) -> None:
+        bad = ~((value > 0.0) & np.isfinite(value))
+        self.add(name, bad, lambda i: f"nonpositive or non-finite value {value[i].item()}")
 
     def raise_first(self) -> None:
         if not any(bad.any() for _, bad, _ in self.tests):
             return
-        bad = np.vstack(np.broadcast_arrays(*(b for _, b, _ in self.tests)))
+        bad = np.vstack([b for _, b, _ in self.tests])
         i = int(np.flatnonzero(bad.any(axis=0))[0])
         name, _, detail = self.tests[int(np.flatnonzero(bad[:, i])[0])]
-        label = None if self.corners is None else self.corners[i].label()
-        raise EvaluationFailure(name, detail(i), corner=label)
+        raise EvaluationFailure(name, detail(i), corner=self.corners[i].label())
+
+
+def _design_values(space: DesignSpace, point: DesignPoint) -> dict[str, np.float64]:
+    """The design's variables and the space's fixed elements, by name, as
+    float64 scalars: under _ERRSTATE a zero size then divides to inf or nan,
+    which a failure test or the finite-metric check names, rather than
+    raising ZeroDivisionError."""
+    values = dict(zip(space._names, np.asarray(point, dtype=float)))
+    values.update(zip(space.fixed, np.array(tuple(space.fixed.values()))))
+    return values
 
 
 @dataclass(frozen=True)
 class VcoDerived:
-    """Tank and oscillator quantities: floats, or arrays over the corners."""
+    """Tank and oscillator quantities over the corner axis; the floats are
+    per design, the same at every corner."""
 
-    l_tank: float
-    q_tank: float
-    c_tank: float
+    l_tank: np.ndarray
+    q_tank: np.ndarray
+    c_tank: np.ndarray
     c_par: float
     i_bias: float
-    gm_sw: float
-    r_p: float
-    amplitude: float
-    amp_unclipped: float
-    p_sig: float
-    f0: float
+    gm_sw: np.ndarray
+    r_p: np.ndarray
+    amplitude: np.ndarray
+    amp_unclipped: np.ndarray
+    p_sig: np.ndarray
+    f0: np.ndarray
     f_corner_1f: float
-    k_push: float
+    k_push: np.ndarray
 
     @property
-    def startup_margin(self) -> float:
+    def startup_margin(self) -> np.ndarray:
         return self.gm_sw * self.r_p
 
 
@@ -223,18 +243,15 @@ def phase_margin(gbw: float, p2: float, f_z: float = math.inf) -> float | np.nda
 _ERRSTATE = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-@_ERRSTATE
-def map_vco(space: DesignSpace, point: DesignPoint, tc: TechConstants,
-            amp_limit: float, failures: _Failures | None = None) -> VcoDerived:
-    """Closed-form mapping from geometry to tank and oscillator quantities.
-
-    amp_limit is the swing ceiling of the evaluation mode (ideal supply vs
-    bypass-flattened coupled operation). If tc carries a corner axis, so do
-    the results. Failing quantities go to `failures` for the caller to
-    raise; without it, the first one is raised here.
+def map_vco(v: dict[str, float], tc: TechConstants, amp_limit: float,
+            failures: _Failures) -> VcoDerived:
+    """Closed-form mapping from geometry to tank and oscillator quantities,
+    over the corner axis of the folded constants tc (runs under _evaluate's
+    _ERRSTATE). v holds the design values (_design_values). amp_limit is the
+    swing ceiling of the evaluation mode (ideal supply vs bypass-flattened
+    coupled operation). Failing quantities go to `failures` for the caller
+    to raise.
     """
-    checks = _Failures() if failures is None else failures
-    v = point_as_dict(space, point)
 
     nt = v["NT_ind"]
     d_in = 2.0 * v["R_ind"]
@@ -242,19 +259,19 @@ def map_vco(space: DesignSpace, point: DesignPoint, tc: TechConstants,
     d_avg = 0.5 * (d_in + d_out)
     rho = (d_out - d_in) / (d_out + d_in)
     l_tank = tc.ind_scale * WHEELER_K1 * MU0 * nt * nt * d_avg / (1.0 + WHEELER_K2 * rho)
-    checks.require_positive("l_tank", l_tank)
+    failures.require_positive("l_tank", l_tank)
     wire_len = 4.0 * nt * d_avg
     r_s = tc.sheet_r * (wire_len / v["W_ind"]) * (1.0 + GR_LOSS_REF / v["GR_ind"])
 
     c_mom = tc.c_unit_mom * v["N_H"] * v["N_V"] * (4.0 - v["M_bot"])
     width_sw = v["W_34"] * v["F_34"] * v["M_34"] + v["W_56"] * v["F_56"] * v["M_56"]
     c_par = tc.c_par_unit * width_sw
-    c_tank = c_mom + space.fixed["c_var"] + c_par
-    checks.require_positive("c_tank", c_tank)
+    c_tank = c_mom + v["c_var"] + c_par
+    failures.require_positive("c_tank", c_tank)
 
     f0 = resonant_frequency(l_tank, c_tank)
     q_tank = 2.0 * math.pi * f0 * l_tank / r_s
-    checks.require_positive("q_tank", q_tank)
+    failures.require_positive("q_tank", q_tank)
     r_p = q_tank * 2.0 * math.pi * f0 * l_tank
 
     i_bias = tc.i_unit * v["M2"]
@@ -265,9 +282,7 @@ def map_vco(space: DesignSpace, point: DesignPoint, tc: TechConstants,
     amp_unclipped = (4.0 / math.pi) * (i_bias / 2.0) * r_p
     amplitude = np.minimum(amp_unclipped, amp_limit)
     p_sig = amplitude * amplitude / (2.0 * r_p)
-    checks.require_positive("p_sig", p_sig)
-    if failures is None:
-        checks.raise_first()
+    failures.require_positive("p_sig", p_sig)
 
     area_56 = v["W_56"] * v["F_56"] * v["M_56"] * v["L_56"]
     f_corner_1f = (tc.kf / (area_56 * C_OX)) * F_CORNER_SCALE
@@ -285,9 +300,9 @@ def _outer(x, f: np.ndarray) -> np.ndarray:
     return np.reshape(x, np.shape(x) + (1,) * np.ndim(f))
 
 
-def vco_pn_intrinsic(d: VcoDerived, delta_f: float, tc: TechConstants) -> float | np.ndarray:
+def vco_pn_intrinsic(d: VcoDerived, delta_f, tc: TechConstants) -> np.ndarray:
     """Leeson-type single-sideband phase noise in dBc/Hz at offset delta_f;
-    the axes of delta_f follow the corner axis, if any."""
+    the axes of delta_f follow the corner axis."""
     delta_f = np.asarray(delta_f, dtype=float)
     if np.any(delta_f <= 0):
         raise ValueError("delta_f must be positive")
@@ -300,19 +315,20 @@ def vco_pn_intrinsic(d: VcoDerived, delta_f: float, tc: TechConstants) -> float 
     return 10.0 * _log10((2.0 * f_noise * kT / p_sig) * leeson * flicker)
 
 
-def supply_pn(k_push: float, vn: float, delta_f: float) -> float | np.ndarray:
+def supply_pn(k_push, vn, delta_f) -> np.ndarray:
     """Narrowband-FM conversion of supply noise to phase noise, dBc/Hz;
-    the axes of delta_f follow the corner axis of k_push, if any.
-    vn = 0 returns -inf (no contribution)."""
+    the axes of delta_f follow the corner axis of k_push. vn = 0 or
+    k_push = 0 returns -inf (no contribution)."""
     delta_f = np.asarray(delta_f, dtype=float)
     if np.any(delta_f <= 0):
         raise ValueError("delta_f must be positive")
     vn = np.asarray(vn, dtype=float)
     if np.any(vn < 0):
         raise ValueError("vn must be nonnegative")
-    quiet = vn == 0.0
-    ratio = _outer(k_push, delta_f) * np.where(quiet, 1.0, vn) / (math.sqrt(2.0) * delta_f)
-    return np.where(quiet, -math.inf, 20.0 * _log10(ratio))[()]
+    k_push = _outer(k_push, delta_f)
+    quiet = (vn == 0.0) | (k_push == 0.0)
+    ratio = np.where(quiet, 1.0, k_push * vn / (math.sqrt(2.0) * delta_f))
+    return np.where(quiet, -math.inf, 20.0 * _log10(ratio))
 
 
 @_ERRSTATE
@@ -342,34 +358,35 @@ def _loop_gain(a_dc, gbw, p2, f_z, f) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LdoDerived:
-    """Loop and noise quantities: floats, or arrays over the corners (the
-    sampled curves then have the corners on their first axis)."""
+    """Loop and noise quantities over the corner axis (the sampled curves
+    have the corners on their first axis); the floats are per design, the
+    same at every corner."""
 
-    a_dc: float
-    gbw: float
-    p2: float
-    f_z: float  # signed zero frequency (negative = left-half-plane); inf = none
-    pm: float
-    gm1: float
-    gm_pass: float
+    a_dc: np.ndarray
+    gbw: np.ndarray
+    p2: np.ndarray
+    f_z: np.ndarray  # signed zero frequency (negative = left-half-plane); inf = none
+    pm: np.ndarray
+    gm1: np.ndarray
+    gm_pass: np.ndarray
     f_filter: float
     i_q: float
-    v_drop: float
-    vdd_max: float
+    v_drop: np.ndarray
+    vdd_max: np.ndarray
     psr_curve: np.ndarray  # dB vs FREQ_GRID
     # noise-model pieces kept for exact point evaluation off the grid
-    _s_thermal: float
+    _s_thermal: np.ndarray
     _s_flicker_1hz: float
     _s_ref_flicker_1hz: float
     _beta_fb: float
 
     @property
-    def psr_max(self) -> float | np.ndarray:
+    def psr_max(self) -> np.ndarray:
         return self.psr_curve.max(axis=-1)
 
-    def vn_at(self, f: float | np.ndarray) -> float | np.ndarray:
+    def vn_at(self, f) -> np.ndarray:
         """Output-referred noise density at frequency f (closed form); the
-        axes of f follow the corner axis, if any."""
+        axes of f follow the corner axis."""
         f = np.asarray(f, dtype=float)
         gbw, s_thermal = _outer(self.gbw, f), _outer(self._s_thermal, f)
         s_amp = s_thermal + self._s_flicker_1hz / f
@@ -384,45 +401,36 @@ def _lambda(l_chan: float, lam_per_um: float) -> float:
 
 def _psr_curve(gm_pass, gds_pass: float, c_ds_pass: float, c_out: float,
                a_dc, gbw, p2, f_z) -> np.ndarray:
-    """Supply rejection in dB vs FREQ_GRID: the (gds + j w c_ds) leakage
-    through the pass device against the output node admittance, suppressed
-    by the loop; the output capacitance (bypass included) strictly
-    attenuates it at every frequency. Over a corner axis it is computed once
+    """Supply rejection in dB vs FREQ_GRID over the corner axis: the
+    (gds + j w c_ds) leakage through the pass device against the output node
+    admittance, suppressed by the loop; the output capacitance (bypass
+    included) strictly attenuates it at every frequency. It is computed once
     per distinct row of the per-corner inputs (the LDO sees only the MOS skew
     and the temperature: 9 rows for 33 corners) and gathered back."""
-    gather = slice(None)
-    columns = np.broadcast_arrays(gm_pass, a_dc, gbw, p2, f_z)
-    if columns[0].ndim:
-        slots: dict[tuple, int] = {}
-        index = [slots.setdefault(row, len(slots)) for row in zip(*(c.tolist() for c in columns))]
-        if len(slots) < len(index):
-            gm_pass, a_dc, gbw, p2, f_z = np.array(list(slots)).T
-            gather = index
+    slots: dict[tuple, int] = {}
+    columns = (gm_pass, a_dc, gbw, p2, f_z)
+    gather = [slots.setdefault(row, len(slots)) for row in zip(*(c.tolist() for c in columns))]
+    gm_pass, a_dc, gbw, p2, f_z = np.array(list(slots)).T
     jw = 2j * math.pi * FREQ_GRID
     h_open = (gds_pass + jw * c_ds_pass) / (_outer(gm_pass, jw) + gds_pass + jw * c_out)
     loop = _loop_gain(a_dc, gbw, p2, f_z, FREQ_GRID)
     return (20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + loop)))[gather]
 
 
-@_ERRSTATE
-def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
-            i_load: float, vdd_in: float, c_load: float,
-            failures: _Failures | None = None) -> LdoDerived:
+def map_ldo(v: dict[str, float], tc: TechConstants, i_load: float, vdd_in: np.ndarray,
+            c_load: float, failures: _Failures) -> LdoDerived:
     """Small-signal model of the two-stage Miller op-amp with NMOS-follower
     pass device: loop gain, poles/zero, phase margin, supply rejection and
-    output noise curves. tc and vdd_in may carry a corner axis; i_load and
-    c_load are per design. Raises the first failure among `failures` and
-    its own supply and headroom tests before the loop model."""
-    if i_load <= 0:
-        raise ValueError("i_load must be positive")
-    checks = _Failures() if failures is None else failures
-    v = point_as_dict(space, point)
-    beta_fb = space.fixed["beta_fb"]
-    c_byp = space.fixed["c_byp"]
+    output noise curves, over the corner axis of the folded constants tc and
+    input supplies vdd_in (runs under _evaluate's _ERRSTATE). v holds the
+    design values (_design_values); i_load and c_load are per design. Raises
+    the first failure among `failures` and its own supply and headroom tests
+    before the loop model."""
+    beta_fb = v["beta_fb"]
 
     v_drop = vdd_in - V_OUT
-    checks.add("v_drop", v_drop <= 0,
-               lambda i: f"input {_item(vdd_in, i)} V cannot regulate {V_OUT} V")
+    failures.add("v_drop", v_drop <= 0,
+                 lambda i: f"input {vdd_in[i].item()} V cannot regulate {V_OUT} V")
 
     i_ref = tc.i_unit
     i1 = i_ref * v["M_biasIn"] / v["M_bias"]
@@ -441,16 +449,16 @@ def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
     # NMOS follower headroom: the pass gate cannot rise above the input rail
     vov_pass = np.sqrt(2.0 * i_load / (tc.kp_n * w_pass / v["L_pass"]))
     gate = V_OUT + VTH_PASS + vov_pass
-    checks.add("pass_headroom", gate > vdd_in,
-               lambda i: f"needs {_item(gate, i):.3f} V gate drive from {_item(vdd_in, i)} V")
-    checks.raise_first()
+    failures.add("pass_headroom", gate > vdd_in,
+                 lambda i: f"needs {gate[i].item():.3f} V gate drive from {vdd_in[i].item()} V")
+    failures.raise_first()
 
     ro1 = 1.0 / ((_lambda(v["L_pIn"], tc.lambda_p) + _lambda(v["L_nLoad"], tc.lambda_n)) * i1 / 2.0)
     ro2 = 1.0 / ((_lambda(v["L_nOut"], tc.lambda_n) + _lambda(v["L_bias"], tc.lambda_p)) * i2)
     a_dc = gm1 * ro1 * gm2 * ro2 * beta_fb
 
     gbw = gm1 / (2.0 * math.pi * v["C_C"])
-    c_out = c_byp + c_load
+    c_out = v["c_byp"] + c_load
     # the follower buffers the output, so the loop's second pole sits at the
     # pass gate; its capacitance grows with the pass device
     c_gate_pass = w_pass * v["L_pass"] * C_OX
@@ -458,13 +466,13 @@ def map_ldo(space: DesignSpace, point: DesignPoint, tc: TechConstants,
 
     # Miller zero with nulling resistor: LHP once R_C exceeds 1/gm2
     denom = 1.0 / gm2 - v["R_C"]
-    f_z = np.where(denom == 0.0, math.inf, 1.0 / (2.0 * math.pi * v["C_C"] * denom))[()]
+    f_z = np.where(denom == 0.0, math.inf, 1.0 / (2.0 * math.pi * v["C_C"] * denom))
     pm = phase_margin(gbw, p2, f_z)
 
     gds_pass = _lambda(v["L_pass"], tc.lambda_n) * i_load
     c_ds_pass = CDS_PER_WIDTH * w_pass
 
-    i_q = i_ref + i1 + i2 + V_OUT / space.fixed["r_div"]
+    i_q = i_ref + i1 + i2 + V_OUT / v["r_div"]
     vdd_max = np.minimum(V_OUT * (1.0 + 1.0 / a_dc) + i_load / (gm_pass * (1.0 + a_dc)), vdd_in)
 
     # noise model: amp thermal + input-pair flicker roll off at the
@@ -534,30 +542,29 @@ def _evaluate(
     tc: TechConstants,
     i_load: float | None,
 ) -> tuple[np.ndarray, VcoDerived | None, LdoDerived | None, TechConstants]:
-    """The one evaluation path: fold the corners into tc, run the models of
-    `mode` over the corner axis and check the corner x metric table. Returns
-    the table, the model parts and the corner-applied constants."""
+    """The one evaluation path: fold the corners into tc, read the design
+    once, run the models of `mode` over the corner axis with one failure
+    collector and check the corner x metric table. Returns the table, the
+    model parts and the corner-applied constants."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     tcc, vdd_in = apply_corners(tc, corners)
     failures = _Failures(corners)
+    v = _design_values(space, point)
     vco = ldo = None
 
     if mode == "ideal_supply":
-        vco = map_vco(space, point, tcc, amp_limit=SWING_FRAC * V_OUT, failures=failures)
+        vco = map_vco(v, tcc, SWING_FRAC * V_OUT, failures)
         failures.raise_first()
         pdyn = V_OUT * vco.i_bias
     elif mode == "ldo_only":
         if i_load is None or i_load <= 0:
             raise ValueError("ldo_only mode requires a positive i_load")
-        ldo = map_ldo(space, point, tcc, i_load=i_load, vdd_in=vdd_in,
-                      c_load=C_SUP_FIXED, failures=failures)
+        ldo = map_ldo(v, tcc, i_load, vdd_in, C_SUP_FIXED, failures)
         pdyn = vdd_in * (i_load + ldo.i_q)
-    else:  # coupled
-        vco = map_vco(space, point, tcc, amp_limit=coupled_swing_limit(space.fixed["c_byp"]),
-                      failures=failures)
-        ldo = map_ldo(space, point, tcc, i_load=vco.i_bias, vdd_in=vdd_in,
-                      c_load=vco.c_par + C_SUP_FIXED, failures=failures)
+    else:  # coupled: the LDO carries the VCO's bias and drives its parasitics
+        vco = map_vco(v, tcc, coupled_swing_limit(v["c_byp"]), failures)
+        ldo = map_ldo(v, tcc, vco.i_bias, vdd_in, vco.c_par + C_SUP_FIXED, failures)
         pdyn = vdd_in * (vco.i_bias + ldo.i_q)
 
     if vco is None:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .behavior import TechConstants
+from .behavior import LDO_VARIABLES, VCO_VARIABLES, TechConstants
 # The problem builders reach the behavioral models through this module-level
 # name, one call per design for all its corners; the benchmark's `behavior`
 # span wraps it here.
@@ -32,19 +32,6 @@ from .problem import (
     worst_case,
 )
 from .space import DesignPoint, DesignSpace, repair
-
-VCO_VARIABLES = [
-    "M2", "L_34", "W_34", "F_34", "M_34", "L_56", "W_56", "F_56", "M_56",
-    "N_H", "N_V", "M_bot", "W_ind", "R_ind", "NT_ind", "S_ind", "GR_ind",
-]
-LDO_VARIABLES = [
-    "L_nLoad", "W_nLoad", "F_nLoad", "M_nLoad",
-    "L_pIn", "W_pIn", "F_pIn", "M_pIn",
-    "L_bias", "W_bias", "F_bias", "M_bias", "M_biasIn", "M_biasOut",
-    "L_nOut", "W_nOut", "F_nOut", "M_nOut",
-    "C_C", "R_C", "C_F", "R_F",
-    "L_pass", "W_pass", "F_pass", "M_pass",
-]
 
 # stage budget split of the sequential flow: VCO sizing : LDO sizing
 STAGE_SPLIT = (7, 18)

@@ -15,7 +15,7 @@ from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
-from .behavior import TechConstants
+from .behavior import FIXED_ELEMENTS, LDO_VARIABLES, VCO_VARIABLES, TechConstants
 from .problem import METRIC_NAMES, Constraint, ConstraintSet, GE, LE
 from .space import CONTINUOUS, INTEGER, DesignSpace, Variable, validate_space
 from .units import format_si, parse_si
@@ -56,6 +56,10 @@ def parse_keyvalues(lines: list[str]) -> dict[str, float]:
 
 
 def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
+    """The design space and constraints of a problem file. It must define
+    every variable and fixed element the evaluator reads, and no lower bound
+    may be negative: every variable is a size, count, resistance or
+    capacitance (zero is allowed; R_C = 0 means no nulling resistor)."""
     sections = parse_sections(text)
     for required in ("variables", "fixed", "constraints"):
         if required not in sections:
@@ -69,9 +73,15 @@ def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
         name, kind, unit, lower, upper = parts
         if kind not in (CONTINUOUS, INTEGER):
             raise ValueError(f"{name}: unknown variable kind {kind!r}")
+        if parse_si(lower) < 0.0:
+            raise ValueError(f"{name}: negative lower bound {lower}")
         variables.append(Variable(name, kind, parse_si(lower), parse_si(upper), unit))
 
     space = DesignSpace(tuple(variables), parse_keyvalues(sections["fixed"]))
+    missing = [n for n in VCO_VARIABLES + LDO_VARIABLES if n not in space.names]
+    missing += [n for n in FIXED_ELEMENTS if n not in space.fixed]
+    if missing:
+        raise ValueError(f"problem file is missing {', '.join(missing)}, read by the evaluator")
     problems = validate_space(space)
     if problems:
         raise ValueError("invalid problem file: " + "; ".join(problems))

@@ -9,10 +9,8 @@ from ldovco import (
     load_bundled_constants,
     load_bundled_point,
     load_bundled_problem,
-    map_ldo,
-    map_vco,
 )
-from ldovco.behavior import C_SUP_FIXED, coupled_swing_limit
+from ldovco.behavior import _evaluate
 from ldovco.problem import Constraint, PerfMetrics, SizingProblem
 from ldovco.space import DesignSpace, Variable, point_from_dict
 
@@ -54,12 +52,9 @@ def se_point(space):
 
 
 def coupled_parts(space, point, tc):
-    """The coupled VCO and LDO model parts at the nominal corner, as the
-    coupled evaluator builds them: the LDO carries the VCO's bias current
-    and drives its parasitic capacitance."""
-    vco = map_vco(space, point, tc, amp_limit=coupled_swing_limit(space.fixed["c_byp"]))
-    ldo = map_ldo(space, point, tc, i_load=vco.i_bias, vdd_in=NOMINAL_CORNER.vdd_in,
-                  c_load=vco.c_par + C_SUP_FIXED)
+    """The coupled VCO and LDO model parts of the evaluator's one-corner
+    batch at the nominal corner."""
+    _, vco, ldo, _ = _evaluate(space, point, (NOMINAL_CORNER,), "coupled", tc, None)
     return vco, ldo
 
 

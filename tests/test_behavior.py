@@ -11,17 +11,21 @@ from ldovco.behavior import (
     C_OX,
     DEFAULT_TECH,
     EvaluationFailure,
+    FIXED_ELEMENTS,
     FREQ_GRID,
     F_CORNER_SCALE,
     GR_LOSS_REF,
+    LDO_VARIABLES,
     MODES,
     SWEEP_OFFSETS,
     TechConstants,
+    VCO_VARIABLES,
     VcoDerived,
     WHEELER_K1,
     WHEELER_K2,
     CORNER_FIELDS,
-    apply_corner,
+    _design_values,
+    _Failures,
     apply_corners,
     combine_pn,
     coupled_swing_limit,
@@ -43,14 +47,38 @@ from ldovco.space import point_as_dict, sample_initial
 IDEAL_AMP_LIMIT = 0.9 * 1.2
 
 
+def fold_one(tc, corner):
+    """The constants of a one-corner apply_corners fold, as scalars."""
+    tcc, _ = apply_corners(tc, (corner,))
+    return replace(tcc, **{name: getattr(tcc, name)[0].item() for name in CORNER_FIELDS})
+
+
+def vco_model(space, point, tc, amp_limit):
+    """map_vco over a one-corner fold at the nominal corner with its own
+    collector, which raises the first failure."""
+    corners = (NOMINAL_CORNER,)
+    tcc, _ = apply_corners(tc, corners)
+    failures = _Failures(corners)
+    d = map_vco(_design_values(space, point), tcc, amp_limit, failures)
+    failures.raise_first()
+    return d
+
+
+def ldo_model(space, point, tc, i_load, c_load, corners=(NOMINAL_CORNER,)):
+    """map_ldo over a fold of `corners` (nominal: a 1.62 V input) with its
+    own collector."""
+    tcc, vdd_in = apply_corners(tc, tuple(corners))
+    return map_ldo(_design_values(space, point), tcc, i_load, vdd_in, c_load, _Failures(corners))
+
+
 class TestApplyCorner:
     def test_nominal_is_identity(self, tc):
-        assert apply_corner(tc, NOMINAL_CORNER) == tc
+        assert fold_one(tc, NOMINAL_CORNER) == tc
 
     def test_slow_hot_max_directions(self, tc):
         corner = Corner(nmos="slow", pmos="slow", inductor="max",
                         capacitor="max", temperature=125.0)
-        out = apply_corner(tc, corner)
+        out = fold_one(tc, corner)
         hot = (125 + 273) / 300
         assert out.kp_n == pytest.approx(tc.kp_n * 0.9 * hot**-1.5)
         assert out.kp_p == pytest.approx(tc.kp_p * 0.9 * hot**-1.5)
@@ -61,7 +89,7 @@ class TestApplyCorner:
     def test_fast_cold_min_directions(self, tc):
         corner = Corner(nmos="fast", pmos="fast", inductor="min",
                         capacitor="min", temperature=-55.0)
-        out = apply_corner(tc, corner)
+        out = fold_one(tc, corner)
         assert out.kp_n > tc.kp_n
         assert out.ind_scale == pytest.approx(tc.ind_scale * 0.9)
         assert out.c_unit_mom == pytest.approx(tc.c_unit_mom * 0.85)
@@ -83,18 +111,18 @@ class TestMapVco:
         assert resonant_frequency(1e-9, 1e-12) == pytest.approx(5.0329e9, rel=1e-4)
 
     def test_f0_consistent_with_tank(self, space, tc, co_point):
-        d = map_vco(space, co_point, tc, amp_limit=IDEAL_AMP_LIMIT)
+        d = vco_model(space, co_point, tc, IDEAL_AMP_LIMIT)
         assert d.f0 == pytest.approx(resonant_frequency(d.l_tank, d.c_tank), rel=1e-12)
 
     def test_doubling_m2_doubles_bias(self, space, tc, co_point):
-        d1 = map_vco(space, co_point, tc, amp_limit=IDEAL_AMP_LIMIT)
+        d1 = vco_model(space, co_point, tc, IDEAL_AMP_LIMIT)
         doubled = np.array(co_point)
         doubled[space.index_of("M2")] *= 2
-        d2 = map_vco(space, doubled, tc, amp_limit=IDEAL_AMP_LIMIT)
+        d2 = vco_model(space, doubled, tc, IDEAL_AMP_LIMIT)
         assert d2.i_bias == pytest.approx(2 * d1.i_bias, rel=1e-12)
 
     def test_bundled_point_lands_in_band(self, space, tc, co_point):
-        d = map_vco(space, co_point, tc, amp_limit=IDEAL_AMP_LIMIT)
+        d = vco_model(space, co_point, tc, IDEAL_AMP_LIMIT)
         assert 4e9 <= d.f0 <= 8e9
 
     def test_bundled_point_against_independent_arithmetic(self, space, tc, co_point):
@@ -111,7 +139,7 @@ class TestMapVco:
         c_expect = c_mom + 120e-15 + tc.c_par_unit * widths
         r_s = tc.sheet_r * (4 * v["NT_ind"] * d_avg / v["W_ind"]) * (1 + GR_LOSS_REF / v["GR_ind"])
 
-        d = map_vco(space, co_point, tc, amp_limit=IDEAL_AMP_LIMIT)
+        d = vco_model(space, co_point, tc, IDEAL_AMP_LIMIT)
         assert d.l_tank == pytest.approx(l_expect, rel=1e-12)
         assert d.c_tank == pytest.approx(c_expect, rel=1e-12)
         assert d.f0 == pytest.approx(1 / (2 * math.pi * math.sqrt(l_expect * c_expect)), rel=1e-12)
@@ -124,8 +152,8 @@ class TestMapVco:
         )
 
     def test_amplitude_clipping(self, space, tc, co_point):
-        unclipped = map_vco(space, co_point, tc, amp_limit=math.inf)
-        clipped = map_vco(space, co_point, tc, amp_limit=0.81)
+        unclipped = vco_model(space, co_point, tc, math.inf)
+        clipped = vco_model(space, co_point, tc, 0.81)
         assert clipped.amplitude == 0.81 < unclipped.amplitude
         assert clipped.p_sig < unclipped.p_sig
 
@@ -179,28 +207,28 @@ class TestLdoModel:
         assert phase_margin(1e6, 1e7, f_z=+1e6) == pytest.approx(base - 45.0)
 
     def test_map_ldo_quantities(self, space, tc, co_point):
-        d = map_ldo(space, co_point, tc, i_load=3e-3, vdd_in=1.62, c_load=1e-12)
+        d = ldo_model(space, co_point, tc, 3e-3, 1e-12)
         v = point_as_dict(space, co_point)
         assert d.v_drop == pytest.approx(0.42)
         assert d.gbw == pytest.approx(d.gm1 / (2 * math.pi * v["C_C"]), rel=1e-12)
         assert d.a_dc > 0
         assert d.i_q > 0
         assert 1.2 <= d.vdd_max <= 1.62
-        assert len(d.psr_curve) == len(d.vn_at(FREQ_GRID)) == 241
+        assert d.psr_curve.shape == d.vn_at(FREQ_GRID).shape == (1, 241)
 
     def test_gm1_improves_dc_psr(self, space, tc, co_point):
-        d1 = map_ldo(space, co_point, tc, i_load=3e-3, vdd_in=1.62, c_load=1e-12)
+        d1 = ldo_model(space, co_point, tc, 3e-3, 1e-12)
         bigger = np.array(co_point)
         bigger[space.index_of("W_pIn")] *= 2
-        d2 = map_ldo(space, bigger, tc, i_load=3e-3, vdd_in=1.62, c_load=1e-12)
+        d2 = ldo_model(space, bigger, tc, 3e-3, 1e-12)
         assert d2.gm1 > d1.gm1
-        assert d2.psr_curve[0] < d1.psr_curve[0]
+        assert d2.psr_curve[0, 0] < d1.psr_curve[0, 0]
 
     def test_cc_lowers_gbw(self, space, tc, co_point):
-        d1 = map_ldo(space, co_point, tc, i_load=3e-3, vdd_in=1.62, c_load=1e-12)
+        d1 = ldo_model(space, co_point, tc, 3e-3, 1e-12)
         bigger = np.array(co_point)
         bigger[space.index_of("C_C")] *= 1.3
-        d2 = map_ldo(space, bigger, tc, i_load=3e-3, vdd_in=1.62, c_load=1e-12)
+        d2 = ldo_model(space, bigger, tc, 3e-3, 1e-12)
         assert d2.gbw < d1.gbw
 
     def test_undersized_pass_fails_headroom(self, space, tc, co_point):
@@ -210,18 +238,21 @@ class TestLdoModel:
         starved[space.index_of("M_pass")] = 1
         starved[space.index_of("L_pass")] = 10e-6
         with pytest.raises(EvaluationFailure) as info:
-            map_ldo(space, starved, tc, i_load=5e-3, vdd_in=1.62, c_load=1e-12)
+            ldo_model(space, starved, tc, 5e-3, 1e-12)
         assert info.value.quantity == "pass_headroom"
 
     def test_low_input_cannot_regulate(self, space, tc, co_point):
         with pytest.raises(EvaluationFailure) as info:
-            map_ldo(space, co_point, tc, i_load=1e-3, vdd_in=1.1, c_load=1e-12)
+            ldo_model(space, co_point, tc, 1e-3, 1e-12, [Corner(vdd_in=1.1)])
         assert info.value.quantity == "v_drop"
 
 
 class TestSupplyPn:
     def test_zero_noise_is_minus_inf(self):
         assert supply_pn(5e7, 0.0, 1e6) == -math.inf
+
+    def test_zero_coupling_is_minus_inf(self):
+        assert supply_pn(0.0, 1e-8, 1e6) == -math.inf
 
     def test_doubling_kpush_adds_6db(self):
         a = supply_pn(1e7, 1e-8, 1e6)
@@ -259,9 +290,9 @@ class TestCombinePn:
         for point in (co_point, se_point):
             vco, ldo = coupled_parts(space, point, tc)
             intr_100k = vco_pn_intrinsic(vco, 1e5, tc)
-            sup_100k = supply_pn(vco.k_push, float(ldo.vn_at(1e5)), 1e5)
+            sup_100k = supply_pn(vco.k_push, ldo.vn_at(1e5), 1e5)
             intr_10m = vco_pn_intrinsic(vco, 1e7, tc)
-            sup_10m = supply_pn(vco.k_push, float(ldo.vn_at(1e7)), 1e7)
+            sup_10m = supply_pn(vco.k_push, ldo.vn_at(1e7), 1e7)
             assert sup_100k > intr_100k
             assert sup_10m < intr_10m
 
@@ -310,7 +341,7 @@ class TestEvaluate:
 
     def test_ideal_mode_uses_core_power_only(self, space, tc, co_point):
         m = evaluate(space, co_point, NOMINAL_CORNER, "ideal_supply", tc)
-        d = map_vco(space, co_point, tc, amp_limit=IDEAL_AMP_LIMIT)
+        d = vco_model(space, co_point, tc, IDEAL_AMP_LIMIT)
         assert m.pdyn == pytest.approx(1.2 * d.i_bias, rel=1e-12)
 
     def test_coupled_power_includes_ldo(self, space, tc, co_point):
@@ -396,7 +427,7 @@ class TestEvaluateCorners:
     def test_apply_corners_stacks_apply_corner(self, tc, all_corners):
         stacked, vdd_in = apply_corners(tc, all_corners)
         for k, corner in enumerate(all_corners):
-            one = apply_corner(tc, corner)
+            one = fold_one(tc, corner)
             assert all(getattr(stacked, f)[k] == getattr(one, f) for f in CORNER_FIELDS)
             assert vdd_in[k] == corner.vdd_in
         assert stacked.kf == tc.kf
@@ -487,6 +518,58 @@ class TestFiniteMetrics:
         assert all(counts[mode, "ok"] for mode in MODES)
         assert counts["coupled", "failed"]
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("names", [(n,) for n in VCO_VARIABLES + LDO_VARIABLES]
+                             + [("M_34", "M_56")], ids="+".join)
+    def test_zero_valued_variables(self, space, tc, co_point, all_corners, names, mode):
+        # a problem file may set a lower bound of 0: the bundled co-design
+        # point with the named variables at 0 gives finite metrics or fails
+        # by name, never with a ZeroDivisionError or a math domain error
+        point = np.array(co_point)
+        point[[space.index_of(n) for n in names]] = 0.0
+        i_load = 2e-3 if mode == "ldo_only" else None
+        try:
+            table = evaluate_corners(space, point, all_corners, mode, tc, i_load=i_load)
+        except EvaluationFailure as exc:
+            assert exc.quantity in MODEL_QUANTITIES + tuple(METRIC_NAMES)
+            assert exc.corner in {c.label() for c in all_corners}
+            return
+        assert np.isfinite(table).all()
+
+    @pytest.mark.parametrize("names,quantity", [(("M2",), "p_sig"), (("M_34", "M_56"), "pn100k")])
+    def test_zero_valued_coupled_failures(self, space, tc, co_point, all_corners, names, quantity):
+        # no bias current, so no swing; no switching devices, so no supply
+        # coupling (its phase-noise part is -inf) and an unbounded flicker corner
+        point = np.array(co_point)
+        point[[space.index_of(n) for n in names]] = 0.0
+        with pytest.raises(EvaluationFailure) as info:
+            evaluate_corners(space, point, all_corners, "coupled", tc)
+        assert (info.value.quantity, info.value.corner) == (quantity, "nominal")
+
+
+class _ReadNames(dict):
+    """A design-value dict that records every name read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def test_models_read_the_named_variables_and_fixed_elements(space, tc, co_point):
+    corners = (NOMINAL_CORNER,)
+    tcc, vdd_in = apply_corners(tc, corners)
+    vco_values = _ReadNames(_design_values(space, co_point))
+    ldo_values = _ReadNames(_design_values(space, co_point))
+    map_vco(vco_values, tcc, IDEAL_AMP_LIMIT, _Failures(corners))
+    map_ldo(ldo_values, tcc, 2e-3, vdd_in, 1e-12, _Failures(corners))
+    assert vco_values.read - set(FIXED_ELEMENTS) == set(VCO_VARIABLES)
+    assert ldo_values.read - set(FIXED_ELEMENTS) == set(LDO_VARIABLES)
+    assert vco_values.read | ldo_values.read >= set(FIXED_ELEMENTS)
+
 
 # The per-corner inputs of the PSR curve, as LdoDerived names them.
 PSR_INPUTS = ("gm_pass", "a_dc", "gbw", "p2", "f_z")
@@ -499,13 +582,11 @@ def ldo_rows(d) -> list[tuple]:
 def check_psr_rows(space, tc, point, corners) -> list[tuple]:
     """The batch PSR curve of a corner list equals, row for row, the curve
     of each corner on its own; returns the batch's PSR input rows."""
-    tcc, vdd_in = apply_corners(tc, tuple(corners))
-    batch = map_ldo(space, point, tcc, i_load=2e-3, vdd_in=vdd_in, c_load=1e-12)
+    batch = ldo_model(space, point, tc, 2e-3, 1e-12, corners)
     assert batch.psr_curve.shape == (len(corners), FREQ_GRID.size)
     for row, corner in zip(batch.psr_curve, corners):
-        one = map_ldo(space, point, apply_corner(tc, corner), i_load=2e-3,
-                      vdd_in=corner.vdd_in, c_load=1e-12)
-        assert np.array_equal(row, one.psr_curve)
+        one = ldo_model(space, point, tc, 2e-3, 1e-12, [corner])
+        assert np.array_equal(row, one.psr_curve[0])
     return ldo_rows(batch)
 
 

@@ -357,6 +357,39 @@ def test_bad_constraint_is_exit_3(workdir, co_point_file, capsys, command, line)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "eval", "compare"])
+@pytest.mark.parametrize("pattern,repl,message", [
+    (r"^(M2 \S+ \S+) \S+", r"\1 -1", "M2: negative lower bound -1"),
+    (r"^(L_56 \S+ \S+) \S+", r"\1 -60n", "L_56: negative lower bound -60n"),
+    (r"^c_byp .*\n", "", "problem file is missing c_byp, read by the evaluator"),
+    (r"^R_F .*\n", "", "problem file is missing R_F, read by the evaluator"),
+], ids=["negative-M2", "negative-L_56", "no-c_byp", "no-R_F"])
+def test_bad_problem_file_is_exit_3(workdir, co_point_file, capsys, command, pattern, repl,
+                                    message):
+    problem = re.sub(pattern, repl, (workdir / PROBLEM_FILE).read_text(), count=1, flags=re.M)
+    (workdir / "bad_problem.txt").write_text(problem)
+    config = workdir / "bad_problem_config.txt"
+    config.write_text("problem bad_problem.txt\nbudget 5\n")
+    argv = {"run": ["run", str(config)], "compare": ["compare", str(config)],
+            "eval": ["eval", str(co_point_file), "--config", str(config)]}[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"evaluator setup error: {message}\n"
+
+
+def test_zero_valued_variable_is_exit_1_naming_the_quantity(workdir, co_point_file, capsys):
+    # a lower bound of 0 is legal; with no bias current the tank has no swing
+    problem = re.sub(r"^(M2 \S+ \S+) \S+", r"\1 0", (workdir / PROBLEM_FILE).read_text(),
+                     flags=re.M)
+    (workdir / "zero_problem.txt").write_text(problem)
+    config = workdir / "zero_config.txt"
+    config.write_text("problem zero_problem.txt\n")
+    co_point_file.write_text(re.sub(r"^M2 .*$", "M2 0", co_point_file.read_text(), flags=re.M))
+    assert main(["eval", str(co_point_file), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "corner nominal: evaluation failed at p_sig: nonpositive or non-finite value 0.0\n"
+    )
+
+
 @pytest.fixture()
 def co_point_file(tmp_path):
     from importlib import resources

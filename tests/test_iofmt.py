@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ldovco.iofmt import (
@@ -120,6 +122,28 @@ class TestBundledProblem:
         # [constraints] is the last section of the formatted file
         text = format_problem_file(*bundled) + line + "\n"
         with pytest.raises(ValueError, match=match):
+            parse_problem_file(text)
+
+    @pytest.mark.parametrize("name", ["M2", "W_56", "R_C"])
+    def test_negative_lower_bound_rejected(self, bundled, name):
+        text = re.sub(rf"^({name} \S+ \S+) \S+", r"\1 -1", format_problem_file(*bundled),
+                      flags=re.M)
+        with pytest.raises(ValueError, match=f"^{name}: negative lower bound -1$"):
+            parse_problem_file(text)
+
+    @pytest.mark.parametrize("name", ["M2", "R_C"])
+    def test_zero_lower_bound_accepted(self, bundled, name):
+        text = re.sub(rf"^({name} \S+ \S+) \S+", r"\1 0", format_problem_file(*bundled),
+                      flags=re.M)
+        space, _ = parse_problem_file(text)
+        assert space.variables[space.index_of(name)].lower == 0.0
+
+    @pytest.mark.parametrize("names", [("R_F",), ("c_byp",), ("M2", "r_div")])
+    def test_missing_evaluator_name_rejected(self, bundled, names):
+        text = format_problem_file(*bundled)
+        for name in names:
+            text = re.sub(rf"^{name} .*\n", "", text, flags=re.M)
+        with pytest.raises(ValueError, match=f"^problem file is missing {', '.join(names)},"):
             parse_problem_file(text)
 
 
