@@ -364,11 +364,8 @@ class LdoDerived:
 
     a_dc: np.ndarray
     gbw: np.ndarray
-    p2: np.ndarray
-    f_z: np.ndarray  # signed zero frequency (negative = left-half-plane); inf = none
     pm: np.ndarray
     gm1: np.ndarray
-    gm_pass: np.ndarray
     f_filter: float
     i_q: float
     v_drop: np.ndarray
@@ -486,7 +483,7 @@ def map_ldo(v: dict[str, float], tc: TechConstants, i_load: float, vdd_in: np.nd
     f_filter = 1.0 / (2.0 * math.pi * v["R_F"] * v["C_F"])
 
     return LdoDerived(
-        a_dc=a_dc, gbw=gbw, p2=p2, f_z=f_z, pm=pm, gm1=gm1, gm_pass=gm_pass,
+        a_dc=a_dc, gbw=gbw, pm=pm, gm1=gm1,
         f_filter=f_filter, i_q=i_q, v_drop=v_drop, vdd_max=vdd_max,
         psr_curve=_psr_curve(gm_pass, gds_pass, c_ds_pass, c_out, a_dc, gbw, p2, f_z),
         _s_thermal=s_thermal, _s_flicker_1hz=s_flicker_1hz,

@@ -141,13 +141,8 @@ def parse_runconfig(text: str, overrides: dict[str, str] | None = None) -> RunCo
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.10g}"
-    return str(value)
+    # .10g spells out nan, inf and -inf itself
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 def _csv(header: list[str], rows: list[dict]) -> str:
@@ -302,10 +297,11 @@ def cmd_eval(args) -> int:
     except EvaluationFailure as exc:
         raise _Exit(1, f"corner {exc.corner}: {exc}") from None
     print("corner," + ",".join(METRIC_NAMES))
-    for corner, m in zip(CORNERS, map(PerfMetrics.from_row, table)):
-        print(corner.label() + "," + ",".join(_fmt(getattr(m, n)) for n in METRIC_NAMES))
+    per_corner = table.tolist()
+    for corner, row in zip(CORNERS, per_corner):
+        print(corner.label() + "," + ",".join(map(_fmt, row)))
     worst = worst_case(table)
-    print("worst_case," + ",".join(_fmt(getattr(worst, n)) for n in METRIC_NAMES))
+    print("worst_case," + ",".join(map(_fmt, worst.to_dict().values())))
     print(f"violation,{_fmt(violation(worst, constraints))}")
 
     if args.sweep:
@@ -318,10 +314,8 @@ def cmd_eval(args) -> int:
                          "pn_coupled_dbchz": float(b)})
         atomic_write(out_dir / "pn_sweep.csv",
                      _csv(["offset_hz", "pn_ideal_dbchz", "pn_coupled_dbchz"], rows))
-        corner_rows = []
-        for corner, m in zip(CORNERS, map(PerfMetrics.from_row, table)):
-            corner_rows.append({"corner": corner.label(), "pn100k": m.pn100k,
-                                "pn1m": m.pn1m, "pn10m": m.pn10m})
+        corner_rows = [{"corner": corner.label(), **dict(zip(METRIC_NAMES, row))}
+                       for corner, row in zip(CORNERS, per_corner)]
         atomic_write(out_dir / "pn_corners.csv",
                      _csv(["corner", "pn100k", "pn1m", "pn10m"], corner_rows))
         print(f"sweep artifacts in {out_dir}")

@@ -58,8 +58,10 @@ def parse_keyvalues(lines: list[str]) -> dict[str, float]:
 def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
     """The design space and constraints of a problem file. It must define
     every variable and fixed element the evaluator reads, and no lower bound
-    may be negative: every variable is a size, count, resistance or
-    capacitance (zero is allowed; R_C = 0 means no nulling resistor)."""
+    or fixed element may be negative: each is a size, count, resistance,
+    capacitance or ratio (zero is allowed; R_C = 0 means no nulling
+    resistor). A constraint must bound its metric's worse side (the side
+    Constraint.direction names)."""
     sections = parse_sections(text)
     for required in ("variables", "fixed", "constraints"):
         if required not in sections:
@@ -77,7 +79,11 @@ def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
             raise ValueError(f"{name}: negative lower bound {lower}")
         variables.append(Variable(name, kind, parse_si(lower), parse_si(upper), unit))
 
-    space = DesignSpace(tuple(variables), parse_keyvalues(sections["fixed"]))
+    fixed = parse_keyvalues(sections["fixed"])
+    for name, value in fixed.items():
+        if value < 0.0:
+            raise ValueError(f"{name}: negative fixed element {format_si(value)}")
+    space = DesignSpace(tuple(variables), fixed)
     missing = [n for n in VCO_VARIABLES + LDO_VARIABLES if n not in space.names]
     missing += [n for n in FIXED_ELEMENTS if n not in space.fixed]
     if missing:
@@ -99,7 +105,12 @@ def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
         if bound == 0.0 or not math.isfinite(bound):
             raise ValueError(f"constraint on {metric} needs a finite non-zero bound,"
                              f" got {parts[2]!r}")
-        constraints.append(Constraint(metric, direction, bound))
+        constraint = Constraint(metric, bound)
+        if direction != constraint.direction:
+            worse = "lower" if constraint.direction == GE else "higher"
+            raise ValueError(f"constraint on {metric} must use {constraint.direction}"
+                             f" (a {worse} {metric} is worse), got {line!r}")
+        constraints.append(constraint)
     return space, tuple(constraints)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .behavior import EvaluationFailure
-from .problem import METRIC_NAMES, GE, PerfMetrics, SizingProblem, rank_key, worst_case
+from .problem import METRIC_NAMES, WORST_BY_MIN, PerfMetrics, SizingProblem, rank_key, worst_case
 from .space import DesignPoint, repair, sample_initial
 from .surrogate import EnsembleModel, MlpConfig, fit, predict_conservative, update
 
@@ -83,6 +83,10 @@ class TrialRecord:
 
 
 _FOM = METRIC_NAMES.index("fom")
+
+# The prescreen's quantile side per metric: the lower quantile where a lower
+# value is worse (the objective included), the upper one elsewhere.
+PRESCREEN_SENSES = np.where(WORST_BY_MIN, -1.0, 1.0)
 
 
 def _rank(rec: TrialRecord) -> tuple[int, float]:
@@ -180,18 +184,6 @@ def de_generate(
     return np.where(cross, mutant, x_i)
 
 
-def _constraint_senses(problem: SizingProblem) -> np.ndarray:
-    """Pessimistic orientation per metric: upper quantile for upper-bounded
-    metrics, lower for lower-bounded ones and the objective."""
-    senses = -np.ones(len(METRIC_NAMES))
-    by_name = {c.metric: c for c in problem.constraints}
-    for k, name in enumerate(METRIC_NAMES):
-        c = by_name.get(name)
-        if c is not None and c.direction != GE:
-            senses[k] = 1.0
-    return senses
-
-
 def training_row(rec: TrialRecord) -> np.ndarray | None:
     """Surrogate target vector for a record; None for failed evaluations."""
     return None if rec.worst is None else np.array([getattr(rec.worst, n) for n in METRIC_NAMES])
@@ -232,7 +224,7 @@ def select_candidate(
         raise ValueError("select_candidate needs at least one child")
     if model is None:
         return children[0].copy()
-    preds = predict_conservative(model, children, cfg.beta, senses=_constraint_senses(problem))
+    preds = predict_conservative(model, children, cfg.beta, senses=PRESCREEN_SENSES)
     keys = list(map(rank_key, preds[:, _FOM].tolist(), problem.violation(preds).tolist()))
     order = sorted(range(len(children)), key=keys.__getitem__)
     if seen:

@@ -99,8 +99,11 @@ class PerfMetrics:
 
 METRIC_NAMES = [f.name for f in fields(PerfMetrics)]
 
-# Smaller-is-worse metrics are pessimized by min; the rest by max.
-_WORST_BY_MIN = np.isin(METRIC_NAMES, ("f0", "pm", "startup_margin", "fom"))
+# The orientation table: the metrics for which a lower value is worse; for
+# the rest a higher value is. The worst case over corners (min or max), each
+# constraint's side and the prescreen's quantile side all read it.
+LOWER_IS_WORSE = ("f0", "pm", "startup_margin", "fom")
+WORST_BY_MIN = np.isin(METRIC_NAMES, LOWER_IS_WORSE)
 
 
 def fom(f0: float, delta_f: float, pn: float, pdyn: float) -> float:
@@ -118,19 +121,20 @@ LE, GE = "<=", ">="
 
 @dataclass(frozen=True)
 class Constraint:
+    """A bound on the worse side of a metric: a metric in LOWER_IS_WORSE
+    must stay at or above it, any other at or below it."""
+
     metric: str
-    direction: str  # LE or GE
     bound: float
+
+    @property
+    def direction(self) -> str:
+        return GE if self.metric in LOWER_IS_WORSE else LE
 
     def shortfall(self, value: float | np.ndarray) -> float | np.ndarray:
         """Positive amount by which the constraint is missed (0 if met, inf if
         NaN); elementwise on an array of values."""
-        if self.direction == LE:
-            miss = value - self.bound
-        elif self.direction == GE:
-            miss = self.bound - value
-        else:
-            raise ValueError(f"unknown constraint direction {self.direction!r}")
+        miss = self.bound - value if self.direction == GE else value - self.bound
         if isinstance(value, np.ndarray):
             # the scalar rule below, elementwise: max(0.0, miss) keeps miss
             # only where it exceeds 0.0
@@ -141,15 +145,15 @@ class Constraint:
 ConstraintSet = tuple[Constraint, ...]
 
 DEFAULT_CONSTRAINTS: ConstraintSet = (
-    Constraint("f0", GE, 5e9),
-    Constraint("pn100k", LE, -94.0),
-    Constraint("pn1m", LE, -120.0),
-    Constraint("pn10m", LE, -140.0),
-    Constraint("pdyn", LE, 7e-3),
-    Constraint("psr_max", LE, -30.0),
-    Constraint("vdd_max", LE, 1.32),
-    Constraint("pm", GE, 50.0),
-    Constraint("startup_margin", GE, 2.0),
+    Constraint("f0", 5e9),
+    Constraint("pn100k", -94.0),
+    Constraint("pn1m", -120.0),
+    Constraint("pn10m", -140.0),
+    Constraint("pdyn", 7e-3),
+    Constraint("psr_max", -30.0),
+    Constraint("vdd_max", 1.32),
+    Constraint("pm", 50.0),
+    Constraint("startup_margin", 2.0),
 )
 
 
@@ -195,15 +199,16 @@ def compare_designs(a: tuple[float, float], b: tuple[float, float]) -> int:
 
 def worst_case(per_corner: np.ndarray | Sequence[PerfMetrics]) -> PerfMetrics:
     """Per-metric pessimization across the corners of a corner x metric
-    table (or a sequence of PerfMetrics); a NaN at any corner makes that
-    metric NaN. The worst-case fom is the minimum of the per-corner foms,
-    not Eq.-1 arithmetic on the other worst-case fields."""
+    table (or a sequence of PerfMetrics): the minimum where WORST_BY_MIN
+    says a lower value is worse, else the maximum. A NaN at any corner makes
+    that metric NaN. The worst-case fom is the minimum of the per-corner
+    foms, not Eq.-1 arithmetic on the other worst-case fields."""
     if len(per_corner) == 0:
         raise ValueError("worst_case requires a nonempty metrics list")
     if not isinstance(per_corner, np.ndarray):  # the same table, then one reduction
         per_corner = np.array([[getattr(m, n) for n in METRIC_NAMES] for m in per_corner], float)
     lo, hi = per_corner.min(axis=0), per_corner.max(axis=0)
-    return PerfMetrics.from_row(np.where(_WORST_BY_MIN, lo, hi))
+    return PerfMetrics.from_row(np.where(WORST_BY_MIN, lo, hi))
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,6 @@ class EnsembleModel:
     w2: np.ndarray  # (members, h, k)
     b2: np.ndarray  # (members, k)
     scaler: ScalerStats
-    cfg: MlpConfig
     train_log: dict = field(default_factory=dict)
 
     @property
@@ -118,7 +117,7 @@ def fit(x: np.ndarray, y: np.ndarray, cfg: MlpConfig, seed: int) -> EnsembleMode
         b1[i] = init_rng.uniform(-1.0, 1.0, size=h)
         w2[i] = init_rng.normal(0.0, 1.0 / math.sqrt(h), size=(h, k))
     b2 = np.zeros((m, k))
-    return _train(w1, b1, w2, b2, ScalerStats.from_data(x, y), cfg, x, y, seed,
+    return _train(w1, b1, w2, b2, ScalerStats.from_data(x, y), x, y, seed,
                   cfg.epochs, cfg.patience, cfg.min_delta)
 
 
@@ -149,13 +148,12 @@ def update(model: EnsembleModel, x: np.ndarray, y: np.ndarray, epochs: int,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     scaler = ScalerStats.from_data(x, y)
-    return _train(*_remap_scaler(model, scaler), scaler, model.cfg, x, y, seed,
+    return _train(*_remap_scaler(model, scaler), scaler, x, y, seed,
                   epochs, math.inf, 0.0)
 
 
-def _train(w1, b1, w2, b2, scaler: ScalerStats, cfg: MlpConfig, x: np.ndarray,
-           y: np.ndarray, seed: int, epochs: int, patience: float,
-           min_delta: float) -> EnsembleModel:
+def _train(w1, b1, w2, b2, scaler: ScalerStats, x: np.ndarray, y: np.ndarray,
+           seed: int, epochs: int, patience: float, min_delta: float) -> EnsembleModel:
     """Adam training of the members from the given weights (expressed under
     `scaler`) on a seeded train/validation split of (x, y).
 
@@ -290,7 +288,7 @@ def _train(w1, b1, w2, b2, scaler: ScalerStats, cfg: MlpConfig, x: np.ndarray,
     # the final post-step weights have not been scored yet
     keep_best(_forward(w1, b1, w2, b2, xv)[0])
     return EnsembleModel(
-        *snaps, scaler=scaler, cfg=cfg,
+        *snaps, scaler=scaler,
         train_log={
             "epochs_run": epochs_run,
             "best_val_loss": best_val,

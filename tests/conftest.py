@@ -81,7 +81,7 @@ def make_toy_problem():
         ))] * len(corners))
 
     return SizingProblem(
-        toy_space, (NOMINAL_CORNER,), (Constraint("pdyn", "<=", 4.0),), ev
+        toy_space, (NOMINAL_CORNER,), (Constraint("pdyn", 4.0),), ev
     )
 
 

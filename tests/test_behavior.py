@@ -571,23 +571,16 @@ def test_models_read_the_named_variables_and_fixed_elements(space, tc, co_point)
     assert vco_values.read | ldo_values.read >= set(FIXED_ELEMENTS)
 
 
-# The per-corner inputs of the PSR curve, as LdoDerived names them.
-PSR_INPUTS = ("gm_pass", "a_dc", "gbw", "p2", "f_z")
-
-
-def ldo_rows(d) -> list[tuple]:
-    return list(zip(*(np.atleast_1d(getattr(d, name)).tolist() for name in PSR_INPUTS)))
-
-
 def check_psr_rows(space, tc, point, corners) -> list[tuple]:
     """The batch PSR curve of a corner list equals, row for row, the curve
-    of each corner on its own; returns the batch's PSR input rows."""
+    of each corner on its own; returns the batch's PSR curves, one tuple
+    per corner."""
     batch = ldo_model(space, point, tc, 2e-3, 1e-12, corners)
     assert batch.psr_curve.shape == (len(corners), FREQ_GRID.size)
     for row, corner in zip(batch.psr_curve, corners):
         one = ldo_model(space, point, tc, 2e-3, 1e-12, [corner])
         assert np.array_equal(row, one.psr_curve[0])
-    return ldo_rows(batch)
+    return list(map(tuple, batch.psr_curve.tolist()))
 
 
 class TestPsrDistinctRows:

@@ -343,7 +343,8 @@ def test_exit_codes(workdir, co_point_file, capsys, argv, code, prefix):
 
 
 @pytest.mark.parametrize("command", ["run", "eval", "compare"])
-@pytest.mark.parametrize("line", ["pmx >= 50", "pm >= 0", "f0 >= NaN", "f0 >= Infinity"])
+@pytest.mark.parametrize("line", ["pmx >= 50", "pm >= 0", "f0 >= NaN", "f0 >= Infinity",
+                                  "f0 <= 6G", "pm <= 80", "pdyn >= 1m"])
 def test_bad_constraint_is_exit_3(workdir, co_point_file, capsys, command, line):
     problem = (workdir / PROBLEM_FILE).read_text() + line + "\n"
     (workdir / "bad_problem.txt").write_text(problem)
@@ -363,7 +364,10 @@ def test_bad_constraint_is_exit_3(workdir, co_point_file, capsys, command, line)
     (r"^(L_56 \S+ \S+) \S+", r"\1 -60n", "L_56: negative lower bound -60n"),
     (r"^c_byp .*\n", "", "problem file is missing c_byp, read by the evaluator"),
     (r"^R_F .*\n", "", "problem file is missing R_F, read by the evaluator"),
-], ids=["negative-M2", "negative-L_56", "no-c_byp", "no-R_F"])
+    (r"^c_byp \S+", "c_byp -60p", "c_byp: negative fixed element -60p"),
+    (r"^r_div \S+", "r_div -1K", "r_div: negative fixed element -1K"),
+], ids=["negative-M2", "negative-L_56", "no-c_byp", "no-R_F", "negative-c_byp",
+        "negative-r_div"])
 def test_bad_problem_file_is_exit_3(workdir, co_point_file, capsys, command, pattern, repl,
                                     message):
     problem = re.sub(pattern, repl, (workdir / PROBLEM_FILE).read_text(), count=1, flags=re.M)

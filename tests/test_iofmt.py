@@ -117,6 +117,11 @@ class TestBundledProblem:
         ("f0 >= NaN", "finite non-zero bound"),
         ("f0 >= Infinity", "finite non-zero bound"),
         ("pdyn <= -Infinity", "finite non-zero bound"),
+        # a bound on the better side of a metric
+        ("f0 <= 6G", r"^constraint on f0 must use >= \(a lower f0 is worse\), got 'f0 <= 6G'$"),
+        ("pm <= 80", r"^constraint on pm must use >= \(a lower pm is worse\), got 'pm <= 80'$"),
+        ("pdyn >= 1m",
+         r"^constraint on pdyn must use <= \(a higher pdyn is worse\), got 'pdyn >= 1m'$"),
     ])
     def test_bad_constraint_rejected(self, bundled, line, match):
         # [constraints] is the last section of the formatted file
@@ -130,6 +135,18 @@ class TestBundledProblem:
                       flags=re.M)
         with pytest.raises(ValueError, match=f"^{name}: negative lower bound -1$"):
             parse_problem_file(text)
+
+    @pytest.mark.parametrize("name,value", [("c_byp", "-60p"), ("r_div", "-1K")])
+    def test_negative_fixed_element_rejected(self, bundled, name, value):
+        text = re.sub(rf"^{name} \S+", f"{name} {value}", format_problem_file(*bundled),
+                      flags=re.M)
+        with pytest.raises(ValueError, match=f"^{name}: negative fixed element {value}$"):
+            parse_problem_file(text)
+
+    def test_zero_fixed_element_accepted(self, bundled):
+        text = re.sub(r"^c_byp \S+", "c_byp 0", format_problem_file(*bundled), flags=re.M)
+        space, _ = parse_problem_file(text)
+        assert space.fixed["c_byp"] == 0.0
 
     @pytest.mark.parametrize("name", ["M2", "R_C"])
     def test_zero_lower_bound_accepted(self, bundled, name):

@@ -207,7 +207,7 @@ class TestSelectCandidate:
                 fom=2.0 * x + y,
             ))] * len(corners))
 
-        return SizingProblem(space, (NOMINAL_CORNER,), (Constraint("pdyn", "<=", 4.0),), ev)
+        return SizingProblem(space, (NOMINAL_CORNER,), (Constraint("pdyn", 4.0),), ev)
 
     def _exact_model(self, problem, cfg):
         state = start(problem, OptConfig(eval_budget=300, seed=2, init_samples=250))

@@ -5,7 +5,10 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from ldovco.optimizer import PRESCREEN_SENSES
 from ldovco.problem import (
+    GE,
+    LE,
     Constraint,
     DEFAULT_CONSTRAINTS,
     METRIC_NAMES,
@@ -123,9 +126,10 @@ class TestViolation:
     def test_boundary_counts_as_satisfied(self):
         assert violation(metrics(pm=50.0), DEFAULT_CONSTRAINTS) == 0.0
 
-    @pytest.mark.parametrize("direction", ["<=", ">="])
-    def test_nan_is_never_satisfied(self, direction):
-        assert Constraint("pm", direction, 50.0).shortfall(math.nan) == math.inf
+    # one upper-bounded and one lower-bounded metric
+    @pytest.mark.parametrize("metric", ["pdyn", "pm"], ids=["<=", ">="])
+    def test_nan_is_never_satisfied(self, metric):
+        assert Constraint(metric, 50.0).shortfall(math.nan) == math.inf
         assert violation(metrics(pm=math.nan), DEFAULT_CONSTRAINTS) == math.inf
 
     def test_zero_iff_all_satisfied(self):
@@ -143,7 +147,7 @@ class TestViolation:
 
     def test_zero_bound_rejected(self):
         with pytest.raises(ValueError):
-            violation(metrics(), (Constraint("pm", ">=", 0.0),))
+            violation(metrics(), (Constraint("pm", 0.0),))
 
 
 class TestViolationTable:
@@ -179,17 +183,17 @@ class TestViolationTable:
 
     def test_shortfall_matches_elementwise(self):
         values = np.array([-math.inf, -1.0, 0.0, 49.0, 50.0, 51.0, math.inf, math.nan])
-        for direction in ("<=", ">="):
-            c = Constraint("pm", direction, 50.0)
+        for metric in ("pdyn", "pm"):  # <= and >=
+            c = Constraint(metric, 50.0)
             assert c.shortfall(values).tolist() == [c.shortfall(v) for v in values.tolist()]
 
     def test_missing_metric_rejected(self):
         with pytest.raises(KeyError):
-            violation(self._table(), (Constraint("gain", ">=", 1.0),))
+            violation(self._table(), (Constraint("gain", 1.0),))
 
     def test_zero_bound_rejected(self):
         with pytest.raises(ValueError):
-            violation(self._table(), (Constraint("pm", ">=", 0.0),))
+            violation(self._table(), (Constraint("pm", 0.0),))
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError):
@@ -316,3 +320,25 @@ class TestWorstCase:
             w = worst_case(order)
             assert math.isnan(getattr(w, name))
             assert w.pdyn == ok.pdyn  # the other columns are untouched
+
+
+class TestWorseSide:
+    """The worst case, a constraint and the prescreen judge each metric on
+    the same side."""
+
+    def test_lower_is_worse_for_exactly_these(self):
+        assert {n for n in METRIC_NAMES if Constraint(n, 1.0).direction == GE} == {
+            "f0", "pm", "startup_margin", "fom"
+        }
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_three_sides_agree(self, name):
+        k = METRIC_NAMES.index(name)
+        worst = getattr(worst_case(np.array([[1.0] * len(METRIC_NAMES),
+                                             [2.0] * len(METRIC_NAMES)])), name)
+        lower_is_worse = worst == 1.0
+        c = Constraint(name, 1.5)
+        assert c.direction == (GE if lower_is_worse else LE)
+        # the worst-case value misses the bound, the other one meets it
+        assert c.shortfall(worst) == 0.5 and c.shortfall(3.0 - worst) == 0.0
+        assert PRESCREEN_SENSES[k] == (-1.0 if lower_is_worse else 1.0)

@@ -121,7 +121,7 @@ class TestPredict:
         flipped = EnsembleModel(
             w1=model.w1[::-1].copy(), b1=model.b1[::-1].copy(),
             w2=model.w2[::-1].copy(), b2=model.b2[::-1].copy(),
-            scaler=model.scaler, cfg=model.cfg,
+            scaler=model.scaler,
         )
         probe = lhs_matrix(10, 2, seed=5)
         assert np.allclose(predict(model, probe), predict(flipped, probe), atol=1e-12)
@@ -158,7 +158,7 @@ class TestConservative:
         clone = EnsembleModel(
             w1=np.repeat(model.w1[:1], 5, axis=0), b1=np.repeat(model.b1[:1], 5, axis=0),
             w2=np.repeat(model.w2[:1], 5, axis=0), b2=np.repeat(model.b2[:1], 5, axis=0),
-            scaler=model.scaler, cfg=model.cfg,
+            scaler=model.scaler,
         )
         probe = lhs_matrix(12, 2, seed=2)
         for beta in (0.0, 0.3, 0.5, 0.9, 1.0):
