@@ -94,16 +94,17 @@ _RUNCONFIG_COMMENTS = {
 def format_runconfig(cfg: RunConfig) -> str:
     lines = ["# run configuration (key value; '#' comments)"]
     for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "seeds":
-            text = " ".join(str(s) for s in value)
-        elif f.name == "init_samples":
-            text = "auto" if value is None else str(value)
-        else:
-            text = str(value)
         comment = _RUNCONFIG_COMMENTS.get(f.name)
+        text = _format_value(getattr(cfg, f.name))
         lines.append(f"{f.name} {text}" + (f"  # {comment}" if comment else ""))
     return "\n".join(lines) + "\n"
+
+
+def _format_value(value) -> str:
+    """One config value as _parse_value reads it back."""
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return "auto" if value is None else str(value)
 
 
 def _parse_value(default, raw: str):
@@ -182,6 +183,10 @@ def _load(args):
     return cfg, config_path.parent, space, constraints, tc
 
 
+def _final_design_failed(exc: EvaluationFailure) -> _Exit:
+    return _Exit(1, f"final design failed: corner {exc.corner}: {exc}")
+
+
 def _run_flow(flow, *args, **kwargs):
     """A flow's result; a config the flow rejects exits 2, and a final design
     that fails its re-score (as every coupled evaluation did) exits 1."""
@@ -190,7 +195,7 @@ def _run_flow(flow, *args, **kwargs):
     except ValueError as exc:
         raise _Exit(2, f"config error: {exc}") from None
     except EvaluationFailure as exc:
-        raise _Exit(1, f"final design failed: corner {exc.corner}: {exc}") from None
+        raise _final_design_failed(exc) from None
 
 
 def cmd_init(args) -> int:
@@ -247,6 +252,8 @@ def cmd_run(args) -> int:
     out_dir = config_dir / cfg.out / f"{cfg.flow}_seed{cfg.seed}"
     header = list(RUN_LOG_HEADER) + (["stage"] if cfg.flow == "seq" else [])
     atomic_write(out_dir / "run_log.csv", _csv(header, result.log_rows))
+    if result.failure is not None:
+        raise _final_design_failed(result.failure)
     atomic_write(out_dir / "best_design.txt", _design_record(space, result, constraints))
 
     summary = [
@@ -322,20 +329,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-COMPARE_HEADER = [
-    "seed",
-    "codesign_fom", "codesign_violation", "codesign_pdyn_nominal", "codesign_evals",
-    "sequential_fom", "sequential_violation", "sequential_pdyn_nominal", "sequential_evals",
-    "fom_delta", "pdyn_delta_pct", "codesign_win",
-]
-
-
 def cmd_compare(args) -> int:
     cfg, config_dir, space, constraints, tc = _load(args)
     report, _ = _run_flow(compare, space, CORNERS, constraints, tc, cfg.opt_config(),
                           list(cfg.seeds), workers=cfg.workers)
     out_dir = config_dir / cfg.out / "comparison"
-    atomic_write(out_dir / "comparison.csv", _csv(COMPARE_HEADER, report.rows))
+    atomic_write(out_dir / "comparison.csv", _csv(list(report.rows[0]), report.rows))
     summary = [
         f"seeds: {len(report.rows)}",
         f"budget per flow per seed: {cfg.budget} true evaluations",

@@ -10,6 +10,7 @@ worst corners, so the comparison is apples-to-apples."""
 
 from __future__ import annotations
 
+import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .behavior import LDO_VARIABLES, VCO_VARIABLES, TechConstants
+from .behavior import LDO_VARIABLES, VCO_VARIABLES, EvaluationFailure, TechConstants
 # The problem builders reach the behavioral models through this module-level
 # name, one call per design for all its corners; the benchmark's `behavior`
 # span wraps it here.
@@ -94,12 +95,12 @@ class FlowResult:
     flow: str  # "codesign" or "sequential"
     seed: int
     final_point: DesignPoint
-    coupled_nominal: PerfMetrics
-    coupled_worst: PerfMetrics
+    coupled_nominal: PerfMetrics | None  # None when the re-score failed
+    coupled_worst: PerfMetrics | None
     violation: float
     evals_used: int
     log_rows: list[dict]
-    vco_point: DesignPoint | None = None  # sequential only: frozen stage-1 winner
+    failure: EvaluationFailure | None = None  # why the re-score failed
 
     @property
     def feasible(self) -> bool:
@@ -116,14 +117,15 @@ def _rescore(
 
 def _flow_result(
     flow: str, seed: int, coupled: SizingProblem, point: DesignPoint,
-    log_rows: list[dict], evals_used: int, vco_point: DesignPoint | None = None,
+    log_rows: list[dict], evals_used: int,
 ) -> FlowResult:
-    nominal, worst, violation = _rescore(coupled, point)
-    return FlowResult(
-        flow=flow, seed=seed, final_point=point,
-        coupled_nominal=nominal, coupled_worst=worst, violation=violation,
-        evals_used=evals_used, log_rows=log_rows, vco_point=vco_point,
-    )
+    """The final design re-scored in coupled mode; a failed re-score is
+    carried, not raised, so that the run log survives it."""
+    try:
+        nominal, worst, violation = _rescore(coupled, point)
+    except EvaluationFailure as exc:
+        return FlowResult(flow, seed, point, None, None, math.inf, evals_used, log_rows, exc)
+    return FlowResult(flow, seed, point, nominal, worst, violation, evals_used, log_rows)
 
 
 def run_codesign(
@@ -150,10 +152,9 @@ def run_sequential(
         space, corners, constraints, tc, VCO_VARIABLES, _mid_box(space), "ideal_supply"
     )
     res1 = run(stage1, replace(cfg, eval_budget=budget1, seed=seed, init_samples=None))
-    vco_point = res1.incumbent.point
 
     stage2, ldo_full = _stage_problem(
-        space, corners, constraints, tc, LDO_VARIABLES, vco_full(vco_point), "coupled"
+        space, corners, constraints, tc, LDO_VARIABLES, vco_full(res1.incumbent.point), "coupled"
     )
     res2 = run(stage2, replace(cfg, eval_budget=budget2, seed=seed + 1, init_samples=None))
 
@@ -163,7 +164,6 @@ def run_sequential(
     return _flow_result(
         "sequential", seed, coupled_problem(space, corners, constraints, tc),
         ldo_full(res2.incumbent.point), log_rows, res1.evals_used + res2.evals_used,
-        vco_point=vco_point,
     )
 
 
@@ -173,10 +173,6 @@ class ComparisonReport:
     win_rate: float  # co-design wins by coupled worst-case FoM, ties 0.5
     median_fom_delta: float  # co-design minus sequential, dB
     median_pdyn_delta_pct: float  # nominal power saved by co-design, percent
-
-    @property
-    def n_seeds(self) -> int:
-        return len(self.rows)
 
 
 def _pair_row(seed: int, co: FlowResult, seq: FlowResult) -> dict:
@@ -208,9 +204,13 @@ def _pair_row(seed: int, co: FlowResult, seq: FlowResult) -> dict:
 
 
 def _compare_task(args) -> tuple[str, int, FlowResult]:
+    """One flow run of a comparison; a failed re-score ends the comparison."""
     flow, seed, space, corners, constraints, tc, cfg = args
     runner = run_codesign if flow == "codesign" else run_sequential
-    return flow, seed, runner(space, corners, constraints, tc, cfg, seed)
+    result = runner(space, corners, constraints, tc, cfg, seed)
+    if result.failure is not None:
+        raise result.failure
+    return flow, seed, result
 
 
 def compare(

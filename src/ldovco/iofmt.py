@@ -57,8 +57,8 @@ def parse_keyvalues(lines: list[str]) -> dict[str, float]:
 
 def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
     """The design space and constraints of a problem file. It must define
-    every variable and fixed element the evaluator reads, and no lower bound
-    or fixed element may be negative: each is a size, count, resistance,
+    every variable and fixed element the evaluator reads, each finite and no
+    lower bound or fixed element negative: each is a size, count, resistance,
     capacitance or ratio (zero is allowed; R_C = 0 means no nulling
     resistor). A constraint must bound its metric's worse side (the side
     Constraint.direction names)."""
@@ -83,6 +83,8 @@ def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
     for name, value in fixed.items():
         if value < 0.0:
             raise ValueError(f"{name}: negative fixed element {format_si(value)}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: non-finite fixed element {value}")
     space = DesignSpace(tuple(variables), fixed)
     missing = [n for n in VCO_VARIABLES + LDO_VARIABLES if n not in space.names]
     missing += [n for n in FIXED_ELEMENTS if n not in space.fixed]

@@ -57,12 +57,10 @@ class OptConfig:
             )
         return n
 
-    def resolve_surrogate(self, dim: int) -> MlpConfig:
-        # per-iteration refits warm-start from the previous model, so the
-        # full-length training defaults are only paid once
-        return MlpConfig(
-            hidden_width=min(max(10, 2 * dim), 32), epochs=300, patience=50
-        )
+
+# The cold fit's training run. Per-iteration refits warm-start from the
+# previous model, so this full-length budget is only paid once.
+COLD_FIT = MlpConfig(epochs=300, patience=50)
 
 
 @dataclass(frozen=True)
@@ -95,20 +93,35 @@ def _rank(rec: TrialRecord) -> tuple[int, float]:
 
 @dataclass
 class Database:
+    """A run's true evaluations in order, the incumbent index after each, the
+    raw bytes of every evaluated point and the surrogate training rows of the
+    successful ones; `insert` is their only writer."""
+
     records: list[TrialRecord] = field(default_factory=list)
-    incumbent_index: int = 0
+    incumbents: list[int] = field(default_factory=list)
+    seen: set[bytes] = field(default_factory=set)
+    train_x: list[np.ndarray] = field(default_factory=list)
+    train_y: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def incumbent_index(self) -> int:
+        return self.incumbents[-1]
 
     @property
     def incumbent(self) -> TrialRecord:
         return self.records[self.incumbent_index]
 
     def insert(self, rec: TrialRecord) -> bool:
-        """Append and update the incumbent; returns True if it changed."""
+        """Record one evaluation; returns True if the incumbent changed."""
+        changed = not self.records or _rank(rec) < _rank(self.incumbent)
         self.records.append(rec)
-        if len(self.records) == 1 or _rank(rec) < _rank(self.incumbent):
-            self.incumbent_index = len(self.records) - 1
-            return True
-        return False
+        self.incumbents.append(len(self.records) - 1 if changed else self.incumbent_index)
+        point = np.asarray(rec.point, dtype=float)
+        self.seen.add(point.tobytes())
+        if rec.worst is not None:  # a failed evaluation trains nothing
+            self.train_x.append(point)
+            self.train_y.append(np.array([getattr(rec.worst, n) for n in METRIC_NAMES]))
+        return changed
 
     def top_distinct_points(self, count: int) -> list[DesignPoint]:
         """Best `count` distinct designs (re-evaluations of one point count
@@ -184,14 +197,9 @@ def de_generate(
     return np.where(cross, mutant, x_i)
 
 
-def training_row(rec: TrialRecord) -> np.ndarray | None:
-    """Surrogate target vector for a record; None for failed evaluations."""
-    return None if rec.worst is None else np.array([getattr(rec.worst, n) for n in METRIC_NAMES])
-
-
 def fit_surrogate(
-    x_rows: list[np.ndarray], y_rows: list[np.ndarray], cfg: OptConfig, dim: int,
-    seed: int, prev: EnsembleModel | None = None,
+    x_rows: list[np.ndarray], y_rows: list[np.ndarray], cfg: OptConfig, seed: int,
+    prev: EnsembleModel | None = None,
 ) -> EnsembleModel | None:
     """Refit on every successfully evaluated record in the database: a full
     training run the first time, warm-started continuation afterwards. None
@@ -201,7 +209,7 @@ def fit_surrogate(
     x = np.array(x_rows)
     y = np.array(y_rows)
     if prev is None:
-        return fit(x, y, cfg.resolve_surrogate(dim), seed)
+        return fit(x, y, COLD_FIT, seed)
     return update(prev, x, y, cfg.refit_epochs, seed)
 
 
@@ -243,29 +251,15 @@ class RunState:
     model: EnsembleModel | None = None
     stagnant_steps: int = 0
     stop_reason: str | None = None
-    train_x: list[np.ndarray] = field(default_factory=list)
-    train_y: list[np.ndarray] = field(default_factory=list)
-    seen: set[bytes] = field(default_factory=set)
 
     @property
     def evals_used(self) -> int:
         return len(self.db.records)
 
-    def absorb(self, rec: TrialRecord) -> None:
-        self.seen.add(np.asarray(rec.point, dtype=float).tobytes())
-        row = training_row(rec)
-        if row is not None:
-            self.train_x.append(np.asarray(rec.point, dtype=float))
-            self.train_y.append(row)
-
 
 def start(problem: SizingProblem, cfg: OptConfig) -> RunState:
-    db = init_db(problem, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    state = RunState(problem=problem, cfg=cfg, db=db, rng=rng)
-    for rec in db.records:
-        state.absorb(rec)
-    return state
+    return RunState(problem=problem, cfg=cfg, db=init_db(problem, cfg), rng=rng)
 
 
 def check_stop(state: RunState) -> bool:
@@ -289,15 +283,11 @@ def step(state: RunState) -> bool:
 
     children = repair(problem.space, de_generate(parents, best, cfg, state.rng))
     fit_seed = int(np.random.SeedSequence([cfg.seed, 2, state.evals_used]).generate_state(1)[0])
-    state.model = fit_surrogate(
-        state.train_x, state.train_y, cfg, problem.space.dim, fit_seed, prev=state.model
-    )
-    chosen = select_candidate(children, state.model, problem, cfg, seen=state.seen)
+    state.model = fit_surrogate(db.train_x, db.train_y, cfg, fit_seed, prev=state.model)
+    chosen = select_candidate(children, state.model, problem, cfg, seen=db.seen)
 
     before = db.incumbent
-    rec = evaluate_record(problem, chosen, state.evals_used, "de")
-    db.insert(rec)
-    state.absorb(rec)
+    db.insert(evaluate_record(problem, chosen, state.evals_used, "de"))
     after = db.incumbent
     improved = (after.objective > before.objective + 1e-6) or (
         after.violation < before.violation
@@ -311,38 +301,38 @@ class RunResult:
     db: Database
     log_rows: list[dict]
     stop_reason: str
-    evals_used: int
 
     @property
     def incumbent(self) -> TrialRecord:
         return self.db.incumbent
 
+    @property
+    def evals_used(self) -> int:
+        return len(self.db.records)
 
-def _log_rows(records: list[TrialRecord]) -> list[dict]:
+
+def _log_rows(db: Database) -> list[dict]:
     """One row per record, with the incumbent as it stood when the record
-    landed (the order `Database.insert` keeps)."""
-    rows = []
-    best = records[0]
-    for rec in records:
-        if _rank(rec) < _rank(best):
-            best = rec
-        row = {
+    landed."""
+    return [
+        {
             "eval_index": rec.eval_index,
             "origin": rec.origin,
             "objective": rec.objective,
             "violation": rec.violation,
-            "incumbent_objective": best.objective,
-            "incumbent_violation": best.violation,
+            "incumbent_objective": db.records[best].objective,
+            "incumbent_violation": db.records[best].violation,
+            **{f"worst_{n}": getattr(rec.worst, n) if rec.worst else math.nan
+               for n in METRIC_NAMES},
         }
-        for name in METRIC_NAMES:
-            row[f"worst_{name}"] = getattr(rec.worst, name) if rec.worst else math.nan
-        rows.append(row)
-    return rows
+        for rec, best in zip(db.records, db.incumbents)
+    ]
 
 
 def run(problem: SizingProblem, cfg: OptConfig) -> RunResult:
     """Full optimization run; deterministic for a given (problem, cfg)."""
     state = start(problem, cfg)
-    while not check_stop(state):
-        step(state)
-    return RunResult(state.db, _log_rows(state.db.records), state.stop_reason, state.evals_used)
+    stopped = check_stop(state)
+    while not stopped:
+        stopped = step(state)
+    return RunResult(state.db, _log_rows(state.db), state.stop_reason)

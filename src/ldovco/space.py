@@ -3,6 +3,7 @@ initialization, and repair of raw vectors onto the legal grid."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,8 @@ def validate_space(space: DesignSpace) -> list[str]:
         seen.add(v.name)
         if not v.lower < v.upper:
             problems.append(f"{v.name}: lower bound {v.lower} is not below upper {v.upper}")
+        elif not (math.isfinite(v.lower) and math.isfinite(v.upper)):
+            problems.append(f"{v.name}: non-finite bounds [{v.lower}, {v.upper}]")
         if v.kind not in (CONTINUOUS, INTEGER):
             problems.append(f"{v.name}: unknown kind {v.kind!r}")
         if v.is_integer():

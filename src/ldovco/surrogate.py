@@ -53,7 +53,7 @@ N_MEMBERS = 5
 
 @dataclass(frozen=True)
 class MlpConfig:
-    hidden_width: int | None = None  # None -> max(10, 2 * input dim)
+    hidden_width: int | None = None  # None -> 2 * input dim, clamped to [10, 32]
     epochs: int = 2000
     patience: int = 100
     min_delta: float = 1e-6  # smallest val-loss drop that counts as progress
@@ -63,7 +63,7 @@ class MlpConfig:
             raise ValueError("epochs and patience must be positive")
 
     def resolve_width(self, input_dim: int) -> int:
-        return self.hidden_width if self.hidden_width else max(10, 2 * input_dim)
+        return self.hidden_width if self.hidden_width else min(max(10, 2 * input_dim), 32)
 
 
 @dataclass

@@ -146,7 +146,10 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == ("final design failed: corner nominal: evaluation failed at "
                        "pass_headroom: needs 1.658 V gate drive from 1.62 V\n")
-        assert not (workdir / "runs" / "co_seed4").exists()
+        # the run log survives; there is no re-scored design to record
+        out = workdir / "runs" / "co_seed4"
+        assert len((out / "run_log.csv").read_text().splitlines()) == 1 + 5
+        assert sorted(p.name for p in out.iterdir()) == ["run_log.csv"]
 
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.txt")]) == 2
@@ -366,8 +369,14 @@ def test_bad_constraint_is_exit_3(workdir, co_point_file, capsys, command, line)
     (r"^R_F .*\n", "", "problem file is missing R_F, read by the evaluator"),
     (r"^c_byp \S+", "c_byp -60p", "c_byp: negative fixed element -60p"),
     (r"^r_div \S+", "r_div -1K", "r_div: negative fixed element -1K"),
+    (r"^c_byp \S+", "c_byp NaN", "c_byp: non-finite fixed element nan"),
+    (r"^c_var \S+", "c_var Infinity", "c_var: non-finite fixed element inf"),
+    (r"^(W_ind \S+ \S+ \S+) \S+", r"\1 Infinity",
+     "invalid problem file: W_ind: non-finite bounds [3e-06, inf]"),
+    (r"^(W_ind \S+ \S+ \S+) \S+", r"\1 1e400",
+     "invalid problem file: W_ind: non-finite bounds [3e-06, inf]"),
 ], ids=["negative-M2", "negative-L_56", "no-c_byp", "no-R_F", "negative-c_byp",
-        "negative-r_div"])
+        "negative-r_div", "nan-c_byp", "inf-c_var", "inf-W_ind", "huge-W_ind"])
 def test_bad_problem_file_is_exit_3(workdir, co_point_file, capsys, command, pattern, repl,
                                     message):
     problem = re.sub(pattern, repl, (workdir / PROBLEM_FILE).read_text(), count=1, flags=re.M)

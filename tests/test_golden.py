@@ -16,7 +16,7 @@ import pytest
 
 from ldovco.behavior import EvaluationFailure, evaluate, pn_sweep
 from ldovco.flows import run_codesign, run_sequential
-from ldovco.optimizer import RUN_LOG_HEADER, OptConfig
+from ldovco.optimizer import COLD_FIT, RUN_LOG_HEADER, OptConfig
 from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER
 from ldovco.space import sample_initial
 from ldovco.surrogate import MlpConfig, fit, update
@@ -129,7 +129,7 @@ def _model_lines(model) -> list[str]:
 @pytest.mark.parametrize("name", sorted(TRAINING_DIGESTS))
 def test_training_digest(name):
     if name == "optimizer":
-        cfg = OptConfig(eval_budget=200, seed=0).resolve_surrogate(43)
+        cfg = COLD_FIT  # the optimizer's cold fit
     else:  # members freeze at different epochs
         cfg = MlpConfig(hidden_width=12, epochs=400, patience=8, min_delta=1e-3)
     x, y = _training_data(80)

@@ -143,6 +143,21 @@ class TestBundledProblem:
         with pytest.raises(ValueError, match=f"^{name}: negative fixed element {value}$"):
             parse_problem_file(text)
 
+    @pytest.mark.parametrize("pattern,repl,message", [
+        (r"^c_byp \S+", "c_byp NaN", "c_byp: non-finite fixed element nan"),
+        (r"^c_var \S+", "c_var Infinity", "c_var: non-finite fixed element inf"),
+        (r"^r_div \S+", "r_div 1e400", "r_div: non-finite fixed element inf"),
+        (r"^(W_ind \S+ \S+ \S+) \S+", r"\1 Infinity",
+         "invalid problem file: W_ind: non-finite bounds [3e-06, inf]"),
+        (r"^(W_ind \S+ \S+ \S+) \S+", r"\1 1e400",
+         "invalid problem file: W_ind: non-finite bounds [3e-06, inf]"),
+    ], ids=["nan-c_byp", "inf-c_var", "huge-r_div", "inf-W_ind", "huge-W_ind"])
+    def test_non_finite_number_rejected(self, bundled, pattern, repl, message):
+        text = re.sub(pattern, repl, format_problem_file(*bundled), count=1, flags=re.M)
+        with pytest.raises(ValueError) as info:
+            parse_problem_file(text)
+        assert str(info.value) == message
+
     def test_zero_fixed_element_accepted(self, bundled):
         text = re.sub(r"^c_byp \S+", "c_byp 0", format_problem_file(*bundled), flags=re.M)
         space, _ = parse_problem_file(text)

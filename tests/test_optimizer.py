@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ldovco.optimizer import (
+    COLD_FIT,
     Database,
     OptConfig,
     TrialRecord,
@@ -17,7 +18,6 @@ from ldovco.optimizer import (
     select_candidate,
     start,
     step,
-    training_row,
 )
 from ldovco.problem import PerfMetrics, compare_designs
 from ldovco.space import repair, sample_initial
@@ -155,7 +155,7 @@ class TestInitDb:
         assert len(db.records) == 20
         assert all(r.violation == math.inf for r in db.records)
         assert all(r.failure == "q_tank" for r in db.records)
-        assert training_row(db.records[0]) is None
+        assert db.train_x == db.train_y == []  # nothing to train on
 
 
 class TestDatabase:
@@ -211,7 +211,7 @@ class TestSelectCandidate:
 
     def _exact_model(self, problem, cfg):
         state = start(problem, OptConfig(eval_budget=300, seed=2, init_samples=250))
-        return fit_surrogate(state.train_x, state.train_y, cfg, 2, seed=9)
+        return fit_surrogate(state.db.train_x, state.db.train_y, cfg, seed=9)
 
     def test_matches_true_best_on_linear_metrics(self):
         # children sit clear of the constraint boundary, so the conservative
@@ -299,6 +299,19 @@ class TestStepAndRun:
         assert {r.origin for r in res.db.records} == {"initial", "de"}
         assert all(type(r.violation) is float for r in res.db.records)
         assert all(type(row["violation"]) is float for row in res.log_rows)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_cold_fit_stops_early_on_the_bundled_problem(bundled, tc, all_corners, seed):
+    # the first step's fit is the cold one; on the coupled problem's own
+    # training rows its patience freezes every member before the budget
+    from ldovco.flows import coupled_problem
+
+    space, constraints = bundled
+    state = start(coupled_problem(space, all_corners, constraints, tc),
+                  OptConfig(eval_budget=200, seed=seed))
+    step(state)
+    assert 0 < state.model.train_log["epochs_run"] < COLD_FIT.epochs
 
 
 class TestCheckStop:
