@@ -7,13 +7,18 @@ small-signal / Leeson-style models; the constants are calibrated so the
 bundled design points land in physically plausible ranges (GHz oscillation,
 mW power), not to reproduce any particular silicon numbers.
 
-The models run over a leading corner axis: apply_corners stacks the
-corner-dependent constants into arrays once, and evaluate_corners computes a
-design's metrics at all its corners in one numpy pass. Arithmetic, sqrt and
-min are vectorized; log10, atan and the powers go element by element through
-Python's math (libm), because numpy's SIMD versions differ from libm in the
-last bit on some inputs, and every metric equals its scalar closed form
-exactly.
+The models run over a (design, corner) grid: apply_corners stacks the
+corner-dependent constants into arrays over the corners once, the design
+values are (designs, 1) columns against them, and evaluate_batch computes a
+chunk of CHUNK_DESIGNS designs at all their corners in one numpy pass. A
+batch of one reads its design values as float64 scalars instead, so that
+its grid is the corner axis alone: numpy's arithmetic on scalars costs a
+fraction of the same call on (1, 1) arrays. A design that fails a model
+test leaves the batch there, so the later models run on the survivors only.
+Arithmetic, sqrt and min are vectorized; log10, atan and the powers go
+element by element through Python's math (libm), because numpy's SIMD
+versions differ from libm in the last bit on some inputs, and every metric
+equals its scalar closed form exactly, whatever the batch.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .problem import METRIC_NAMES, Corner, PerfMetrics, fom
+from .problem import (
+    METRIC_NAMES, Corner, EvaluationFailure, Outcome, PerfMetrics, fom, table_or_raise,
+)
 from .space import DesignPoint, DesignSpace, frozen_array
 
 MU0 = 4e-7 * math.pi
@@ -56,6 +63,11 @@ SWEEP_OFFSETS = np.logspace(4.0, 8.0, 4 * 20 + 1)
 
 MODES = ("ideal_supply", "ldo_only", "coupled")
 
+# Designs per numpy pass of evaluate_batch: enough to spread the fixed cost
+# of the models' ~150 numpy calls, few enough that the PSR curves' complex
+# temporaries (9 rows of 241 points per design) stay small.
+CHUNK_DESIGNS = 16
+
 # The design variables map_vco and map_ldo read, and the fixed elements the
 # models read; a problem file must define every one of them.
 VCO_VARIABLES = [
@@ -71,18 +83,6 @@ LDO_VARIABLES = [
     "L_pass", "W_pass", "F_pass", "M_pass",
 ]
 FIXED_ELEMENTS = ("c_var", "c_byp", "beta_fb", "r_div")
-
-
-class EvaluationFailure(RuntimeError):
-    """An evaluation could not produce metrics; names the failing quantity
-    and, when known, the label of the corner it failed at."""
-
-    def __init__(self, quantity: str, detail: str = "", corner: str | None = None):
-        self.quantity, self.detail, self.corner = quantity, detail, corner
-        super().__init__(f"evaluation failed at {quantity}" + (f": {detail}" if detail else ""))
-
-    def __reduce__(self):  # rebuilt from its fields when it crosses a process pool
-        return type(self), (self.quantity, self.detail, self.corner)
 
 
 @dataclass(frozen=True)
@@ -169,57 +169,87 @@ def _exp10(x) -> np.ndarray:
 
 
 class _Failures:
-    """Failure tests over the corner axis of `corners`, in the order the
-    models compute the quantities. raise_first raises for the lowest-index
+    """Failure tests over the (design, corner) grid of a batch of `designs`
+    designs at `corners`, in the order the models compute the quantities.
+    settle gives each failing design the failure of its lowest-index
     failing corner, naming the first quantity that fails there."""
 
-    def __init__(self, corners: Sequence[Corner]):
+    def __init__(self, corners: Sequence[Corner], designs: int):
         self.corners = corners
-        self.tests: list[tuple[str, np.ndarray, Callable[[int], str]]] = []
+        self.shape = (designs, len(corners))
+        self.tests: list[tuple[str, np.ndarray, Callable[[int, int], str]]] = []
 
-    def add(self, name: str, bad: np.ndarray, detail: Callable[[int], str]) -> None:
+    def add(self, name: str, bad: np.ndarray, detail: Callable[[int, int], str]) -> None:
+        """A test that broadcasts to the grid; detail(d, i) describes design
+        d's failure at corner i."""
         self.tests.append((name, bad, detail))
+
+    def at(self, x, d: int, i: int) -> float:
+        """Design d's value of x at corner i."""
+        return np.broadcast_to(x, self.shape)[d, i].item()
 
     def require_positive(self, name: str, value: np.ndarray) -> None:
         bad = ~((value > 0.0) & np.isfinite(value))
-        self.add(name, bad, lambda i: f"nonpositive or non-finite value {value[i].item()}")
+        self.add(name, bad, lambda d, i: f"nonpositive or non-finite value {self.at(value, d, i)}")
 
-    def raise_first(self) -> None:
+    def settle(self, outcomes: list) -> list[int]:
+        """Put each failing design's EvaluationFailure in its slot of
+        `outcomes`; the indices of the designs that pass every test."""
         if not any(bad.any() for _, bad, _ in self.tests):
-            return
-        bad = np.vstack([b for _, b, _ in self.tests])
-        i = int(np.flatnonzero(bad.any(axis=0))[0])
-        name, _, detail = self.tests[int(np.flatnonzero(bad[:, i])[0])]
-        raise EvaluationFailure(name, detail(i), corner=self.corners[i].label())
+            return list(range(self.shape[0]))
+        bad = np.empty((len(self.tests),) + self.shape, dtype=bool)
+        for t, (_, b, _) in enumerate(self.tests):
+            bad[t] = b
+        at_corner = bad.any(axis=0)  # (design, corner)
+        failing = at_corner.any(axis=1)
+        for d in np.flatnonzero(failing).tolist():
+            i = int(at_corner[d].argmax())
+            name, _, detail = self.tests[int(bad[:, d, i].argmax())]
+            outcomes[d] = EvaluationFailure(name, detail(d, i), corner=self.corners[i].label())
+        return np.flatnonzero(~failing).tolist()
 
 
-def _design_values(space: DesignSpace, point: DesignPoint) -> dict[str, np.float64]:
-    """The design's variables and the space's fixed elements, by name, as
+def _design_values(space: DesignSpace, points: np.ndarray) -> dict[str, np.ndarray]:
+    """The (n, dim) batch's variables by name, each a (designs, 1) column or,
+    in a batch of one, a float64 scalar, and the space's fixed elements as
     float64 scalars: under _ERRSTATE a zero size then divides to inf or nan,
     which a failure test or the finite-metric check names, rather than
     raising ZeroDivisionError."""
-    values = dict(zip(space._names, np.asarray(point, dtype=float)))
+    if len(points) == 1:
+        columns = points[0]
+    else:
+        columns = np.ascontiguousarray(points.T)[:, :, np.newaxis]
+    values = dict(zip(space._names, columns))
     values.update(zip(space.fixed, np.array(tuple(space.fixed.values()))))
     return values
 
 
+def _take(x, keep: list[int]):
+    """The designs at indices `keep`, at least one, of a design-value dict or
+    a model dataclass: each array with a design axis (two axes or more) is
+    indexed; corner arrays and scalars pass as they are."""
+    items = x.items() if isinstance(x, dict) else vars(x).items()
+    kept = {name: value[keep] for name, value in items if np.ndim(value) >= 2}
+    return {**x, **kept} if isinstance(x, dict) else replace(x, **kept)
+
+
 @dataclass(frozen=True)
 class VcoDerived:
-    """Tank and oscillator quantities over the corner axis; the floats are
-    per design, the same at every corner."""
+    """Tank and oscillator quantities over the (design, corner) grid; the
+    (designs, 1) columns are the same at every corner."""
 
     l_tank: np.ndarray
     q_tank: np.ndarray
     c_tank: np.ndarray
-    c_par: float
-    i_bias: float
+    c_par: np.ndarray  # column
+    i_bias: np.ndarray  # column
     gm_sw: np.ndarray
     r_p: np.ndarray
     amplitude: np.ndarray
     amp_unclipped: np.ndarray
     p_sig: np.ndarray
     f0: np.ndarray
-    f_corner_1f: float
+    f_corner_1f: np.ndarray  # column
     k_push: np.ndarray
 
     @property
@@ -243,14 +273,14 @@ def phase_margin(gbw: float, p2: float, f_z: float = math.inf) -> float | np.nda
 _ERRSTATE = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-def map_vco(v: dict[str, float], tc: TechConstants, amp_limit: float,
+def map_vco(v: dict[str, np.ndarray], tc: TechConstants, amp_limit: float,
             failures: _Failures) -> VcoDerived:
     """Closed-form mapping from geometry to tank and oscillator quantities,
-    over the corner axis of the folded constants tc (runs under _evaluate's
-    _ERRSTATE). v holds the design values (_design_values). amp_limit is the
+    over the design columns of v (_design_values) and the corner axis of the
+    folded constants tc (runs under _evaluate's _ERRSTATE). amp_limit is the
     swing ceiling of the evaluation mode (ideal supply vs bypass-flattened
     coupled operation). Failing quantities go to `failures` for the caller
-    to raise.
+    to settle.
     """
 
     nt = v["NT_ind"]
@@ -296,13 +326,16 @@ def map_vco(v: dict[str, float], tc: TechConstants, amp_limit: float,
 
 
 def _outer(x, f: np.ndarray) -> np.ndarray:
-    """x with one trailing axis per axis of f, to broadcast over frequency."""
-    return np.reshape(x, np.shape(x) + (1,) * np.ndim(f))
+    """x with one trailing axis per axis of the array f, to broadcast over
+    frequency; a scalar broadcasts as it is."""
+    if not isinstance(x, np.ndarray):
+        return x
+    return x.reshape(x.shape + (1,) * f.ndim)
 
 
 def vco_pn_intrinsic(d: VcoDerived, delta_f, tc: TechConstants) -> np.ndarray:
     """Leeson-type single-sideband phase noise in dBc/Hz at offset delta_f;
-    the axes of delta_f follow the corner axis."""
+    the axes of delta_f follow the design and corner axes."""
     delta_f = np.asarray(delta_f, dtype=float)
     if np.any(delta_f <= 0):
         raise ValueError("delta_f must be positive")
@@ -317,7 +350,7 @@ def vco_pn_intrinsic(d: VcoDerived, delta_f, tc: TechConstants) -> np.ndarray:
 
 def supply_pn(k_push, vn, delta_f) -> np.ndarray:
     """Narrowband-FM conversion of supply noise to phase noise, dBc/Hz;
-    the axes of delta_f follow the corner axis of k_push. vn = 0 or
+    the axes of delta_f follow the axes of k_push. vn = 0 or
     k_push = 0 returns -inf (no contribution)."""
     delta_f = np.asarray(delta_f, dtype=float)
     if np.any(delta_f <= 0):
@@ -358,23 +391,22 @@ def _loop_gain(a_dc, gbw, p2, f_z, f) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LdoDerived:
-    """Loop and noise quantities over the corner axis (the sampled curves
-    have the corners on their first axis); the floats are per design, the
+    """Loop and noise quantities over the (design, corner) grid (the sampled
+    curves have a trailing frequency axis); the (designs, 1) columns are the
     same at every corner."""
 
     a_dc: np.ndarray
     gbw: np.ndarray
     pm: np.ndarray
     gm1: np.ndarray
-    f_filter: float
-    i_q: float
-    v_drop: np.ndarray
+    f_filter: np.ndarray  # column
+    i_q: np.ndarray  # column
     vdd_max: np.ndarray
     psr_curve: np.ndarray  # dB vs FREQ_GRID
     # noise-model pieces kept for exact point evaluation off the grid
     _s_thermal: np.ndarray
-    _s_flicker_1hz: float
-    _s_ref_flicker_1hz: float
+    _s_flicker_1hz: np.ndarray  # column
+    _s_ref_flicker_1hz: np.ndarray  # column
     _beta_fb: float
 
     @property
@@ -383,12 +415,15 @@ class LdoDerived:
 
     def vn_at(self, f) -> np.ndarray:
         """Output-referred noise density at frequency f (closed form); the
-        axes of f follow the corner axis."""
+        axes of f follow the design and corner axes."""
         f = np.asarray(f, dtype=float)
-        gbw, s_thermal = _outer(self.gbw, f), _outer(self._s_thermal, f)
-        s_amp = s_thermal + self._s_flicker_1hz / f
+        gbw, s_thermal, s_flicker_1hz, s_ref_flicker_1hz, f_filter = (
+            _outer(x, f) for x in (self.gbw, self._s_thermal, self._s_flicker_1hz,
+                                   self._s_ref_flicker_1hz, self.f_filter)
+        )
+        s_amp = s_thermal + s_flicker_1hz / f
         roll = 1.0 + _square(f / (self._beta_fb * gbw))
-        s_ref = (self._s_ref_flicker_1hz / f + V_REF_NOISE**2) / (1.0 + _square(f / self.f_filter))
+        s_ref = (s_ref_flicker_1hz / f + V_REF_NOISE**2) / (1.0 + _square(f / f_filter))
         return np.sqrt((s_amp / roll + s_ref)) / self._beta_fb
 
 
@@ -396,39 +431,53 @@ def _lambda(l_chan: float, lam_per_um: float) -> float:
     return lam_per_um * 1e-6 / l_chan
 
 
-def _psr_curve(gm_pass, gds_pass: float, c_ds_pass: float, c_out: float,
-               a_dc, gbw, p2, f_z) -> np.ndarray:
-    """Supply rejection in dB vs FREQ_GRID over the corner axis: the
-    (gds + j w c_ds) leakage through the pass device against the output node
-    admittance, suppressed by the loop; the output capacitance (bypass
-    included) strictly attenuates it at every frequency. It is computed once
-    per distinct row of the per-corner inputs (the LDO sees only the MOS skew
-    and the temperature: 9 rows for 33 corners) and gathered back."""
-    slots: dict[tuple, int] = {}
-    columns = (gm_pass, a_dc, gbw, p2, f_z)
-    gather = [slots.setdefault(row, len(slots)) for row in zip(*(c.tolist() for c in columns))]
-    gm_pass, a_dc, gbw, p2, f_z = np.array(list(slots)).T
+def _psr_curve(gm_pass, gds_pass, c_ds_pass, c_out, a_dc, gbw, p2, f_z) -> np.ndarray:
+    """Supply rejection in dB vs FREQ_GRID over the (design, corner) grid:
+    the (gds + j w c_ds) leakage through the pass device against the output
+    node admittance, suppressed by the loop; the output capacitance (bypass
+    included) strictly attenuates it at every frequency. gds_pass, c_ds_pass
+    and c_out are per design; the curve is computed once per corner whose
+    other inputs differ, bit for bit over the batch, from every earlier
+    corner's (the LDO sees only the MOS skew and the temperature: 9 of 33
+    corners), and gathered back onto the corner axis."""
+    per_corner = np.stack((gm_pass, a_dc, gbw, p2, f_z))  # (input, ..., corner)
+    by_corner = np.ascontiguousarray(per_corner.T).reshape(f_z.shape[-1], -1)
+    keys = by_corner.view(f"V{by_corner.shape[1] * by_corner.itemsize}").ravel().tolist()
+    slots = {key: n for n, key in enumerate(dict.fromkeys(keys))}
+    gm_pass, a_dc, gbw, p2, f_z = per_corner[..., [keys.index(key) for key in slots]]
     jw = 2j * math.pi * FREQ_GRID
-    h_open = (gds_pass + jw * c_ds_pass) / (_outer(gm_pass, jw) + gds_pass + jw * c_out)
+    gm_pass, gds_pass, c_ds_pass, c_out = (
+        _outer(x, jw) for x in (gm_pass, gds_pass, c_ds_pass, c_out))
+    h_open = (gds_pass + jw * c_ds_pass) / (gm_pass + gds_pass + jw * c_out)
     loop = _loop_gain(a_dc, gbw, p2, f_z, FREQ_GRID)
-    return (20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + loop)))[gather]
+    psr = 20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + loop))
+    return psr[..., [slots[key] for key in keys], :]
 
 
-def map_ldo(v: dict[str, float], tc: TechConstants, i_load: float, vdd_in: np.ndarray,
-            c_load: float, failures: _Failures) -> LdoDerived:
-    """Small-signal model of the two-stage Miller op-amp with NMOS-follower
-    pass device: loop gain, poles/zero, phase margin, supply rejection and
-    output noise curves, over the corner axis of the folded constants tc and
-    input supplies vdd_in (runs under _evaluate's _ERRSTATE). v holds the
-    design values (_design_values); i_load and c_load are per design. Raises
-    the first failure among `failures` and its own supply and headroom tests
-    before the loop model."""
-    beta_fb = v["beta_fb"]
-
+def ldo_headroom(v: dict[str, np.ndarray], tc: TechConstants, i_load, vdd_in: np.ndarray,
+                 failures: _Failures) -> None:
+    """The LDO's supply and headroom tests, which come before its loop
+    model, over the same grid as map_ldo: the input must lie above the
+    regulated output, and the NMOS follower's gate drive below the input."""
     v_drop = vdd_in - V_OUT
     failures.add("v_drop", v_drop <= 0,
-                 lambda i: f"input {vdd_in[i].item()} V cannot regulate {V_OUT} V")
+                 lambda d, i: f"input {vdd_in[i].item()} V cannot regulate {V_OUT} V")
+    w_pass = v["W_pass"] * v["F_pass"] * v["M_pass"]
+    vov_pass = np.sqrt(2.0 * i_load / (tc.kp_n * w_pass / v["L_pass"]))
+    gate = V_OUT + VTH_PASS + vov_pass
+    failures.add("pass_headroom", gate > vdd_in, lambda d, i: (
+        f"needs {failures.at(gate, d, i):.3f} V gate drive from {vdd_in[i].item()} V"))
 
+
+def map_ldo(v: dict[str, np.ndarray], tc: TechConstants, i_load, vdd_in: np.ndarray,
+            c_load) -> LdoDerived:
+    """Small-signal model of the two-stage Miller op-amp with NMOS-follower
+    pass device: loop gain, poles/zero, phase margin, supply rejection and
+    output noise curves, over the design columns of v (_design_values) and
+    the corner axis of the folded constants tc and input supplies vdd_in
+    (runs under _evaluate's _ERRSTATE). i_load and c_load are per design.
+    Run it on designs that passed ldo_headroom."""
+    beta_fb = v["beta_fb"]
     i_ref = tc.i_unit
     i1 = i_ref * v["M_biasIn"] / v["M_bias"]
     i2 = i_ref * v["M_biasOut"] / v["M_bias"]
@@ -442,13 +491,6 @@ def map_ldo(v: dict[str, float], tc: TechConstants, i_load: float, vdd_in: np.nd
     gm_nload = np.sqrt(2.0 * tc.kp_n * (w_nload / v["L_nLoad"]) * i1 / 2.0)
     gm2 = np.sqrt(2.0 * tc.kp_n * (w_nout / v["L_nOut"]) * i2)
     gm_pass = np.sqrt(2.0 * tc.kp_n * (w_pass / v["L_pass"]) * i_load)
-
-    # NMOS follower headroom: the pass gate cannot rise above the input rail
-    vov_pass = np.sqrt(2.0 * i_load / (tc.kp_n * w_pass / v["L_pass"]))
-    gate = V_OUT + VTH_PASS + vov_pass
-    failures.add("pass_headroom", gate > vdd_in,
-                 lambda i: f"needs {gate[i].item():.3f} V gate drive from {vdd_in[i].item()} V")
-    failures.raise_first()
 
     ro1 = 1.0 / ((_lambda(v["L_pIn"], tc.lambda_p) + _lambda(v["L_nLoad"], tc.lambda_n)) * i1 / 2.0)
     ro2 = 1.0 / ((_lambda(v["L_nOut"], tc.lambda_n) + _lambda(v["L_bias"], tc.lambda_p)) * i2)
@@ -484,7 +526,7 @@ def map_ldo(v: dict[str, float], tc: TechConstants, i_load: float, vdd_in: np.nd
 
     return LdoDerived(
         a_dc=a_dc, gbw=gbw, pm=pm, gm1=gm1,
-        f_filter=f_filter, i_q=i_q, v_drop=v_drop, vdd_max=vdd_max,
+        f_filter=f_filter, i_q=i_q, vdd_max=vdd_max,
         psr_curve=_psr_curve(gm_pass, gds_pass, c_ds_pass, c_out, a_dc, gbw, p2, f_z),
         _s_thermal=s_thermal, _s_flicker_1hz=s_flicker_1hz,
         _s_ref_flicker_1hz=s_ref_flicker_1hz, _beta_fb=beta_fb,
@@ -511,19 +553,20 @@ def coupled_swing_limit(c_byp: float) -> float:
 
 def _pn_metrics(pn: np.ndarray) -> dict[str, np.ndarray]:
     """The PN_METRICS columns of a (..., offset) array."""
-    return dict(zip(PN_METRICS, np.moveaxis(pn, -1, 0)))
+    return {name: pn[..., k] for k, name in enumerate(PN_METRICS)}
 
 
 def _fom(f0, pn1m, pdyn) -> np.ndarray:
-    """Eq. 1 at 1 MHz (problem.fom) at each corner."""
-    columns = (c.tolist() for c in np.broadcast_arrays(f0, pn1m, pdyn))
-    return np.array([fom(f, 1e6, pn, p) for f, pn, p in zip(*columns)])
+    """Eq. 1 at 1 MHz (problem.fom) at each design and corner."""
+    grids = np.broadcast_arrays(f0, pn1m, pdyn)
+    columns = (c.ravel().tolist() for c in grids)
+    return np.array([fom(f, 1e6, pn, p) for f, pn, p in zip(*columns)]).reshape(grids[0].shape)
 
 
 def _phase_noise(vco: VcoDerived, ldo: LdoDerived | None, tcc: TechConstants,
                  offsets: np.ndarray) -> np.ndarray:
-    """Phase noise in dBc/Hz over (corners, offsets): the VCO's intrinsic
-    part, power-summed with the supply part when an LDO feeds it."""
+    """Phase noise in dBc/Hz over (designs, corners, offsets): the VCO's
+    intrinsic part, power-summed with the supply part when an LDO feeds it."""
     intrinsic = vco_pn_intrinsic(vco, offsets, tcc)
     if ldo is None:
         return intrinsic
@@ -533,35 +576,54 @@ def _phase_noise(vco: VcoDerived, ldo: LdoDerived | None, tcc: TechConstants,
 @_ERRSTATE
 def _evaluate(
     space: DesignSpace,
-    point: DesignPoint,
+    points: np.ndarray,
     corners: tuple[Corner, ...],
     mode: str,
     tc: TechConstants,
     i_load: float | None,
-) -> tuple[np.ndarray, VcoDerived | None, LdoDerived | None, TechConstants]:
-    """The one evaluation path: fold the corners into tc, read the design
-    once, run the models of `mode` over the corner axis with one failure
-    collector and check the corner x metric table. Returns the table, the
-    model parts and the corner-applied constants."""
+) -> tuple[list[Outcome], VcoDerived | None, LdoDerived | None, TechConstants]:
+    """The one evaluation path, for an (n, dim) batch of points: fold the
+    corners into tc, read the designs once and run the models of `mode` over
+    the (design, corner) grid with one failure collector. A design that
+    fails a model test leaves the batch there with its failure, so the loop
+    model and the phase noise run on the survivors only; each survivor's
+    corner x metric table is then checked on its own. Returns each point's
+    Outcome in batch order, the survivors' model parts and the
+    corner-applied constants."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "ldo_only" and (i_load is None or i_load <= 0):
+        raise ValueError("ldo_only mode requires a positive i_load")
     tcc, vdd_in = apply_corners(tc, corners)
-    failures = _Failures(corners)
-    v = _design_values(space, point)
+    failures = _Failures(corners, len(points))
+    outcomes: list[Outcome] = [None] * len(points)
+    v = _design_values(space, points)
     vco = ldo = None
 
+    # the models' tests, then the raise point
     if mode == "ideal_supply":
         vco = map_vco(v, tcc, SWING_FRAC * V_OUT, failures)
-        failures.raise_first()
-        pdyn = V_OUT * vco.i_bias
     elif mode == "ldo_only":
-        if i_load is None or i_load <= 0:
-            raise ValueError("ldo_only mode requires a positive i_load")
-        ldo = map_ldo(v, tcc, i_load, vdd_in, C_SUP_FIXED, failures)
-        pdyn = vdd_in * (i_load + ldo.i_q)
+        ldo_headroom(v, tcc, i_load, vdd_in, failures)
     else:  # coupled: the LDO carries the VCO's bias and drives its parasitics
         vco = map_vco(v, tcc, coupled_swing_limit(v["c_byp"]), failures)
-        ldo = map_ldo(v, tcc, vco.i_bias, vdd_in, vco.c_par + C_SUP_FIXED, failures)
+        ldo_headroom(v, tcc, vco.i_bias, vdd_in, failures)
+    keep = failures.settle(outcomes)
+    if not keep:
+        return outcomes, None, None, tcc
+    if len(keep) < len(points):  # the failing designs leave the batch
+        v = _take(v, keep)
+        if vco is not None:
+            vco = _take(vco, keep)
+
+    # the survivors' loop model, power, phase noise and table
+    if mode == "ideal_supply":
+        pdyn = V_OUT * vco.i_bias
+    elif mode == "ldo_only":
+        ldo = map_ldo(v, tcc, i_load, vdd_in, C_SUP_FIXED)
+        pdyn = vdd_in * (i_load + ldo.i_q)
+    else:
+        ldo = map_ldo(v, tcc, vco.i_bias, vdd_in, vco.c_par + C_SUP_FIXED)
         pdyn = vdd_in * (vco.i_bias + ldo.i_q)
 
     if vco is None:
@@ -575,22 +637,47 @@ def _evaluate(
     else:
         values.update(psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max)
     values.update(pdyn=pdyn, fom=_fom(values["f0"], values["pn1m"], pdyn))
-    return _metric_table(values, corners), vco, ldo, tcc
-
-
-def _metric_table(values: dict, corners: Sequence[Corner]) -> np.ndarray:
-    """The corner x metric table; a scalar fills a column. Every metric that
-    leaves the evaluator is finite: otherwise this fails, naming the
-    lowest-index corner with a non-finite metric and the first such metric
-    there, in METRIC_NAMES order."""
-    table = np.empty((len(corners), len(METRIC_NAMES)))
+    tables = np.empty((len(keep), len(corners), len(METRIC_NAMES)))
     for k, name in enumerate(METRIC_NAMES):
-        table[:, k] = values[name]
-    if not np.isfinite(table).all():
-        i, k = np.argwhere(~np.isfinite(table))[0]
-        raise EvaluationFailure(METRIC_NAMES[k], f"non-finite value {table[i, k]}",
-                                corner=corners[i].label())
-    return table
+        tables[..., k] = values[name]  # a scalar fills a column
+    finite = np.isfinite(tables)
+    for slot, table, ok in zip(keep, tables, finite):
+        outcomes[slot] = table if ok.all() else _non_finite(table, ok, corners)
+    return outcomes, vco, ldo, tcc
+
+
+def _non_finite(table: np.ndarray, finite: np.ndarray,
+                corners: Sequence[Corner]) -> EvaluationFailure:
+    """The failure of a table with a non-finite metric: it names the
+    lowest-index corner with one and the first such metric there, in
+    METRIC_NAMES order."""
+    i, k = np.argwhere(~finite)[0]
+    return EvaluationFailure(METRIC_NAMES[k], f"non-finite value {table[i, k]}",
+                             corner=corners[i].label())
+
+
+def evaluate_batch(
+    space: DesignSpace,
+    points: Sequence[DesignPoint],
+    corners: Sequence[Corner],
+    mode: str,
+    tc: TechConstants,
+    i_load: float | None = None,
+) -> list[Outcome]:
+    """Evaluate a batch of points at every corner in one mode, CHUNK_DESIGNS
+    designs per numpy pass; each point's corner x metric table, or the
+    EvaluationFailure that stopped it, in batch order. Pure and
+    deterministic, and each outcome is the same whatever else is in the
+    batch. A failure names the lowest-index failing corner and the first
+    quantity that fails there; a model quantity that fails at any corner
+    comes before a non-finite metric."""
+    points = np.asarray(points, dtype=float).reshape(len(points), space.dim)
+    corners = tuple(corners)
+    outcomes: list[Outcome] = []
+    for start in range(0, len(points), CHUNK_DESIGNS):
+        chunk = points[start:start + CHUNK_DESIGNS]
+        outcomes += _evaluate(space, chunk, corners, mode, tc, i_load)[0]
+    return outcomes
 
 
 def evaluate_corners(
@@ -601,12 +688,9 @@ def evaluate_corners(
     tc: TechConstants,
     i_load: float | None = None,
 ) -> np.ndarray:
-    """Evaluate one point at every corner in one mode, in one numpy pass
-    over the corner axis; the corner x metric table. Pure and
-    deterministic. A failure names the lowest-index failing corner and the
-    first quantity that fails there; a model quantity that fails at any
-    corner comes before a non-finite metric (see _metric_table)."""
-    return _evaluate(space, point, tuple(corners), mode, tc, i_load)[0]
+    """The corner x metric table of one point, as a batch of one; raises
+    its EvaluationFailure."""
+    return table_or_raise(evaluate_batch(space, [point], corners, mode, tc, i_load)[0])
 
 
 def evaluate(
@@ -617,7 +701,7 @@ def evaluate(
     tc: TechConstants,
     i_load: float | None = None,
 ) -> PerfMetrics:
-    """The metrics at one corner: row 0 of a one-corner batch."""
+    """The metrics at one corner: row 0 of a one-corner batch of one."""
     return PerfMetrics.from_row(evaluate_corners(space, point, (corner,), mode, tc, i_load)[0])
 
 
@@ -630,7 +714,11 @@ def pn_sweep(
     offsets: np.ndarray = SWEEP_OFFSETS,
 ) -> np.ndarray:
     """Total phase noise vs offset at one corner, for export; one dBc/Hz
-    value per offset. The corner is evaluated as a one-corner batch, so a
-    design that fails there raises as evaluate would."""
-    _, vco, ldo, tcc = _evaluate(space, point, (corner,), mode, tc, None)
-    return _phase_noise(vco, ldo, tcc, np.asarray(offsets, dtype=float))[0]
+    value per offset. The corner is evaluated as a one-corner batch of one,
+    so a design that fails there raises as evaluate would."""
+    outcomes, vco, ldo, tcc = _evaluate(
+        space, np.asarray(point, dtype=float)[np.newaxis], (corner,), mode, tc, None
+    )
+    table_or_raise(outcomes[0])
+    offsets = np.asarray(offsets, dtype=float)
+    return _phase_noise(vco, ldo, tcc, offsets).reshape(offsets.shape)

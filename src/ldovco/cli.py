@@ -138,6 +138,7 @@ def parse_runconfig(text: str, overrides: dict[str, str] | None = None) -> RunCo
     cfg = RunConfig(**kwargs)
     if cfg.flow not in ("co", "seq"):
         raise ValueError(f"flow must be 'co' or 'seq', got {cfg.flow!r}")
+    cfg.opt_config()  # optimizer settings that cannot run fail here, before any evaluation
     return cfg
 
 

@@ -14,19 +14,20 @@ import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .behavior import LDO_VARIABLES, VCO_VARIABLES, EvaluationFailure, TechConstants
 # The problem builders reach the behavioral models through this module-level
-# name, one call per design for all its corners; the benchmark's `behavior`
-# span wraps it here.
-from .behavior import evaluate_corners as evaluate
+# name, one call per batch of designs for all their corners; the benchmark's
+# `behavior` span wraps it here.
+from .behavior import evaluate_batch as evaluate
 from .optimizer import OptConfig, run
 from .problem import (
     ConstraintSet,
     Corner,
+    Outcome,
     PerfMetrics,
     SizingProblem,
     rank_key,
@@ -45,8 +46,8 @@ def coupled_problem(
     space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
     tc: TechConstants,
 ) -> SizingProblem:
-    def ev(point: DesignPoint, batch: tuple[Corner, ...]) -> np.ndarray:
-        return evaluate(space, point, batch, "coupled", tc)
+    def ev(points: Sequence[DesignPoint], batch: tuple[Corner, ...]) -> list[Outcome]:
+        return evaluate(space, points, batch, "coupled", tc)
 
     return SizingProblem(space, corners, constraints, ev)
 
@@ -61,19 +62,20 @@ def _stage_problem(
 ) -> tuple[SizingProblem, Callable[[DesignPoint], DesignPoint]]:
     """A sequential stage: the named variables sized in `mode` with every
     other variable held at `base`. Returns the problem and its map from a
-    stage point to the full design. On an ideal supply only the
-    VCO-meaningful constraints apply."""
+    stage point, or an (n, k) batch of them, to the full designs. On an
+    ideal supply only the VCO-meaningful constraints apply."""
     indices = [space.index_of(n) for n in names]
     if mode == "ideal_supply":
         constraints = tuple(c for c in constraints if c.metric in VCO_ONLY_METRICS)
 
-    def full(sub_point: DesignPoint) -> DesignPoint:
-        point = np.array(base, dtype=float)
-        point[indices] = sub_point
-        return point
+    def full(sub_points) -> np.ndarray:
+        sub_points = np.asarray(sub_points, dtype=float)
+        points = np.tile(np.asarray(base, dtype=float), sub_points.shape[:-1] + (1,))
+        points[..., indices] = sub_points
+        return points
 
-    def ev(sub_point: DesignPoint, batch: tuple[Corner, ...]) -> np.ndarray:
-        return evaluate(space, full(sub_point), batch, mode, tc)
+    def ev(sub_points: Sequence[DesignPoint], batch: tuple[Corner, ...]) -> list[Outcome]:
+        return evaluate(space, full(sub_points), batch, mode, tc)
 
     return SizingProblem(space.subspace(names), corners, constraints, ev), full
 

@@ -10,8 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .behavior import EvaluationFailure
-from .problem import METRIC_NAMES, WORST_BY_MIN, PerfMetrics, SizingProblem, rank_key, worst_case
+from .problem import (
+    METRIC_NAMES, WORST_BY_MIN, EvaluationFailure, Outcome, PerfMetrics, SizingProblem,
+    rank_key, worst_case,
+)
 from .space import DesignPoint, repair, sample_initial
 from .surrogate import EnsembleModel, MlpConfig, fit, predict_conservative, update
 
@@ -43,6 +45,13 @@ class OptConfig:
             raise ValueError("differential evolution needs at least 4 parents")
         if self.children_per_iter < 1:
             raise ValueError("children_per_iter must be positive")
+        if not (math.isfinite(self.de_f) and self.de_f > 0.0):
+            raise ValueError(f"de_f must be finite and positive, got {self.de_f}")
+        for name in ("de_cr", "beta"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if self.refit_epochs < 0:
+            raise ValueError(f"refit_epochs must be nonnegative, got {self.refit_epochs}")
 
     def resolve_init_samples(self, dim: int) -> int:
         if self.init_samples is None:
@@ -141,33 +150,34 @@ class Database:
 
 
 def evaluate_record(
-    problem: SizingProblem, point: DesignPoint, eval_index: int, origin: str
+    problem: SizingProblem, point: DesignPoint, outcome: Outcome, eval_index: int, origin: str
 ) -> TrialRecord:
-    """One true evaluation over all corners; evaluator failures yield an
-    infeasible record with maximal violation instead of aborting the run."""
-    try:
-        table = problem.evaluate_all(point)
-        worst = worst_case(table)
-        return TrialRecord(
-            point=point, table=table, worst=worst,
-            violation=problem.violation(worst), objective=problem.objective(worst),
-            eval_index=eval_index, origin=origin,
-        )
-    except EvaluationFailure as exc:
+    """The record of one true evaluation over all corners, from its outcome
+    in the problem's batch evaluator; a failure yields an infeasible record
+    with maximal violation instead of aborting the run."""
+    if isinstance(outcome, EvaluationFailure):
         return TrialRecord(
             point=point, table=None, worst=None,
             violation=math.inf, objective=-math.inf,
-            eval_index=eval_index, origin=origin, failure=exc.quantity,
+            eval_index=eval_index, origin=origin, failure=outcome.quantity,
         )
+    worst = worst_case(outcome)
+    return TrialRecord(
+        point=point, table=outcome, worst=worst,
+        violation=problem.violation(worst), objective=problem.objective(worst),
+        eval_index=eval_index, origin=origin,
+    )
 
 
 def init_db(problem: SizingProblem, cfg: OptConfig) -> Database:
-    """Evaluate an LHS sample of the space and seed the database in sample
-    order."""
+    """Evaluate an LHS sample of the space in one batch and seed the
+    database in sample order."""
     n = cfg.resolve_init_samples(problem.space.dim)
+    points = sample_initial(problem.space, n, cfg.seed)
+    outcomes = problem.evaluate_batch(points, problem.corners)
     db = Database()
-    for i, point in enumerate(sample_initial(problem.space, n, cfg.seed)):
-        db.insert(evaluate_record(problem, point, i, "initial"))
+    for i, (point, outcome) in enumerate(zip(points, outcomes)):
+        db.insert(evaluate_record(problem, point, outcome, i, "initial"))
     return db
 
 
@@ -287,7 +297,8 @@ def step(state: RunState) -> bool:
     chosen = select_candidate(children, state.model, problem, cfg, seen=db.seen)
 
     before = db.incumbent
-    db.insert(evaluate_record(problem, chosen, state.evals_used, "de"))
+    outcome = problem.evaluate_batch([chosen], problem.corners)[0]
+    db.insert(evaluate_record(problem, chosen, outcome, state.evals_used, "de"))
     after = db.incumbent
     improved = (after.objective > before.objective + 1e-6) or (
         after.violation < before.violation

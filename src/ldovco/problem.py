@@ -47,6 +47,30 @@ class Corner:
 NOMINAL_CORNER = Corner()
 
 
+class EvaluationFailure(RuntimeError):
+    """An evaluation could not produce metrics; names the failing quantity
+    and, when known, the label of the corner it failed at."""
+
+    def __init__(self, quantity: str, detail: str = "", corner: str | None = None):
+        self.quantity, self.detail, self.corner = quantity, detail, corner
+        super().__init__(f"evaluation failed at {quantity}" + (f": {detail}" if detail else ""))
+
+    def __reduce__(self):  # rebuilt from its fields when it crosses a process pool
+        return type(self), (self.quantity, self.detail, self.corner)
+
+
+# What a batch evaluator returns for each design: its corner x metric table,
+# or the failure that stopped it.
+Outcome = np.ndarray | EvaluationFailure
+
+
+def table_or_raise(outcome: Outcome) -> np.ndarray:
+    """The table of one design's outcome; raises its failure."""
+    if isinstance(outcome, EvaluationFailure):
+        raise outcome
+    return outcome
+
+
 def enumerate_corners(
     mos_pairs: Sequence[tuple[str, str]] = MOS_PAIRS,
     inductor_extremes: Sequence[str] = ("min", "max"),
@@ -214,25 +238,26 @@ def worst_case(per_corner: np.ndarray | Sequence[PerfMetrics]) -> PerfMetrics:
 @dataclass(frozen=True)
 class SizingProblem:
     """A constrained sizing problem: bounded space, corner list (nominal
-    first), constraint set, and a corner-batch evaluator mapping a point and
-    a tuple of corners to their corner x metric table. Objective: maximize
-    worst-case fom over all corners."""
+    first), constraint set, and a batch evaluator mapping a sequence of
+    points and a tuple of corners to one Outcome per point. Objective:
+    maximize worst-case fom over all corners."""
 
     space: DesignSpace
     corners: tuple[Corner, ...]
     constraints: ConstraintSet
-    evaluate_corners: Callable[[DesignPoint, tuple[Corner, ...]], np.ndarray]
+    evaluate_batch: Callable[[Sequence[DesignPoint], tuple[Corner, ...]], list[Outcome]]
 
     def __post_init__(self):
         if len(self.corners) == 0:
             raise ValueError("a SizingProblem needs at least one corner")
 
     def evaluate_all(self, point: DesignPoint) -> np.ndarray:
-        return self.evaluate_corners(point, self.corners)
+        """The corner x metric table of one point, as a batch of one."""
+        return table_or_raise(self.evaluate_batch([point], self.corners)[0])
 
     def evaluator(self, point: DesignPoint, corner: Corner) -> PerfMetrics:
-        """The metrics at one corner, as a one-corner batch."""
-        return PerfMetrics.from_row(self.evaluate_corners(point, (corner,))[0])
+        """The metrics at one corner, as a one-corner batch of one."""
+        return PerfMetrics.from_row(table_or_raise(self.evaluate_batch([point], (corner,))[0])[0])
 
     def objective(self, worst: PerfMetrics) -> float:
         return worst.fom

@@ -54,7 +54,7 @@ def se_point(space):
 def coupled_parts(space, point, tc):
     """The coupled VCO and LDO model parts of the evaluator's one-corner
     batch at the nominal corner."""
-    _, vco, ldo, _ = _evaluate(space, point, (NOMINAL_CORNER,), "coupled", tc, None)
+    _, vco, ldo, _ = _evaluate(space, np.array([point]), (NOMINAL_CORNER,), "coupled", tc, None)
     return vco, ldo
 
 
@@ -72,13 +72,12 @@ def make_toy_problem():
         Variable("y", "continuous", 0.0, 5.0),
     ))
 
-    def ev(point, corners):
-        x, y = point
-        return np.array([astuple(PerfMetrics(
+    def ev(points, corners):  # the batch contract: one table per point
+        return [np.array([astuple(PerfMetrics(
             f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
             psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
             fom=-((x - 3.0) ** 2) - (y - 2.0) ** 2,
-        ))] * len(corners))
+        ))] * len(corners)) for x, y in points]
 
     return SizingProblem(
         toy_space, (NOMINAL_CORNER,), (Constraint("pdyn", 4.0),), ev

@@ -8,6 +8,7 @@ import pytest
 from conftest import coupled_parts
 
 from ldovco.behavior import (
+    CHUNK_DESIGNS,
     C_OX,
     DEFAULT_TECH,
     EvaluationFailure,
@@ -30,7 +31,9 @@ from ldovco.behavior import (
     combine_pn,
     coupled_swing_limit,
     evaluate,
+    evaluate_batch,
     evaluate_corners,
+    ldo_headroom,
     map_ldo,
     map_vco,
     phase_margin,
@@ -53,22 +56,33 @@ def fold_one(tc, corner):
     return replace(tcc, **{name: getattr(tcc, name)[0].item() for name in CORNER_FIELDS})
 
 
+def settle_one(failures):
+    """Raise the failure of a batch of one, if it has one."""
+    outcomes = [None]
+    if not failures.settle(outcomes):
+        raise outcomes[0]
+
+
 def vco_model(space, point, tc, amp_limit):
-    """map_vco over a one-corner fold at the nominal corner with its own
-    collector, which raises the first failure."""
+    """map_vco on a batch of one over a one-corner fold at the nominal
+    corner with its own collector, which raises the first failure."""
     corners = (NOMINAL_CORNER,)
     tcc, _ = apply_corners(tc, corners)
-    failures = _Failures(corners)
-    d = map_vco(_design_values(space, point), tcc, amp_limit, failures)
-    failures.raise_first()
+    failures = _Failures(corners, 1)
+    d = map_vco(_design_values(space, [point]), tcc, amp_limit, failures)
+    settle_one(failures)
     return d
 
 
 def ldo_model(space, point, tc, i_load, c_load, corners=(NOMINAL_CORNER,)):
-    """map_ldo over a fold of `corners` (nominal: a 1.62 V input) with its
-    own collector."""
+    """ldo_headroom, then map_ldo, on a batch of one over a fold of
+    `corners` (nominal: a 1.62 V input); raises the first failure."""
     tcc, vdd_in = apply_corners(tc, tuple(corners))
-    return map_ldo(_design_values(space, point), tcc, i_load, vdd_in, c_load, _Failures(corners))
+    v = _design_values(space, [point])
+    failures = _Failures(corners, 1)
+    ldo_headroom(v, tcc, i_load, vdd_in, failures)
+    settle_one(failures)
+    return map_ldo(v, tcc, i_load, vdd_in, c_load)
 
 
 class TestApplyCorner:
@@ -209,7 +223,6 @@ class TestLdoModel:
     def test_map_ldo_quantities(self, space, tc, co_point):
         d = ldo_model(space, co_point, tc, 3e-3, 1e-12)
         v = point_as_dict(space, co_point)
-        assert d.v_drop == pytest.approx(0.42)
         assert d.gbw == pytest.approx(d.gm1 / (2 * math.pi * v["C_C"]), rel=1e-12)
         assert d.a_dc > 0
         assert d.i_q > 0
@@ -473,6 +486,63 @@ class TestEvaluateCorners:
         assert (info.value.quantity, info.value.corner) == ("l_tank", "nominal")
 
 
+def assert_one_design_outcome(space, tc, point, corners, mode, i_load, outcome):
+    """outcome is the point's one-design outcome: its table equals the
+    stacked one-corner rows bit for bit, and its failure names the quantity,
+    corner and detail of the per-corner and the one-design evaluations."""
+    expected, failure = per_corner_run(space, tc, point, corners, mode, i_load)
+    if failure is None:
+        assert isinstance(outcome, np.ndarray)
+        stacked = np.array([[getattr(m, n) for n in METRIC_NAMES] for m in expected])
+        assert outcome.shape == stacked.shape and outcome.tobytes() == stacked.tobytes()
+        return True
+    assert isinstance(outcome, EvaluationFailure)
+    assert (outcome.quantity, outcome.corner, str(outcome)) == failure
+    with pytest.raises(EvaluationFailure) as one:
+        evaluate_corners(space, point, corners, mode, tc, i_load=i_load)
+    assert (one.value.quantity, one.value.corner, one.value.detail) == (
+        outcome.quantity, outcome.corner, outcome.detail)
+    return False
+
+
+class TestEvaluateBatch:
+    """A batch gives each design its one-design outcome, whatever the batch
+    size and wherever the chunk boundaries fall."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("size", [1, CHUNK_DESIGNS - 1, CHUNK_DESIGNS, CHUNK_DESIGNS + 1,
+                                      2 * CHUNK_DESIGNS + 3])
+    def test_matches_per_corner_reference(self, space, tc, all_corners, mode, size):
+        i_load = 2e-3 if mode == "ldo_only" else None
+        points = sample_initial(space, max(size, 2), seed=100 + size)[:size]
+        outcomes = evaluate_batch(space, points, all_corners, mode, tc, i_load=i_load)
+        assert len(outcomes) == size
+        passed = [assert_one_design_outcome(space, tc, point, all_corners, mode, i_load, outcome)
+                  for point, outcome in zip(points, outcomes)]
+        if size > 1 and mode != "ideal_supply":  # about half the LDO designs lack headroom
+            assert any(passed) and not all(passed)
+
+    @pytest.mark.parametrize("mode", ["ldo_only", "coupled"])
+    def test_batch_where_no_design_survives(self, space, tc, all_corners, mode):
+        # more than a chunk of designs that all fail, so that every chunk
+        # ends at its raise point with no design left
+        i_load = 2e-3 if mode == "ldo_only" else None
+        failing = []
+        for point in sample_initial(space, 96, seed=5):
+            try:
+                evaluate_corners(space, point, all_corners, mode, tc, i_load=i_load)
+            except EvaluationFailure:
+                failing.append(point)
+        assert len(failing) > CHUNK_DESIGNS
+        outcomes = evaluate_batch(space, failing, all_corners, mode, tc, i_load=i_load)
+        for point, outcome in zip(failing, outcomes):
+            assert not assert_one_design_outcome(space, tc, point, all_corners, mode, i_load,
+                                                 outcome)
+
+    def test_empty_batch(self, space, tc, all_corners):
+        assert evaluate_batch(space, [], all_corners, "coupled", tc) == []
+
+
 # The quantities the models test before any metric is formed.
 MODEL_QUANTITIES = ("l_tank", "c_tank", "q_tank", "p_sig", "v_drop", "pass_headroom")
 
@@ -562,10 +632,11 @@ class _ReadNames(dict):
 def test_models_read_the_named_variables_and_fixed_elements(space, tc, co_point):
     corners = (NOMINAL_CORNER,)
     tcc, vdd_in = apply_corners(tc, corners)
-    vco_values = _ReadNames(_design_values(space, co_point))
-    ldo_values = _ReadNames(_design_values(space, co_point))
-    map_vco(vco_values, tcc, IDEAL_AMP_LIMIT, _Failures(corners))
-    map_ldo(ldo_values, tcc, 2e-3, vdd_in, 1e-12, _Failures(corners))
+    vco_values = _ReadNames(_design_values(space, [co_point]))
+    ldo_values = _ReadNames(_design_values(space, [co_point]))
+    map_vco(vco_values, tcc, IDEAL_AMP_LIMIT, _Failures(corners, 1))
+    ldo_headroom(ldo_values, tcc, 2e-3, vdd_in, _Failures(corners, 1))
+    map_ldo(ldo_values, tcc, 2e-3, vdd_in, 1e-12)
     assert vco_values.read - set(FIXED_ELEMENTS) == set(VCO_VARIABLES)
     assert ldo_values.read - set(FIXED_ELEMENTS) == set(LDO_VARIABLES)
     assert vco_values.read | ldo_values.read >= set(FIXED_ELEMENTS)

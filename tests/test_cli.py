@@ -345,6 +345,26 @@ def test_exit_codes(workdir, co_point_file, capsys, argv, code, prefix):
     assert capsys.readouterr().err.startswith(prefix)
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("line,message", [
+    ("children_per_iter 0", "children_per_iter must be positive"),
+    ("lambda_parents 3", "differential evolution needs at least 4 parents"),
+    ("beta 1.5", "beta must lie in [0, 1], got 1.5"),
+    ("beta nan", "beta must lie in [0, 1], got nan"),
+    ("de_cr -0.1", "de_cr must lie in [0, 1], got -0.1"),
+    ("de_f nan", "de_f must be finite and positive, got nan"),
+    ("de_f 0", "de_f must be finite and positive, got 0.0"),
+    ("refit_epochs -1", "refit_epochs must be nonnegative, got -1"),
+])
+def test_optimizer_setting_that_cannot_run_is_exit_2(workdir, capsys, command, line, message):
+    # rejected with the config, before the initial sample is evaluated
+    config = workdir / "bad_setting.txt"
+    config.write_text(f"budget 30\nseeds 1,2\n{line}\n")
+    assert main([command, str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (workdir / "runs").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "eval", "compare"])
 @pytest.mark.parametrize("line", ["pmx >= 50", "pm >= 0", "f0 >= NaN", "f0 >= Infinity",
                                   "f0 <= 6G", "pm <= 80", "pdyn >= 1m"])

@@ -3,21 +3,24 @@ from dataclasses import replace
 
 import pytest
 
-from ldovco import flows
-from ldovco.behavior import evaluate, evaluate_corners
+from ldovco import flows, optimizer
+from ldovco.behavior import evaluate, evaluate_batch
 from ldovco.flows import (
     LDO_VARIABLES,
     STAGE_SPLIT,
     VCO_VARIABLES,
+    _mid_box,
     _pair_row,
+    _stage_problem,
     compare,
     coupled_problem,
     run_codesign,
     run_sequential,
     vco_stage_problem,
 )
-from ldovco.optimizer import OptConfig, init_db, run
+from ldovco.optimizer import OptConfig, evaluate_record, init_db, run, start, step
 from ldovco.problem import METRIC_NAMES, worst_case
+from ldovco.space import sample_initial
 
 BUDGET = 90  # small smoke budget; the full-scale runs live in the acceptance suite
 
@@ -37,7 +40,7 @@ def flow_pair(bundled, tc, all_corners, small_cfg):
 
 def test_flows_evaluate_is_the_corner_batch_evaluator():
     # the benchmark's `behavior` span patches this module-level name
-    assert flows.evaluate is evaluate_corners
+    assert flows.evaluate is evaluate_batch
 
 
 @pytest.mark.parametrize("build,min_failed", [(coupled_problem, 1), (vco_stage_problem, 0)])
@@ -58,6 +61,67 @@ def test_record_per_corner_matches_one_corner_evaluations(
         again = tuple(problem.evaluator(rec.point, c) for c in problem.corners)
         assert rec.per_corner == again
         assert all(type(getattr(m, n)) is float for m in rec.per_corner for n in METRIC_NAMES)
+
+
+def _stage_problems(space, corners, constraints, tc, base):
+    """The coupled problem and both sequential stage problems, stage 2
+    around `base`."""
+    stage1 = _stage_problem(space, corners, constraints, tc, VCO_VARIABLES, _mid_box(space),
+                            "ideal_supply")[0]
+    stage2 = _stage_problem(space, corners, constraints, tc, LDO_VARIABLES, base, "coupled")[0]
+    return {"coupled": coupled_problem(space, corners, constraints, tc),
+            "stage1": stage1, "stage2": stage2}
+
+
+@pytest.mark.parametrize("name", ["coupled", "stage1", "stage2"])
+def test_init_db_records_equal_one_at_a_time_records(bundled, tc, all_corners, co_point, name):
+    # init_db evaluates its sample as one batch of 37 designs (three
+    # chunks); each record equals the record of that design's batch of one
+    space, constraints = bundled
+    problem = _stage_problems(space, all_corners, constraints, tc, co_point)[name]
+    cfg = OptConfig(eval_budget=38, seed=6, init_samples=37)
+    db = init_db(problem, cfg)
+    points = sample_initial(problem.space, 37, cfg.seed)
+    failed = 0
+    for i, (rec, point) in enumerate(zip(db.records, points, strict=True)):
+        one = evaluate_record(problem, point, problem.evaluate_batch([point], problem.corners)[0],
+                              i, "initial")
+        assert rec.point.tobytes() == one.point.tobytes()
+        assert (rec.table is None) == (one.table is None)
+        if rec.table is not None:
+            assert rec.table.tobytes() == one.table.tobytes()
+        assert (rec.worst, rec.violation, rec.objective, rec.failure, rec.eval_index,
+                rec.origin) == (one.worst, one.violation, one.objective, one.failure,
+                                one.eval_index, one.origin)
+        failed += rec.failure is not None
+    if name != "stage1":  # the LDO-side problems lose designs to headroom
+        assert 0 < failed < len(points)
+
+
+def test_benchmark_layer_probes_fire(bundled, tc, all_corners, monkeypatch):
+    # the benchmark's `behavior` and `optimizer.evaluate_record` spans wrap
+    # these two names: the evaluator runs once per batch (the initial
+    # sample, then each step's design) and records are made once each
+    space, constraints = bundled
+    calls = {"behavior": [], "record": 0}
+    batch_evaluator, make_record = flows.evaluate, optimizer.evaluate_record
+
+    def counted_evaluate(space, points, *args, **kwargs):
+        calls["behavior"].append(len(points))
+        return batch_evaluator(space, points, *args, **kwargs)
+
+    def counted_record(*args, **kwargs):
+        calls["record"] += 1
+        return make_record(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "evaluate", counted_evaluate)
+    monkeypatch.setattr(optimizer, "evaluate_record", counted_record)
+    problem = coupled_problem(space, all_corners[:5], constraints, tc)
+    state = start(problem, OptConfig(eval_budget=14, seed=2, init_samples=12))
+    assert (calls["behavior"], calls["record"]) == ([12], 12)
+    step(state)
+    assert (calls["behavior"], calls["record"]) == ([12, 1], 13)
+    assert state.evals_used == 13
 
 
 def test_names_the_benchmark_checks_read(bundled, tc, all_corners):

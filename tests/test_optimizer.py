@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,7 +58,8 @@ class TestDeGenerate:
     def test_zero_f_full_crossover_returns_parent(self):
         rng = np.random.default_rng(3)
         parents = [rng.uniform(size=4) for _ in range(6)]
-        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, children_per_iter=1, de_f=0.0, de_cr=1.0)
+        # a run rejects F = 0 (OptConfig); de_generate reads only these fields
+        cfg = SimpleNamespace(children_per_iter=1, de_f=0.0, de_cr=1.0)
         for _ in range(10):
             child = de_generate(parents, rng.uniform(size=4), cfg, rng)[0]
             assert any(np.allclose(child, p) for p in parents)
@@ -145,8 +147,8 @@ class TestInitDb:
     def test_evaluator_failure_becomes_max_violation(self, toy_problem):
         from ldovco.behavior import EvaluationFailure
 
-        def exploding(point, corners):
-            raise EvaluationFailure("q_tank")
+        def exploding(points, corners):
+            return [EvaluationFailure("q_tank") for _ in points]
 
         broken = type(toy_problem)(
             toy_problem.space, toy_problem.corners, toy_problem.constraints, exploding
@@ -199,13 +201,12 @@ class TestSelectCandidate:
             Variable("y", "continuous", 0.0, 5.0),
         ))
 
-        def ev(point, corners):
-            x, y = point
-            return np.array([astuple(PerfMetrics(
+        def ev(points, corners):  # the batch contract: one table per point
+            return [np.array([astuple(PerfMetrics(
                 f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
                 psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
                 fom=2.0 * x + y,
-            ))] * len(corners))
+            ))] * len(corners)) for x, y in points]
 
         return SizingProblem(space, (NOMINAL_CORNER,), (Constraint("pdyn", 4.0),), ev)
 
