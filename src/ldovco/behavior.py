@@ -702,7 +702,7 @@ def evaluate(
     i_load: float | None = None,
 ) -> PerfMetrics:
     """The metrics at one corner: row 0 of a one-corner batch of one."""
-    return PerfMetrics.from_row(evaluate_corners(space, point, (corner,), mode, tc, i_load)[0])
+    return PerfMetrics(*evaluate_corners(space, point, (corner,), mode, tc, i_load)[0].tolist())
 
 
 def pn_sweep(

@@ -216,15 +216,9 @@ def cmd_init(args) -> int:
 
 
 def _violation_breakdown(worst: PerfMetrics, constraints) -> list[str]:
-    out = []
-    for c in constraints:
-        short = c.shortfall(getattr(worst, c.metric))
-        if short > 0:
-            out.append(
-                f"  {c.metric} = {_fmt(getattr(worst, c.metric))}"
-                f" violates {c.direction} {_fmt(c.bound)}"
-            )
-    return out
+    values = worst._asdict()
+    return [f"  {c.metric} = {_fmt(values[c.metric])} violates {c.direction} {_fmt(c.bound)}"
+            for c in constraints if c.shortfall(values[c.metric]) > 0]
 
 
 def _design_record(space: DesignSpace, result: FlowResult, constraints) -> str:
@@ -240,8 +234,7 @@ def _design_record(space: DesignSpace, result: FlowResult, constraints) -> str:
     lines.append(f"violation {_fmt(result.violation)}")
     for label, metrics in (("nominal", result.coupled_nominal), ("worst", result.coupled_worst)):
         lines += ["", f"[{label}]"]
-        for name in METRIC_NAMES:
-            lines.append(f"{name} {_fmt(getattr(metrics, name))}")
+        lines += [f"{name} {_fmt(value)}" for name, value in metrics._asdict().items()]
     return "\n".join(lines) + "\n"
 
 
@@ -309,14 +302,17 @@ def cmd_eval(args) -> int:
     for corner, row in zip(CORNERS, per_corner):
         print(corner.label() + "," + ",".join(map(_fmt, row)))
     worst = worst_case(table)
-    print("worst_case," + ",".join(map(_fmt, worst.to_dict().values())))
+    print("worst_case," + ",".join(map(_fmt, worst)))
     print(f"violation,{_fmt(violation(worst, constraints))}")
 
     if args.sweep:
         out_dir = Path(args.sweep_dir) if args.sweep_dir else design_path.parent
+        try:
+            ideal = pn_sweep(space, point, NOMINAL_CORNER, "ideal_supply", tc)
+            coupled = pn_sweep(space, point, NOMINAL_CORNER, "coupled", tc)
+        except EvaluationFailure as exc:  # the coupled sweep can fail where --mode ideal passed
+            raise _Exit(1, f"sweep failed: corner {exc.corner}: {exc}") from None
         rows = []
-        ideal = pn_sweep(space, point, NOMINAL_CORNER, "ideal_supply", tc)
-        coupled = pn_sweep(space, point, NOMINAL_CORNER, "coupled", tc)
         for f, a, b in zip(SWEEP_OFFSETS, ideal, coupled):
             rows.append({"offset_hz": float(f), "pn_ideal_dbchz": float(a),
                          "pn_coupled_dbchz": float(b)})

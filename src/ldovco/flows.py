@@ -114,7 +114,7 @@ def _rescore(
 ) -> tuple[PerfMetrics, PerfMetrics, float]:
     table = problem.evaluate_all(point)
     worst = worst_case(table)
-    return PerfMetrics.from_row(table[0]), worst, problem.violation(worst)
+    return PerfMetrics(*table[0].tolist()), worst, problem.violation(worst)
 
 
 def _flow_result(
@@ -238,7 +238,8 @@ def compare(
     ]
     results: dict[tuple[str, int], FlowResult] = {}
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its workers at once: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for flow, seed, res in pool.map(_compare_task, tasks):
                 results[(flow, seed)] = res
     else:

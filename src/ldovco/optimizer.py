@@ -15,8 +15,9 @@ from .problem import (
     rank_key, worst_case,
 )
 from .space import DesignPoint, repair, sample_initial
-from .surrogate import EnsembleModel, MlpConfig, fit, predict_conservative, update
+from .surrogate import MIN_TRAIN_ROWS, EnsembleModel, MlpConfig, fit, predict_conservative, update
 
+_WORST_COLUMNS = [f"worst_{name}" for name in METRIC_NAMES]
 RUN_LOG_HEADER = [
     "eval_index",
     "origin",
@@ -24,7 +25,7 @@ RUN_LOG_HEADER = [
     "violation",
     "incumbent_objective",
     "incumbent_violation",
-] + [f"worst_{name}" for name in METRIC_NAMES]
+] + _WORST_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,11 @@ class TrialRecord:
     @property
     def per_corner(self) -> tuple[PerfMetrics, ...]:
         """The table's rows as PerfMetrics, built on access."""
-        return () if self.table is None else tuple(map(PerfMetrics.from_row, self.table))
+        return () if self.table is None else tuple(map(PerfMetrics._make, self.table.tolist()))
 
 
 _FOM = METRIC_NAMES.index("fom")
+_NO_METRICS = (math.nan,) * len(METRIC_NAMES)  # a failed record's worst_* log columns
 
 # The prescreen's quantile side per metric: the lower quantile where a lower
 # value is worse (the objective included), the upper one elsewhere.
@@ -129,7 +131,7 @@ class Database:
         self.seen.add(point.tobytes())
         if rec.worst is not None:  # a failed evaluation trains nothing
             self.train_x.append(point)
-            self.train_y.append(np.array([getattr(rec.worst, n) for n in METRIC_NAMES]))
+            self.train_y.append(np.array(rec.worst))
         return changed
 
     def top_distinct_points(self, count: int) -> list[DesignPoint]:
@@ -164,7 +166,7 @@ def evaluate_record(
     worst = worst_case(outcome)
     return TrialRecord(
         point=point, table=outcome, worst=worst,
-        violation=problem.violation(worst), objective=problem.objective(worst),
+        violation=problem.violation(worst), objective=worst.fom,
         eval_index=eval_index, origin=origin,
     )
 
@@ -214,7 +216,7 @@ def fit_surrogate(
     """Refit on every successfully evaluated record in the database: a full
     training run the first time, warm-started continuation afterwards. None
     while there are not yet enough records to train on."""
-    if len(x_rows) < 10:
+    if len(x_rows) < MIN_TRAIN_ROWS:
         return None
     x = np.array(x_rows)
     y = np.array(y_rows)
@@ -333,8 +335,7 @@ def _log_rows(db: Database) -> list[dict]:
             "violation": rec.violation,
             "incumbent_objective": db.records[best].objective,
             "incumbent_violation": db.records[best].violation,
-            **{f"worst_{n}": getattr(rec.worst, n) if rec.worst else math.nan
-               for n in METRIC_NAMES},
+            **dict(zip(_WORST_COLUMNS, rec.worst or _NO_METRICS)),
         }
         for rec, best in zip(db.records, db.incumbents)
     ]

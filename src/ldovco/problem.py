@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,10 +97,11 @@ def enumerate_corners(
     ]
 
 
-@dataclass(frozen=True)
-class PerfMetrics:
-    """One evaluation's outputs. fom is stored positive (larger is better);
-    reports negate it to follow the usual minimize-FoM table convention."""
+class PerfMetrics(NamedTuple):
+    """One evaluation's outputs, as one row of a corner x metric table in
+    METRIC_NAMES order: `tuple(m)` is that row, `PerfMetrics(*row.tolist())`
+    reads one back. fom is stored positive (larger is better); reports
+    negate it to follow the usual minimize-FoM table convention."""
 
     f0: float
     pn100k: float
@@ -113,15 +114,8 @@ class PerfMetrics:
     startup_margin: float
     fom: float
 
-    def to_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_row(cls, row: np.ndarray) -> "PerfMetrics":  # METRIC_NAMES order
-        return cls(*row.tolist())
-
-
-METRIC_NAMES = [f.name for f in fields(PerfMetrics)]
+METRIC_NAMES = list(PerfMetrics._fields)
 
 # The orientation table: the metrics for which a lower value is worse; for
 # the rest a higher value is. The worst case over corners (min or max), each
@@ -197,7 +191,7 @@ def violation(
         values = dict(zip(METRIC_NAMES, metrics.T))
         total = np.zeros(len(metrics))
     else:
-        values = metrics.to_dict() if isinstance(metrics, PerfMetrics) else metrics
+        values = metrics._asdict() if isinstance(metrics, PerfMetrics) else metrics
         total = 0.0
     for c in constraints:
         if c.metric not in values:
@@ -223,16 +217,16 @@ def compare_designs(a: tuple[float, float], b: tuple[float, float]) -> int:
 
 def worst_case(per_corner: np.ndarray | Sequence[PerfMetrics]) -> PerfMetrics:
     """Per-metric pessimization across the corners of a corner x metric
-    table (or a sequence of PerfMetrics): the minimum where WORST_BY_MIN
-    says a lower value is worse, else the maximum. A NaN at any corner makes
-    that metric NaN. The worst-case fom is the minimum of the per-corner
-    foms, not Eq.-1 arithmetic on the other worst-case fields."""
+    table (or a sequence of PerfMetrics, the same rows): the minimum where
+    WORST_BY_MIN says a lower value is worse, else the maximum. A NaN at
+    any corner makes that metric NaN. The worst-case fom is the minimum of
+    the per-corner foms, not Eq.-1 arithmetic on the other worst-case
+    fields."""
+    per_corner = np.asarray(per_corner, dtype=float)
     if len(per_corner) == 0:
         raise ValueError("worst_case requires a nonempty metrics list")
-    if not isinstance(per_corner, np.ndarray):  # the same table, then one reduction
-        per_corner = np.array([[getattr(m, n) for n in METRIC_NAMES] for m in per_corner], float)
     lo, hi = per_corner.min(axis=0), per_corner.max(axis=0)
-    return PerfMetrics.from_row(np.where(WORST_BY_MIN, lo, hi))
+    return PerfMetrics(*np.where(WORST_BY_MIN, lo, hi).tolist())
 
 
 @dataclass(frozen=True)
@@ -257,10 +251,8 @@ class SizingProblem:
 
     def evaluator(self, point: DesignPoint, corner: Corner) -> PerfMetrics:
         """The metrics at one corner, as a one-corner batch of one."""
-        return PerfMetrics.from_row(table_or_raise(self.evaluate_batch([point], (corner,))[0])[0])
-
-    def objective(self, worst: PerfMetrics) -> float:
-        return worst.fom
+        table = table_or_raise(self.evaluate_batch([point], (corner,))[0])
+        return PerfMetrics(*table[0].tolist())
 
     def violation(self, metrics: PerfMetrics | np.ndarray) -> float | np.ndarray:
         """A design's violation, or each row's of a (designs, metrics) table."""

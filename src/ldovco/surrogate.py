@@ -49,6 +49,7 @@ class ScalerStats:
 LEARNING_RATE = 1e-3
 VAL_FRACTION = 0.2  # share of rows held out for early stopping
 N_MEMBERS = 5
+MIN_TRAIN_ROWS = 10  # fit refuses fewer rows; the optimizer has no model until then
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ def fit(x: np.ndarray, y: np.ndarray, cfg: MlpConfig, seed: int) -> EnsembleMode
         raise ValueError("x and y must be 2-D with matching row counts")
     n, d = x.shape
     k = y.shape[1]
-    if n < 10:
-        raise ValueError(f"need at least 10 samples to fit, got {n}")
+    if n < MIN_TRAIN_ROWS:
+        raise ValueError(f"need at least {MIN_TRAIN_ROWS} samples to fit, got {n}")
 
     m = N_MEMBERS
     h = cfg.resolve_width(d)

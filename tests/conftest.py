@@ -1,4 +1,3 @@
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -73,7 +72,7 @@ def make_toy_problem():
     ))
 
     def ev(points, corners):  # the batch contract: one table per point
-        return [np.array([astuple(PerfMetrics(
+        return [np.array([tuple(PerfMetrics(
             f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
             psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
             fom=-((x - 3.0) ** 2) - (y - 2.0) ** 2,

@@ -366,7 +366,7 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(space, co_point, NOMINAL_CORNER, "ldo_only", tc)
         m = evaluate(space, co_point, NOMINAL_CORNER, "ldo_only", tc, i_load=2e-3)
-        assert np.isfinite(list(m.to_dict().values())).all()
+        assert np.isfinite(m).all()
 
     def test_unknown_mode_rejected(self, space, tc, co_point):
         with pytest.raises(ValueError):
@@ -434,7 +434,7 @@ class TestEvaluateCorners:
             assert failure is None
             assert batch.dtype == np.float64
             assert batch.shape == (len(all_corners), len(METRIC_NAMES))
-            assert [PerfMetrics.from_row(row) for row in batch] == expected
+            assert [PerfMetrics(*row.tolist()) for row in batch] == expected
         assert failures == n_failing
 
     def test_apply_corners_stacks_apply_corner(self, tc, all_corners):
@@ -493,7 +493,7 @@ def assert_one_design_outcome(space, tc, point, corners, mode, i_load, outcome):
     expected, failure = per_corner_run(space, tc, point, corners, mode, i_load)
     if failure is None:
         assert isinstance(outcome, np.ndarray)
-        stacked = np.array([[getattr(m, n) for n in METRIC_NAMES] for m in expected])
+        stacked = np.array(expected)
         assert outcome.shape == stacked.shape and outcome.tobytes() == stacked.tobytes()
         return True
     assert isinstance(outcome, EvaluationFailure)

@@ -240,6 +240,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("corner snsp_minL_minC_125C: evaluation failed at pass_headroom")
 
+    def test_sweep_failure_is_exit_1_without_artifacts(self, capsys, tmp_path):
+        # this LHS design passes on an ideal supply, but the sweep's coupled
+        # column runs out of pass-device gate drive at the nominal corner
+        from ldovco import load_bundled_problem
+        from ldovco.space import sample_initial
+
+        space, _ = load_bundled_problem()
+        point = sample_initial(space, 64, seed=2024)[0]
+        design = tmp_path / "lhs0.txt"
+        design.write_text("".join(f"{n} {x!r}\n" for n, x in zip(space.names, point.tolist())))
+        out_dir = tmp_path / "sweeps"
+        args = ["eval", str(design), "--mode", "ideal", "--sweep", "--out", str(out_dir)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].startswith("violation,")
+        assert captured.err.startswith(
+            "sweep failed: corner nominal: evaluation failed at pass_headroom: ")
+        assert captured.err.count("\n") == 1
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("value,mode", [("0", "coupled"), ("-1", "coupled"), ("-1", "ideal")])
     def test_value_outside_bounds_is_exit_1_naming_it(
         self, capsys, co_point_file, value, mode
@@ -286,6 +306,32 @@ class TestCompare:
         summary = (workdir / "cmp_pct" / "comparison" / "summary.txt").read_text()
         assert "%" in summary
         assert "win rate" in summary
+
+    def test_worker_pool_is_capped_at_the_task_count(self, workdir, monkeypatch):
+        # the pool starts every worker it is given at once, so it gets no
+        # more than the 2 flows x 2 seeds it has tasks for
+        from ldovco import flows
+
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(flows, "ProcessPoolExecutor", SerialPool)
+        args = ["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1,2", "--budget", "60",
+                "--workers", "64", "--out", "cmp_cap"]
+        assert main(args) == 0
+        assert opened == [4]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failed_final_design_is_exit_1(self, workdir, capsys, workers):

@@ -1,6 +1,7 @@
 import importlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ldovco import flows, optimizer
@@ -82,6 +83,7 @@ def test_init_db_records_equal_one_at_a_time_records(bundled, tc, all_corners, c
     cfg = OptConfig(eval_budget=38, seed=6, init_samples=37)
     db = init_db(problem, cfg)
     points = sample_initial(problem.space, 37, cfg.seed)
+    train_y = iter(db.train_y)
     failed = 0
     for i, (rec, point) in enumerate(zip(db.records, points, strict=True)):
         one = evaluate_record(problem, point, problem.evaluate_batch([point], problem.corners)[0],
@@ -90,10 +92,14 @@ def test_init_db_records_equal_one_at_a_time_records(bundled, tc, all_corners, c
         assert (rec.table is None) == (one.table is None)
         if rec.table is not None:
             assert rec.table.tobytes() == one.table.tobytes()
+            # the training row is the worst case's own row
+            assert np.array(rec.worst).tobytes() == next(train_y).tobytes()
+        assert type(rec.violation) is float
         assert (rec.worst, rec.violation, rec.objective, rec.failure, rec.eval_index,
                 rec.origin) == (one.worst, one.violation, one.objective, one.failure,
                                 one.eval_index, one.origin)
         failed += rec.failure is not None
+    assert next(train_y, None) is None
     if name != "stage1":  # the LDO-side problems lose designs to headroom
         assert 0 < failed < len(points)
 
@@ -127,10 +133,10 @@ def test_benchmark_layer_probes_fire(bundled, tc, all_corners, monkeypatch):
 def test_names_the_benchmark_checks_read(bundled, tc, all_corners):
     # the benchmark ranks by compare_designs on (objective, violation) pairs,
     # and reads a record's per_corner, worst and failure; worst_case takes
-    # the per_corner list of PerfMetrics
+    # the per_corner list of PerfMetrics, and violation the worst case
     from ldovco.behavior import EvaluationFailure
     from ldovco.optimizer import TrialRecord
-    from ldovco.problem import PerfMetrics, compare_designs
+    from ldovco.problem import PerfMetrics, compare_designs, violation
 
     space, constraints = bundled
     problem = coupled_problem(space, all_corners, constraints, tc)
@@ -144,7 +150,8 @@ def test_names_the_benchmark_checks_read(bundled, tc, all_corners):
         assert isinstance(rec, TrialRecord)
         if rec.failure is None:
             assert all(isinstance(m, PerfMetrics) for m in rec.per_corner)
-            assert worst_case(list(rec.per_corner)) == rec.worst
+            assert worst_case(list(rec.per_corner)) == worst_case(rec.table) == rec.worst
+            assert violation(rec.worst, constraints) == rec.violation
         else:
             assert (rec.per_corner, rec.worst) == ((), None)
             with pytest.raises(EvaluationFailure) as info:
@@ -268,7 +275,7 @@ def test_sequential_freezes_vco_variables(bundled, tc, all_corners, flow_pair):
     vco = seq.final_point[[space.index_of(n) for n in VCO_VARIABLES]]
     worst = worst_case(stage1.evaluate_all(vco))
     last = [r for r in seq.log_rows if r["stage"] == 1][-1]
-    assert (stage1.objective(worst), stage1.violation(worst)) == (
+    assert (worst.fom, stage1.violation(worst)) == (
         last["incumbent_objective"], last["incumbent_violation"]
     )
 
@@ -320,8 +327,8 @@ def test_self_comparison_convention(flow_pair):
 
 def test_pair_row_win_is_feasibility_first(flow_pair):
     co, _ = flow_pair
-    worse = replace(co.coupled_worst, fom=co.coupled_worst.fom - 1.0)
-    better = replace(co.coupled_worst, fom=co.coupled_worst.fom + 1.0)
+    worse = co.coupled_worst._replace(fom=co.coupled_worst.fom - 1.0)
+    better = co.coupled_worst._replace(fom=co.coupled_worst.fom + 1.0)
     feasible = replace(co, coupled_worst=worse, violation=0.0)
     infeasible = replace(co, coupled_worst=better, violation=0.25)
     assert _pair_row(7, feasible, infeasible)["codesign_win"] == 1.0

@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -202,7 +201,7 @@ class TestSelectCandidate:
         ))
 
         def ev(points, corners):  # the batch contract: one table per point
-            return [np.array([astuple(PerfMetrics(
+            return [np.array([tuple(PerfMetrics(
                 f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
                 psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
                 fom=2.0 * x + y,
@@ -228,7 +227,7 @@ class TestSelectCandidate:
         ] + [np.array([4.5, 4.0]), np.array([3.5, 3.0])]  # clearly infeasible
 
         def key(p):
-            worst = PerfMetrics.from_row(problem.evaluate_all(p)[0])
+            worst = PerfMetrics(*problem.evaluate_all(p)[0].tolist())
             vio = problem.violation(worst)
             return (vio > 0, vio, -worst.fom)
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -156,7 +155,7 @@ class TestViolationTable:
     @staticmethod
     def _table():
         rng = np.random.default_rng(17)
-        base = np.array(astuple(metrics()))
+        base = np.array(tuple(metrics()))
         # around the default bounds: some rows feasible, some not
         table = base * rng.uniform(0.9, 1.1, size=(60, len(METRIC_NAMES)))
         table[:10] = base  # feasible
@@ -174,9 +173,12 @@ class TestViolationTable:
         table = self._table()
         vio = violation(table, DEFAULT_CONSTRAINTS)
         assert vio.shape == (len(table),)
-        expected = [violation(PerfMetrics.from_row(row), DEFAULT_CONSTRAINTS) for row in table]
+        expected = [violation(PerfMetrics(*row.tolist()), DEFAULT_CONSTRAINTS) for row in table]
         assert vio.tolist() == expected  # bit for bit; inf compares equal
         assert [repr(v) for v in vio.tolist()] == [repr(v) for v in expected]
+        # a row and its named metrics round-trip bit for bit, NaN and inf included
+        for row in table:
+            assert np.array(PerfMetrics(*row.tolist())).tobytes() == row.tobytes()
         # the table holds feasible, finitely infeasible and infinite rows
         assert 0.0 in expected and math.inf in expected
         assert any(0.0 < v < math.inf for v in expected)
@@ -297,7 +299,7 @@ class TestWorstCase:
         # every column varies over the corners, so a reduction over the
         # wrong axis or in the wrong direction changes the result
         rows = [
-            metrics(**{n: v * (1.0 + 0.01 * (k * 7 % 5)) for n, v in metrics().to_dict().items()})
+            metrics(**{n: v * (1.0 + 0.01 * (k * 7 % 5)) for n, v in metrics()._asdict().items()})
             for k in range(5)
         ]
         expected = {
@@ -307,11 +309,14 @@ class TestWorstCase:
             for n in METRIC_NAMES
         }
         if nan_at is not None:
-            rows[nan_at] = replace(rows[nan_at], **{name: math.nan})
+            rows[nan_at] = rows[nan_at]._replace(**{name: math.nan})
             expected[name] = math.nan
-        table = np.array([astuple(m) for m in rows])
-        assert repr(worst_case(table).to_dict()) == repr(expected)
-        assert repr(worst_case(rows).to_dict()) == repr(expected)
+        # a PerfMetrics is its row in METRIC_NAMES order
+        assert list(PerfMetrics._fields) == METRIC_NAMES
+        assert all(tuple(m) == tuple(getattr(m, n) for n in METRIC_NAMES) for m in rows)
+        table = np.array([tuple(m) for m in rows])
+        assert repr(worst_case(table)._asdict()) == repr(expected)
+        assert repr(worst_case(rows)._asdict()) == repr(expected)
 
     @pytest.mark.parametrize("name", ["fom", "pn1m"])
     def test_nan_propagates_in_either_order(self, name):
