@@ -15,23 +15,33 @@ batch of one reads its design values as float64 scalars instead, so that
 its grid is the corner axis alone: numpy's arithmetic on scalars costs a
 fraction of the same call on (1, 1) arrays. A design that fails a model
 test leaves the batch there, so the later models run on the survivors only.
-Arithmetic, sqrt and min are vectorized; log10, atan and the powers go
-element by element through Python's math (libm), because numpy's SIMD
-versions differ from libm in the last bit on some inputs, and every metric
-equals its scalar closed form exactly, whatever the batch.
+The PSR curve is computed one distinct LDO corner at a time and only its
+peak is kept.
+
+Arithmetic, sqrt, min and max are vectorized. The log10, atan and powers
+of the closed forms go through problem's libm helpers (libm_log10,
+libm_atan, libm_square, libm_exp10): one call of math.log10, math.atan,
+pow(x, 2.0) or pow(10.0, x) per element, with pow's arguments positional,
+collected by np.fromiter. numpy's np.log10, np.arctan, x * x and np.power
+are not used for them, since they differ from libm in the last bit on some
+inputs (from a few hundred to about 50000 of a seeded million). So every
+metric equals its scalar closed form exactly, whatever the batch. The PSR
+curve, which has no scalar form, is numpy complex arithmetic and np.log10
+on contiguous (designs, 241) arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .problem import (
-    METRIC_NAMES, Corner, EvaluationFailure, Outcome, PerfMetrics, fom, table_or_raise,
+    METRIC_NAMES, Corner, EvaluationFailure, Outcome, PerfMetrics, fom, libm_atan, libm_exp10,
+    libm_log10, libm_square, table_or_raise,
 )
 from .space import DesignPoint, DesignSpace, frozen_array
 
@@ -63,10 +73,11 @@ SWEEP_OFFSETS = np.logspace(4.0, 8.0, 4 * 20 + 1)
 
 MODES = ("ideal_supply", "ldo_only", "coupled")
 
-# Designs per numpy pass of evaluate_batch: enough to spread the fixed cost
-# of the models' ~150 numpy calls, few enough that the PSR curves' complex
-# temporaries (9 rows of 241 points per design) stay small.
-CHUNK_DESIGNS = 16
+# Designs per numpy pass of evaluate_batch: a screen batch of 200 and the
+# default LHS sample (at most 172) are each one pass, which spreads the
+# fixed cost of the models' ~150 numpy calls; the memory bound, since the
+# PSR curve's complex temporaries hold 241 points per design of the chunk.
+CHUNK_DESIGNS = 200
 
 # The design variables map_vco and map_ldo read, and the fixed elements the
 # models read; a problem file must define every one of them.
@@ -147,25 +158,6 @@ def apply_corners(
         columns["kT"].append(base.kT * t_ratio)
     stacked = {name: frozen_array(column) for name, column in columns.items()}
     return replace(base, **stacked), frozen_array([c.vdd_in for c in corners])
-
-
-def _each(fn: Callable[[float], float], x) -> np.ndarray:
-    """fn applied to each element of x as a Python float, shape kept (libm
-    rather than numpy; see the module docstring)."""
-    x = np.asarray(x, dtype=float)
-    return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
-
-
-def _log10(x) -> np.ndarray:
-    return _each(math.log10, x)
-
-
-def _square(x) -> np.ndarray:
-    return _each(partial(pow, exp=2.0), x)
-
-
-def _exp10(x) -> np.ndarray:
-    return _each(partial(pow, 10.0), x)
 
 
 class _Failures:
@@ -266,8 +258,8 @@ def phase_margin(gbw: float, p2: float, f_z: float = math.inf) -> float | np.nda
     signed: negative left-half-plane zeros add phase, positive right-half-
     plane ones remove it; +-inf means no zero (atan(0) adds exactly 0)."""
     f_z = np.asarray(f_z, dtype=float)
-    pm = 90.0 - np.degrees(_each(math.atan, gbw / p2))
-    return pm + np.degrees(_each(math.atan, gbw / np.abs(f_z))) * np.where(f_z < 0, 1.0, -1.0)
+    pm = 90.0 - np.degrees(libm_atan(gbw / p2))
+    return pm + np.degrees(libm_atan(gbw / np.abs(f_z))) * np.where(f_z < 0, 1.0, -1.0)
 
 
 _ERRSTATE = np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -343,9 +335,9 @@ def vco_pn_intrinsic(d: VcoDerived, delta_f, tc: TechConstants) -> np.ndarray:
         _outer(x, delta_f) for x in (d.f0, d.q_tank, d.f_corner_1f, tc.kT, d.p_sig)
     )
     f_noise = 1.0 + tc.gamma_excess
-    leeson = 1.0 + _square(f0 / (2.0 * q_tank * delta_f))
+    leeson = 1.0 + libm_square(f0 / (2.0 * q_tank * delta_f))
     flicker = 1.0 + f_corner_1f / delta_f
-    return 10.0 * _log10((2.0 * f_noise * kT / p_sig) * leeson * flicker)
+    return 10.0 * libm_log10((2.0 * f_noise * kT / p_sig) * leeson * flicker)
 
 
 def supply_pn(k_push, vn, delta_f) -> np.ndarray:
@@ -361,7 +353,7 @@ def supply_pn(k_push, vn, delta_f) -> np.ndarray:
     k_push = _outer(k_push, delta_f)
     quiet = (vn == 0.0) | (k_push == 0.0)
     ratio = np.where(quiet, 1.0, k_push * vn / (math.sqrt(2.0) * delta_f))
-    return np.where(quiet, -math.inf, 20.0 * _log10(ratio))
+    return np.where(quiet, -math.inf, 20.0 * libm_log10(ratio))
 
 
 @_ERRSTATE
@@ -374,8 +366,8 @@ def combine_pn(parts: list[float]) -> float | np.ndarray:
     parts = [np.asarray(p, dtype=float) for p in parts]
     ref = reduce(np.maximum, parts)
     # a -inf part adds 10 ** -inf == 0.0 to the total
-    total = sum(_exp10((p - ref) / 10.0) for p in parts)
-    return np.where(ref == -math.inf, -math.inf, ref + 10.0 * _log10(total))[()]
+    total = sum(libm_exp10((p - ref) / 10.0) for p in parts)
+    return np.where(ref == -math.inf, -math.inf, ref + 10.0 * libm_log10(total))[()]
 
 
 def _loop_gain(a_dc, gbw, p2, f_z, f) -> np.ndarray:
@@ -391,9 +383,8 @@ def _loop_gain(a_dc, gbw, p2, f_z, f) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LdoDerived:
-    """Loop and noise quantities over the (design, corner) grid (the sampled
-    curves have a trailing frequency axis); the (designs, 1) columns are the
-    same at every corner."""
+    """Loop and noise quantities over the (design, corner) grid; the
+    (designs, 1) columns are the same at every corner."""
 
     a_dc: np.ndarray
     gbw: np.ndarray
@@ -402,16 +393,12 @@ class LdoDerived:
     f_filter: np.ndarray  # column
     i_q: np.ndarray  # column
     vdd_max: np.ndarray
-    psr_curve: np.ndarray  # dB vs FREQ_GRID
+    psr_max: np.ndarray  # peak of psr_curve
     # noise-model pieces kept for exact point evaluation off the grid
     _s_thermal: np.ndarray
     _s_flicker_1hz: np.ndarray  # column
     _s_ref_flicker_1hz: np.ndarray  # column
     _beta_fb: float
-
-    @property
-    def psr_max(self) -> np.ndarray:
-        return self.psr_curve.max(axis=-1)
 
     def vn_at(self, f) -> np.ndarray:
         """Output-referred noise density at frequency f (closed form); the
@@ -422,8 +409,8 @@ class LdoDerived:
                                    self._s_ref_flicker_1hz, self.f_filter)
         )
         s_amp = s_thermal + s_flicker_1hz / f
-        roll = 1.0 + _square(f / (self._beta_fb * gbw))
-        s_ref = (s_ref_flicker_1hz / f + V_REF_NOISE**2) / (1.0 + _square(f / f_filter))
+        roll = 1.0 + libm_square(f / (self._beta_fb * gbw))
+        s_ref = (s_ref_flicker_1hz / f + V_REF_NOISE**2) / (1.0 + libm_square(f / f_filter))
         return np.sqrt((s_amp / roll + s_ref)) / self._beta_fb
 
 
@@ -431,27 +418,35 @@ def _lambda(l_chan: float, lam_per_um: float) -> float:
     return lam_per_um * 1e-6 / l_chan
 
 
-def _psr_curve(gm_pass, gds_pass, c_ds_pass, c_out, a_dc, gbw, p2, f_z) -> np.ndarray:
-    """Supply rejection in dB vs FREQ_GRID over the (design, corner) grid:
-    the (gds + j w c_ds) leakage through the pass device against the output
-    node admittance, suppressed by the loop; the output capacitance (bypass
-    included) strictly attenuates it at every frequency. gds_pass, c_ds_pass
-    and c_out are per design; the curve is computed once per corner whose
-    other inputs differ, bit for bit over the batch, from every earlier
-    corner's (the LDO sees only the MOS skew and the temperature: 9 of 33
-    corners), and gathered back onto the corner axis."""
+def psr_curve(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z) -> np.ndarray:
+    """Supply rejection in dB vs FREQ_GRID, on a trailing axis after the
+    inputs' axes: the (gds + j w c_ds) leakage through the pass device
+    against the output node admittance, suppressed by the loop; the output
+    capacitance (bypass included) strictly attenuates it at every
+    frequency."""
+    jw = 2j * math.pi * FREQ_GRID
+    gds_pass, c_ds_pass, c_out, gm_pass = (
+        _outer(x, jw) for x in (gds_pass, c_ds_pass, c_out, gm_pass))
+    h_open = (gds_pass + jw * c_ds_pass) / (gm_pass + gds_pass + jw * c_out)
+    loop = _loop_gain(a_dc, gbw, p2, f_z, FREQ_GRID)
+    return 20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + loop))
+
+
+def _psr_max(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z) -> np.ndarray:
+    """The peak of psr_curve over the (design, corner) grid. gds_pass,
+    c_ds_pass and c_out are per design; the curve is computed one corner at
+    a time, once per corner whose other inputs differ, bit for bit over the
+    batch, from every earlier corner's (the LDO sees only the MOS skew and
+    the temperature: 9 of 33 corners), and its peak is gathered back onto
+    the corner axis."""
     per_corner = np.stack((gm_pass, a_dc, gbw, p2, f_z))  # (input, ..., corner)
     by_corner = np.ascontiguousarray(per_corner.T).reshape(f_z.shape[-1], -1)
     keys = by_corner.view(f"V{by_corner.shape[1] * by_corner.itemsize}").ravel().tolist()
-    slots = {key: n for n, key in enumerate(dict.fromkeys(keys))}
-    gm_pass, a_dc, gbw, p2, f_z = per_corner[..., [keys.index(key) for key in slots]]
-    jw = 2j * math.pi * FREQ_GRID
-    gm_pass, gds_pass, c_ds_pass, c_out = (
-        _outer(x, jw) for x in (gm_pass, gds_pass, c_ds_pass, c_out))
-    h_open = (gds_pass + jw * c_ds_pass) / (gm_pass + gds_pass + jw * c_out)
-    loop = _loop_gain(a_dc, gbw, p2, f_z, FREQ_GRID)
-    psr = 20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + loop))
-    return psr[..., [slots[key] for key in keys], :]
+    first = {key: keys.index(key) for key in dict.fromkeys(keys)}  # in corner order
+    slots = {key: n for n, key in enumerate(first)}
+    peaks = [psr_curve(gds_pass, c_ds_pass, c_out, *per_corner[..., i:i + 1]).max(axis=-1)
+             for i in first.values()]
+    return np.concatenate(peaks, axis=-1)[..., [slots[key] for key in keys]]
 
 
 def ldo_headroom(v: dict[str, np.ndarray], tc: TechConstants, i_load, vdd_in: np.ndarray,
@@ -527,7 +522,7 @@ def map_ldo(v: dict[str, np.ndarray], tc: TechConstants, i_load, vdd_in: np.ndar
     return LdoDerived(
         a_dc=a_dc, gbw=gbw, pm=pm, gm1=gm1,
         f_filter=f_filter, i_q=i_q, vdd_max=vdd_max,
-        psr_curve=_psr_curve(gm_pass, gds_pass, c_ds_pass, c_out, a_dc, gbw, p2, f_z),
+        psr_max=_psr_max(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z),
         _s_thermal=s_thermal, _s_flicker_1hz=s_flicker_1hz,
         _s_ref_flicker_1hz=s_ref_flicker_1hz, _beta_fb=beta_fb,
     )
@@ -554,13 +549,6 @@ def coupled_swing_limit(c_byp: float) -> float:
 def _pn_metrics(pn: np.ndarray) -> dict[str, np.ndarray]:
     """The PN_METRICS columns of a (..., offset) array."""
     return {name: pn[..., k] for k, name in enumerate(PN_METRICS)}
-
-
-def _fom(f0, pn1m, pdyn) -> np.ndarray:
-    """Eq. 1 at 1 MHz (problem.fom) at each design and corner."""
-    grids = np.broadcast_arrays(f0, pn1m, pdyn)
-    columns = (c.ravel().tolist() for c in grids)
-    return np.array([fom(f, 1e6, pn, p) for f, pn, p in zip(*columns)]).reshape(grids[0].shape)
 
 
 def _phase_noise(vco: VcoDerived, ldo: LdoDerived | None, tcc: TechConstants,
@@ -636,7 +624,7 @@ def _evaluate(
         values.update(psr_max=_IDEAL_PSR, pm=_IDEAL_PM, vdd_max=V_OUT)
     else:
         values.update(psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max)
-    values.update(pdyn=pdyn, fom=_fom(values["f0"], values["pn1m"], pdyn))
+    values.update(pdyn=pdyn, fom=fom(values["f0"], 1e6, values["pn1m"], pdyn))
     tables = np.empty((len(keep), len(corners), len(METRIC_NAMES)))
     for k, name in enumerate(METRIC_NAMES):
         tables[..., k] = values[name]  # a scalar fills a column

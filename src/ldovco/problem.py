@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,14 +124,42 @@ LOWER_IS_WORSE = ("f0", "pm", "startup_margin", "fom")
 WORST_BY_MIN = np.isin(METRIC_NAMES, LOWER_IS_WORSE)
 
 
-def fom(f0: float, delta_f: float, pn: float, pdyn: float) -> float:
-    """Oscillator figure of merit: -10*log10[(df/f0)^2 * (Pdyn/1mW)] - PN(df).
+def _libm_each(x, calls: Callable[[list[float]], Iterator[float]]) -> np.ndarray:
+    """calls(xs) on the elements xs of x as Python floats, back in the shape
+    of x: one libm call per element, for the helpers below (numpy's
+    log10, arctan, power and x * x differ from libm in the last bit on some
+    inputs)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(calls(x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def libm_log10(x) -> np.ndarray:
+    return _libm_each(x, lambda xs: map(math.log10, xs))
+
+
+def libm_atan(x) -> np.ndarray:
+    return _libm_each(x, lambda xs: map(math.atan, xs))
+
+
+def libm_square(x) -> np.ndarray:
+    return _libm_each(x, lambda xs: map(pow, xs, itertools.repeat(2.0)))
+
+
+def libm_exp10(x) -> np.ndarray:
+    return _libm_each(x, lambda xs: map(pow, itertools.repeat(10.0), xs))
+
+
+def fom(f0, delta_f, pn, pdyn):
+    """Oscillator figure of merit: -10*log10[(df/f0)^2 * (Pdyn/1mW)] - PN(df),
+    element by element over arrays (libm log10 and pow); a float for float
+    inputs.
 
     Returned positive; the reporting convention negates it.
     """
-    if f0 <= 0 or delta_f <= 0 or pdyn <= 0:
+    if any(np.any(np.asarray(x) <= 0) for x in (f0, delta_f, pdyn)):
         raise ValueError("fom requires positive f0, delta_f and pdyn")
-    return -10.0 * math.log10((delta_f / f0) ** 2 * (pdyn / 1e-3)) - pn
+    value = -10.0 * libm_log10(libm_square(np.divide(delta_f, f0)) * (pdyn / 1e-3)) - pn
+    return value if np.ndim(value) else float(value)
 
 
 LE, GE = "<=", ">="

@@ -114,7 +114,7 @@ def sample_initial(space: DesignSpace, n: int, seed: int) -> list[DesignPoint]:
     u = (rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T + rng.uniform(size=(n, d))) / n
     lo, hi = space.lowers(), space.uppers()
     raw = lo + u * (hi - lo)
-    return [repair(space, raw[i]) for i in range(n)]
+    return list(repair(space, raw))
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:

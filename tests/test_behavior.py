@@ -7,6 +7,7 @@ import pytest
 
 from conftest import coupled_parts
 
+from ldovco import behavior
 from ldovco.behavior import (
     CHUNK_DESIGNS,
     C_OX,
@@ -38,6 +39,7 @@ from ldovco.behavior import (
     map_vco,
     phase_margin,
     pn_sweep,
+    psr_curve,
     resonant_frequency,
     supply_pn,
     vco_pn_intrinsic,
@@ -83,6 +85,21 @@ def ldo_model(space, point, tc, i_load, c_load, corners=(NOMINAL_CORNER,)):
     ldo_headroom(v, tcc, i_load, vdd_in, failures)
     settle_one(failures)
     return map_ldo(v, tcc, i_load, vdd_in, c_load)
+
+
+def psr_curves(monkeypatch, *model_args):
+    """ldo_model(*model_args), and every curve psr_curve computed for its
+    PSR peak, in call order."""
+    curves = []
+
+    def recorded(*inputs):
+        curves.append(psr_curve(*inputs))
+        return curves[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(behavior, "psr_curve", recorded)
+        d = ldo_model(*model_args)
+    return d, curves
 
 
 class TestApplyCorner:
@@ -220,22 +237,23 @@ class TestLdoModel:
         assert phase_margin(1e6, 1e7, f_z=-1e6) == pytest.approx(base + 45.0)
         assert phase_margin(1e6, 1e7, f_z=+1e6) == pytest.approx(base - 45.0)
 
-    def test_map_ldo_quantities(self, space, tc, co_point):
-        d = ldo_model(space, co_point, tc, 3e-3, 1e-12)
+    def test_map_ldo_quantities(self, monkeypatch, space, tc, co_point):
+        d, [curve] = psr_curves(monkeypatch, space, co_point, tc, 3e-3, 1e-12)
         v = point_as_dict(space, co_point)
         assert d.gbw == pytest.approx(d.gm1 / (2 * math.pi * v["C_C"]), rel=1e-12)
         assert d.a_dc > 0
         assert d.i_q > 0
         assert 1.2 <= d.vdd_max <= 1.62
-        assert d.psr_curve.shape == d.vn_at(FREQ_GRID).shape == (1, 241)
+        assert curve.shape == d.vn_at(FREQ_GRID).shape == (1, 241)
+        assert np.array_equal(d.psr_max, curve.max(axis=-1))
 
-    def test_gm1_improves_dc_psr(self, space, tc, co_point):
-        d1 = ldo_model(space, co_point, tc, 3e-3, 1e-12)
+    def test_gm1_improves_dc_psr(self, monkeypatch, space, tc, co_point):
+        d1, [curve1] = psr_curves(monkeypatch, space, co_point, tc, 3e-3, 1e-12)
         bigger = np.array(co_point)
         bigger[space.index_of("W_pIn")] *= 2
-        d2 = ldo_model(space, bigger, tc, 3e-3, 1e-12)
+        d2, [curve2] = psr_curves(monkeypatch, space, bigger, tc, 3e-3, 1e-12)
         assert d2.gm1 > d1.gm1
-        assert d2.psr_curve[0, 0] < d1.psr_curve[0, 0]
+        assert curve2[0, 0] < curve1[0, 0]
 
     def test_cc_lowers_gbw(self, space, tc, co_point):
         d1 = ldo_model(space, co_point, tc, 3e-3, 1e-12)
@@ -505,25 +523,45 @@ def assert_one_design_outcome(space, tc, point, corners, mode, i_load, outcome):
     return False
 
 
+# A chunk size the batch tests patch in, so that they cross several chunk
+# boundaries with few designs; CHUNK_DESIGNS itself is far larger.
+SMALL_CHUNK = 16
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    monkeypatch.setattr(behavior, "CHUNK_DESIGNS", SMALL_CHUNK)
+
+
+def check_batch(space, tc, all_corners, mode, size):
+    """evaluate_batch on `size` LHS designs gives each its one-design
+    outcome."""
+    i_load = 2e-3 if mode == "ldo_only" else None
+    points = sample_initial(space, max(size, 2), seed=100 + size)[:size]
+    outcomes = evaluate_batch(space, points, all_corners, mode, tc, i_load=i_load)
+    assert len(outcomes) == size
+    passed = [assert_one_design_outcome(space, tc, point, all_corners, mode, i_load, outcome)
+              for point, outcome in zip(points, outcomes)]
+    if size > 1 and mode != "ideal_supply":  # about half the LDO designs lack headroom
+        assert any(passed) and not all(passed)
+
+
 class TestEvaluateBatch:
     """A batch gives each design its one-design outcome, whatever the batch
     size and wherever the chunk boundaries fall."""
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("size", [1, CHUNK_DESIGNS - 1, CHUNK_DESIGNS, CHUNK_DESIGNS + 1,
-                                      2 * CHUNK_DESIGNS + 3])
-    def test_matches_per_corner_reference(self, space, tc, all_corners, mode, size):
-        i_load = 2e-3 if mode == "ldo_only" else None
-        points = sample_initial(space, max(size, 2), seed=100 + size)[:size]
-        outcomes = evaluate_batch(space, points, all_corners, mode, tc, i_load=i_load)
-        assert len(outcomes) == size
-        passed = [assert_one_design_outcome(space, tc, point, all_corners, mode, i_load, outcome)
-                  for point, outcome in zip(points, outcomes)]
-        if size > 1 and mode != "ideal_supply":  # about half the LDO designs lack headroom
-            assert any(passed) and not all(passed)
+    @pytest.mark.parametrize("size", [1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1,
+                                      2 * SMALL_CHUNK + 3])
+    def test_matches_per_corner_reference(self, small_chunk, space, tc, all_corners, mode,
+                                          size):
+        check_batch(space, tc, all_corners, mode, size)
+
+    def test_crosses_the_chunk_boundary(self, space, tc, all_corners):
+        check_batch(space, tc, all_corners, "coupled", CHUNK_DESIGNS + 1)
 
     @pytest.mark.parametrize("mode", ["ldo_only", "coupled"])
-    def test_batch_where_no_design_survives(self, space, tc, all_corners, mode):
+    def test_batch_where_no_design_survives(self, small_chunk, space, tc, all_corners, mode):
         # more than a chunk of designs that all fail, so that every chunk
         # ends at its raise point with no design left
         i_load = 2e-3 if mode == "ldo_only" else None
@@ -533,7 +571,7 @@ class TestEvaluateBatch:
                 evaluate_corners(space, point, all_corners, mode, tc, i_load=i_load)
             except EvaluationFailure:
                 failing.append(point)
-        assert len(failing) > CHUNK_DESIGNS
+        assert len(failing) > SMALL_CHUNK
         outcomes = evaluate_batch(space, failing, all_corners, mode, tc, i_load=i_load)
         for point, outcome in zip(failing, outcomes):
             assert not assert_one_design_outcome(space, tc, point, all_corners, mode, i_load,
@@ -642,28 +680,31 @@ def test_models_read_the_named_variables_and_fixed_elements(space, tc, co_point)
     assert vco_values.read | ldo_values.read >= set(FIXED_ELEMENTS)
 
 
-def check_psr_rows(space, tc, point, corners) -> list[tuple]:
-    """The batch PSR curve of a corner list equals, row for row, the curve
-    of each corner on its own; returns the batch's PSR curves, one tuple
-    per corner."""
-    batch = ldo_model(space, point, tc, 2e-3, 1e-12, corners)
-    assert batch.psr_curve.shape == (len(corners), FREQ_GRID.size)
-    for row, corner in zip(batch.psr_curve, corners):
+def check_psr_rows(monkeypatch, space, tc, point, corners) -> list[float]:
+    """The batch PSR peak of a corner list equals, corner for corner, the
+    peak of each corner on its own, bit for bit, and the batch computes one
+    curve per distinct peak; returns the batch's peaks."""
+    batch, curves = psr_curves(monkeypatch, space, point, tc, 2e-3, 1e-12, corners)
+    assert batch.psr_max.shape == (len(corners),)
+    for peak, corner in zip(batch.psr_max, corners):
         one = ldo_model(space, point, tc, 2e-3, 1e-12, [corner])
-        assert np.array_equal(row, one.psr_curve[0])
-    return list(map(tuple, batch.psr_curve.tolist()))
+        assert peak.tobytes() == one.psr_max[0].tobytes()
+    peaks = batch.psr_max.tolist()
+    assert len(curves) == len(set(peaks))
+    return peaks
 
 
 class TestPsrDistinctRows:
     """The PSR curve is computed once per distinct row of its per-corner
-    inputs and gathered back onto the corner axis."""
+    inputs, one corner at a time, and its peak gathered back onto the
+    corner axis."""
 
-    def test_all_corners_match_one_corner_curves(self, space, tc, co_point, se_point,
-                                                 all_corners):
+    def test_all_corners_match_one_corner_curves(self, monkeypatch, space, tc, co_point,
+                                                 se_point, all_corners):
         checked = 0
         for point in [co_point, se_point] + sample_initial(space, 64, seed=2024):
             try:
-                rows = check_psr_rows(space, tc, point, all_corners)
+                rows = check_psr_rows(monkeypatch, space, tc, point, all_corners)
             except EvaluationFailure as exc:
                 assert exc.quantity == "pass_headroom"
                 continue
@@ -677,9 +718,26 @@ class TestPsrDistinctRows:
         ((1, 0, 1), 2),  # one corner twice
         ((18,), 1),
     ])
-    def test_corner_lists(self, space, tc, co_point, all_corners, picks, n_distinct):
-        rows = check_psr_rows(space, tc, co_point, [all_corners[i] for i in picks])
+    def test_corner_lists(self, monkeypatch, space, tc, co_point, all_corners, picks,
+                          n_distinct):
+        rows = check_psr_rows(monkeypatch, space, tc, co_point, [all_corners[i] for i in picks])
         assert len(set(rows)) == n_distinct
+
+    def test_design_batch_matches_one_design_peaks(self, space, tc, co_point, se_point,
+                                                   all_corners):
+        # the designs with headroom at every corner at 2 mA, as one batch
+        passing = []
+        for point in [co_point, se_point] + sample_initial(space, 64, seed=2024):
+            try:
+                passing.append((point, ldo_model(space, point, tc, 2e-3, 1e-12, all_corners)))
+            except EvaluationFailure:
+                continue
+        tcc, vdd_in = apply_corners(tc, all_corners)
+        v = _design_values(space, np.array([point for point, _ in passing]))
+        batch = map_ldo(v, tcc, 2e-3, vdd_in, 1e-12)
+        assert batch.psr_max.shape == (36, len(all_corners))
+        for peaks, (_, one) in zip(batch.psr_max, passing):
+            assert peaks.tobytes() == one.psr_max.tobytes()
 
 
 class TestConstantsFile:

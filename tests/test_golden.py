@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ldovco.behavior import EvaluationFailure, evaluate, pn_sweep
+from ldovco.behavior import EvaluationFailure, evaluate, evaluate_batch, pn_sweep
 from ldovco.flows import run_codesign, run_sequential
 from ldovco.optimizer import COLD_FIT, RUN_LOG_HEADER, OptConfig
 from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER
@@ -93,6 +93,30 @@ def test_pn_sweep_digest(space, tc, all_corners, golden_points):
                     line = f"fail {exc.quantity} {exc.corner}"
                 h.update((line + "\n").encode())
     assert h.hexdigest() == PN_SWEEP_DIGEST
+
+
+# Golden batch outcomes: the 66 golden points in one evaluate_batch call per
+# mode over all 33 corners, so the batch crosses any chunk boundary the
+# evaluator has; a table contributes the repr of each float, a failure its
+# quantity and corner label. Recorded from 16-design chunks.
+BATCH_DIGESTS = {
+    "ideal_supply": "0b491764ff5b923b6fe55cf65970be4cb6545eaacb3def8c9ee2361e646f2541",
+    "coupled": "29faa318a4c6384660870c4a21098c8b1b99e28dc7de4066b137f61ab1f021a6",
+    "ldo_only": "a9f336c0f7a2b62a0c34ff0a75afb7e04b0438304bf10c3abbd2937cb1ebf55b",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(BATCH_DIGESTS))
+def test_batch_digest(space, tc, all_corners, golden_points, mode):
+    i_load = LDO_ONLY_I_LOAD if mode == "ldo_only" else None
+    h = hashlib.sha256()
+    for outcome in evaluate_batch(space, golden_points, all_corners, mode, tc, i_load=i_load):
+        if isinstance(outcome, EvaluationFailure):
+            line = f"fail {outcome.quantity} {outcome.corner}"
+        else:
+            line = repr(outcome.tolist())
+        h.update((line + "\n").encode())
+    assert h.hexdigest() == BATCH_DIGESTS[mode]
 
 # Golden values of the training and search path: the weights and train_log
 # of one cold fit followed by a warm update chain, and the run_log rows of

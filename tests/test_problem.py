@@ -18,6 +18,9 @@ from ldovco.problem import (
     enumerate_corners,
     rank_key,
     fom,
+    libm_exp10,
+    libm_log10,
+    libm_square,
     violation,
     worst_case,
 )
@@ -108,6 +111,82 @@ class TestFom:
     def test_nonpositive_inputs_rejected(self, bad):
         with pytest.raises(ValueError):
             fom(*bad)
+
+    def test_array_form_equals_scalar_form(self):
+        rng = np.random.default_rng(19)
+        f0 = rng.uniform(1e9, 1e10, size=(40, 33))
+        pn = rng.uniform(-160.0, -80.0, size=(40, 33))
+        pdyn = rng.uniform(1e-4, 1e-1, size=(40, 1))
+        table = fom(f0, 1e6, pn, pdyn)
+        assert table.shape == (40, 33)
+        expected = [
+            -10.0 * math.log10((1e6 / f) ** 2 * (p / 1e-3)) - n  # Eq. 1 in plain floats
+            for f, n, p in zip(f0.ravel().tolist(), pn.ravel().tolist(),
+                               np.broadcast_to(pdyn, f0.shape).ravel().tolist())
+        ]
+        scalar = [fom(f, 1e6, n, p) for f, n, p in zip(
+            f0.ravel().tolist(), pn.ravel().tolist(),
+            np.broadcast_to(pdyn, f0.shape).ravel().tolist())]
+        assert all(type(value) is float for value in scalar)
+        assert scalar == expected
+        assert table.ravel().tolist() == expected
+
+    def test_any_nonpositive_element_rejected(self):
+        with pytest.raises(ValueError):
+            fom(np.array([5e9, 0.0]), 1e6, -120.0, 1e-3)
+
+
+def libm_inputs() -> np.ndarray:
+    """Seeded magnitudes from 1e-300 to 1e300 of both signs, plus zeros,
+    subnormals, +-inf and NaN."""
+    rng = np.random.default_rng(2026)
+    x = rng.uniform(-300.0, 300.0, size=20000)
+    magnitudes = np.array([math.pow(10.0, e) for e in x.tolist()])
+    specials = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308, math.inf, -math.inf,
+                math.nan]
+    return np.concatenate([specials, magnitudes, -magnitudes[:2000]])
+
+
+def assert_libm_equal(helper, fn, x: np.ndarray) -> None:
+    """helper(x) equals fn on each element of x bit for bit, in the shape
+    of x, on the elements where fn returns; where fn raises, helper raises
+    the same error."""
+    values, kept, raising = [], [], []
+    for xi in x.tolist():
+        try:
+            values.append(fn(xi))
+            kept.append(xi)
+        except (OverflowError, ValueError) as exc:
+            raising.append((xi, type(exc)))
+    assert len(kept) > 10000
+    kept = np.array(kept[:len(kept) // 2 * 2]).reshape(2, -1)
+    got = helper(kept)
+    assert got.shape == kept.shape
+    assert got.ravel().tobytes() == np.array(values[:kept.size]).tobytes()
+    for xi, error in raising[:20]:
+        with pytest.raises(error):
+            helper(np.array([1.0, xi]))
+
+
+class TestLibmHelpers:
+    """The elementwise helpers equal Python's math and pow bit for bit."""
+
+    @pytest.mark.parametrize("helper,fn", [
+        (libm_square, lambda x: pow(x, 2.0)),
+        (libm_exp10, lambda x: pow(10.0, x)),
+    ], ids=["square", "exp10"])
+    def test_powers(self, helper, fn):
+        # pow overflows to OverflowError, on its own and in the helper
+        assert_libm_equal(helper, fn, libm_inputs())
+
+    def test_log10(self):
+        # zeros and negative inputs raise ValueError, as math.log10 does
+        assert_libm_equal(libm_log10, math.log10, libm_inputs())
+
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, -math.inf, 0.0])
+    def test_log10_domain_error(self, bad):
+        with pytest.raises(ValueError):
+            libm_log10(np.array([1.0, bad]))
 
 
 class TestViolation:
