@@ -61,7 +61,7 @@ def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
     lower bound or fixed element negative: each is a size, count, resistance,
     capacitance or ratio (zero is allowed; R_C = 0 means no nulling
     resistor). A constraint must bound its metric's worse side (the side
-    Constraint.direction names)."""
+    Constraint.direction names), and a metric takes at most one."""
     sections = parse_sections(text)
     for required in ("variables", "fixed", "constraints"):
         if required not in sections:
@@ -112,6 +112,9 @@ def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
             worse = "lower" if constraint.direction == GE else "higher"
             raise ValueError(f"constraint on {metric} must use {constraint.direction}"
                              f" (a {worse} {metric} is worse), got {line!r}")
+        # violation would count a repeated metric's shortfall once per line
+        if any(c.metric == metric for c in constraints):
+            raise ValueError(f"constraint on {metric} given twice, in {line!r}")
         constraints.append(constraint)
     return space, tuple(constraints)
 

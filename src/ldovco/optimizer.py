@@ -53,6 +53,9 @@ class OptConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.refit_epochs < 0:
             raise ValueError(f"refit_epochs must be nonnegative, got {self.refit_epochs}")
+        if self.no_improve_limit < 1:
+            # the stop check runs before the first step, so such a run never steps
+            raise ValueError(f"no_improve_limit must be positive, got {self.no_improve_limit}")
 
     def resolve_init_samples(self, dim: int) -> int:
         if self.init_samples is None:
@@ -79,10 +82,14 @@ class TrialRecord:
     table: np.ndarray | None  # corner x metric table; None on failure
     worst: PerfMetrics | None
     violation: float
-    objective: float
     eval_index: int
     origin: str  # "initial" or "de"
     failure: str | None = None
+
+    @property
+    def objective(self) -> float:
+        """The worst case's fom; -inf for a failed evaluation."""
+        return -math.inf if self.worst is None else self.worst.fom
 
     @property
     def per_corner(self) -> tuple[PerfMetrics, ...]:
@@ -152,23 +159,33 @@ class Database:
 
 
 def evaluate_record(
-    problem: SizingProblem, point: DesignPoint, outcome: Outcome, eval_index: int, origin: str
+    point: DesignPoint, outcome: Outcome, worst: PerfMetrics | None, violation: float,
+    eval_index: int, origin: str,
 ) -> TrialRecord:
-    """The record of one true evaluation over all corners, from its outcome
-    in the problem's batch evaluator; a failure yields an infeasible record
-    with maximal violation instead of aborting the run."""
-    if isinstance(outcome, EvaluationFailure):
-        return TrialRecord(
-            point=point, table=None, worst=None,
-            violation=math.inf, objective=-math.inf,
-            eval_index=eval_index, origin=origin, failure=outcome.quantity,
-        )
-    worst = worst_case(outcome)
+    """The record of one true evaluation over all corners: its outcome, its
+    worst case and that row's violation. A failure (no worst case, infinite
+    violation) yields an infeasible record instead of aborting the run."""
+    failed = isinstance(outcome, EvaluationFailure)
     return TrialRecord(
-        point=point, table=outcome, worst=worst,
-        violation=problem.violation(worst), objective=worst.fom,
-        eval_index=eval_index, origin=origin,
+        point=point, table=None if failed else outcome, worst=worst, violation=violation,
+        eval_index=eval_index, origin=origin, failure=outcome.quantity if failed else None,
     )
+
+
+def _evaluate_into(
+    db: Database, problem: SizingProblem, points: np.ndarray, origin: str
+) -> Database:
+    """Evaluate an (n, dim) batch of points over all corners and record each
+    in batch order: one evaluator call, one worst case per table and one
+    violation call on the stacked worst rows. Returns the database."""
+    outcomes = problem.evaluate_batch(points, problem.corners)
+    worst = [worst_case(o) for o in outcomes if not isinstance(o, EvaluationFailure)]
+    violations = problem.violation(np.reshape(worst, (len(worst), len(METRIC_NAMES))))
+    scores = iter(zip(worst, violations.tolist()))
+    for point, outcome in zip(points, outcomes):
+        row, vio = (None, math.inf) if isinstance(outcome, EvaluationFailure) else next(scores)
+        db.insert(evaluate_record(point, outcome, row, vio, len(db.records), origin))
+    return db
 
 
 def init_db(problem: SizingProblem, cfg: OptConfig) -> Database:
@@ -176,11 +193,7 @@ def init_db(problem: SizingProblem, cfg: OptConfig) -> Database:
     database in sample order."""
     n = cfg.resolve_init_samples(problem.space.dim)
     points = sample_initial(problem.space, n, cfg.seed)
-    outcomes = problem.evaluate_batch(points, problem.corners)
-    db = Database()
-    for i, (point, outcome) in enumerate(zip(points, outcomes)):
-        db.insert(evaluate_record(problem, point, outcome, i, "initial"))
-    return db
+    return _evaluate_into(Database(), problem, points, "initial")
 
 
 def de_generate(
@@ -268,6 +281,28 @@ class RunState:
     def evals_used(self) -> int:
         return len(self.db.records)
 
+    @property
+    def incumbent(self) -> TrialRecord:
+        return self.db.incumbent
+
+    @property
+    def log_rows(self) -> list[dict]:
+        """One row per record, with the incumbent as it stood when the
+        record landed."""
+        db = self.db
+        return [
+            {
+                "eval_index": rec.eval_index,
+                "origin": rec.origin,
+                "objective": rec.objective,
+                "violation": rec.violation,
+                "incumbent_objective": db.records[best].objective,
+                "incumbent_violation": db.records[best].violation,
+                **dict(zip(_WORST_COLUMNS, rec.worst or _NO_METRICS)),
+            }
+            for rec, best in zip(db.records, db.incumbents)
+        ]
+
 
 def start(problem: SizingProblem, cfg: OptConfig) -> RunState:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
@@ -299,8 +334,7 @@ def step(state: RunState) -> bool:
     chosen = select_candidate(children, state.model, problem, cfg, seen=db.seen)
 
     before = db.incumbent
-    outcome = problem.evaluate_batch([chosen], problem.corners)[0]
-    db.insert(evaluate_record(problem, chosen, outcome, state.evals_used, "de"))
+    _evaluate_into(db, problem, chosen[None], "de")  # a batch of one
     after = db.incumbent
     improved = (after.objective > before.objective + 1e-6) or (
         after.violation < before.violation
@@ -309,42 +343,10 @@ def step(state: RunState) -> bool:
     return check_stop(state)
 
 
-@dataclass
-class RunResult:
-    db: Database
-    log_rows: list[dict]
-    stop_reason: str
-
-    @property
-    def incumbent(self) -> TrialRecord:
-        return self.db.incumbent
-
-    @property
-    def evals_used(self) -> int:
-        return len(self.db.records)
-
-
-def _log_rows(db: Database) -> list[dict]:
-    """One row per record, with the incumbent as it stood when the record
-    landed."""
-    return [
-        {
-            "eval_index": rec.eval_index,
-            "origin": rec.origin,
-            "objective": rec.objective,
-            "violation": rec.violation,
-            "incumbent_objective": db.records[best].objective,
-            "incumbent_violation": db.records[best].violation,
-            **dict(zip(_WORST_COLUMNS, rec.worst or _NO_METRICS)),
-        }
-        for rec, best in zip(db.records, db.incumbents)
-    ]
-
-
-def run(problem: SizingProblem, cfg: OptConfig) -> RunResult:
+def run(problem: SizingProblem, cfg: OptConfig) -> RunState:
     """Full optimization run; deterministic for a given (problem, cfg)."""
     state = start(problem, cfg)
     stopped = check_stop(state)
     while not stopped:
         stopped = step(state)
-    return RunResult(state.db, _log_rows(state.db), state.stop_reason)
+    return state

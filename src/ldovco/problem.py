@@ -177,15 +177,11 @@ class Constraint:
     def direction(self) -> str:
         return GE if self.metric in LOWER_IS_WORSE else LE
 
-    def shortfall(self, value: float | np.ndarray) -> float | np.ndarray:
+    def shortfall(self, value: float | np.ndarray) -> np.ndarray:
         """Positive amount by which the constraint is missed (0 if met, inf if
-        NaN); elementwise on an array of values."""
+        NaN), elementwise."""
         miss = self.bound - value if self.direction == GE else value - self.bound
-        if isinstance(value, np.ndarray):
-            # the scalar rule below, elementwise: max(0.0, miss) keeps miss
-            # only where it exceeds 0.0
-            return np.where(np.isnan(value), math.inf, np.where(miss > 0.0, miss, 0.0))
-        return math.inf if math.isnan(value) else max(0.0, miss)
+        return np.where(np.isnan(value), math.inf, np.where(miss > 0.0, miss, 0.0))
 
 
 ConstraintSet = tuple[Constraint, ...]
@@ -203,31 +199,26 @@ DEFAULT_CONSTRAINTS: ConstraintSet = (
 )
 
 
-def violation(
-    metrics: PerfMetrics | dict[str, float] | np.ndarray, constraints: ConstraintSet
-) -> float | np.ndarray:
+def violation(metrics: PerfMetrics | np.ndarray, constraints: ConstraintSet) -> float | np.ndarray:
     """Sum of bound-normalized constraint shortfalls; zero iff all satisfied.
 
-    One design's PerfMetrics or name->value dict gives a float; a (designs,
-    metrics) table in METRIC_NAMES column order gives one violation per row,
-    summed in the same constraint order."""
-    if isinstance(metrics, np.ndarray):
-        if metrics.ndim != 2 or metrics.shape[1] != len(METRIC_NAMES):
-            raise ValueError(
-                f"metrics table has shape {metrics.shape}, expected (n, {len(METRIC_NAMES)})"
-            )
-        values = dict(zip(METRIC_NAMES, metrics.T))
-        total = np.zeros(len(metrics))
-    else:
-        values = metrics._asdict() if isinstance(metrics, PerfMetrics) else metrics
-        total = 0.0
+    A (designs, metrics) table in METRIC_NAMES column order gives one
+    violation per row, summed in constraint order; one row (a PerfMetrics)
+    gives a float."""
+    table = np.asarray(metrics, dtype=float)
+    if table.ndim not in (1, 2) or table.shape[-1] != len(METRIC_NAMES):
+        raise ValueError(
+            f"metrics table has shape {table.shape}, expected (n, {len(METRIC_NAMES)})"
+        )
+    values = dict(zip(METRIC_NAMES, table.T))
+    total = np.zeros(table.shape[:-1])
     for c in constraints:
         if c.metric not in values:
             raise KeyError(f"metrics are missing {c.metric!r}")
         if c.bound == 0:
             raise ValueError(f"constraint on {c.metric} has zero bound; cannot normalize")
         total += c.shortfall(values[c.metric]) / abs(c.bound)
-    return total
+    return total if total.ndim else float(total)
 
 
 def rank_key(objective: float, violation: float) -> tuple[int, float]:

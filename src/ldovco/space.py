@@ -146,4 +146,7 @@ def point_from_dict(space: DesignSpace, values: dict[str, float]) -> DesignPoint
     missing = [v.name for v in space.variables if v.name not in values]
     if missing:
         raise KeyError(f"design is missing variables: {', '.join(missing)}")
+    unknown = [name for name in values if name not in space._names]
+    if unknown:
+        raise KeyError(f"design names non-variables: {', '.join(unknown)}")
     return np.array([values[v.name] for v in space.variables], dtype=float)

@@ -215,6 +215,13 @@ class TestEval:
         assert main(["eval", str(partial)]) == 1
         assert "L_34" in capsys.readouterr().err
 
+    def test_unknown_name_rejected(self, workdir, capsys, co_point_file):
+        # a fixed element and a misspelt variable are not design variables
+        co_point_file.write_text(co_point_file.read_text() + "c_byp 1p\nM2x 5\n")
+        assert main(["eval", str(co_point_file)]) == 1
+        err = capsys.readouterr().err
+        assert "design error:" in err and "c_byp, M2x" in err
+
     def test_failing_design_exits_1_naming_corner_and_quantity(
         self, workdir, capsys, co_point_file
     ):
@@ -401,6 +408,8 @@ def test_exit_codes(workdir, co_point_file, capsys, argv, code, prefix):
     ("de_f nan", "de_f must be finite and positive, got nan"),
     ("de_f 0", "de_f must be finite and positive, got 0.0"),
     ("refit_epochs -1", "refit_epochs must be nonnegative, got -1"),
+    ("no_improve_limit 0", "no_improve_limit must be positive, got 0"),
+    ("no_improve_limit -5", "no_improve_limit must be positive, got -5"),
 ])
 def test_optimizer_setting_that_cannot_run_is_exit_2(workdir, capsys, command, line, message):
     # rejected with the config, before the initial sample is evaluated
@@ -413,7 +422,7 @@ def test_optimizer_setting_that_cannot_run_is_exit_2(workdir, capsys, command, l
 
 @pytest.mark.parametrize("command", ["run", "eval", "compare"])
 @pytest.mark.parametrize("line", ["pmx >= 50", "pm >= 0", "f0 >= NaN", "f0 >= Infinity",
-                                  "f0 <= 6G", "pm <= 80", "pdyn >= 1m"])
+                                  "f0 <= 6G", "pm <= 80", "pdyn >= 1m", "pn100k <= -94"])
 def test_bad_constraint_is_exit_3(workdir, co_point_file, capsys, command, line):
     problem = (workdir / PROBLEM_FILE).read_text() + line + "\n"
     (workdir / "bad_problem.txt").write_text(problem)

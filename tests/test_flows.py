@@ -1,4 +1,5 @@
 import importlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,8 @@ from ldovco.flows import (
     run_sequential,
     vco_stage_problem,
 )
-from ldovco.optimizer import OptConfig, evaluate_record, init_db, run, start, step
-from ldovco.problem import METRIC_NAMES, worst_case
+from ldovco.optimizer import Database, OptConfig, _evaluate_into, init_db, run, start, step
+from ldovco.problem import METRIC_NAMES, SizingProblem, violation, worst_case
 from ldovco.space import sample_initial
 
 BUDGET = 90  # small smoke budget; the full-scale runs live in the acceptance suite
@@ -77,7 +78,8 @@ def _stage_problems(space, corners, constraints, tc, base):
 @pytest.mark.parametrize("name", ["coupled", "stage1", "stage2"])
 def test_init_db_records_equal_one_at_a_time_records(bundled, tc, all_corners, co_point, name):
     # init_db evaluates its sample as one batch of 37 designs (three
-    # chunks); each record equals the record of that design's batch of one
+    # chunks); each record equals the record of that design evaluated and
+    # scored as a batch of one
     space, constraints = bundled
     problem = _stage_problems(space, all_corners, constraints, tc, co_point)[name]
     cfg = OptConfig(eval_budget=38, seed=6, init_samples=37)
@@ -86,18 +88,23 @@ def test_init_db_records_equal_one_at_a_time_records(bundled, tc, all_corners, c
     train_y = iter(db.train_y)
     failed = 0
     for i, (rec, point) in enumerate(zip(db.records, points, strict=True)):
-        one = evaluate_record(problem, point, problem.evaluate_batch([point], problem.corners)[0],
-                              i, "initial")
+        alone = Database()
+        _evaluate_into(alone, problem, point[None], "initial")
+        (one,) = alone.records
         assert rec.point.tobytes() == one.point.tobytes()
         assert (rec.table is None) == (one.table is None)
         if rec.table is not None:
             assert rec.table.tobytes() == one.table.tobytes()
             # the training row is the worst case's own row
             assert np.array(rec.worst).tobytes() == next(train_y).tobytes()
-        assert type(rec.violation) is float
-        assert (rec.worst, rec.violation, rec.objective, rec.failure, rec.eval_index,
-                rec.origin) == (one.worst, one.violation, one.objective, one.failure,
-                                one.eval_index, one.origin)
+        assert type(rec.violation) is float and type(rec.objective) is float
+        assert (rec.worst, rec.violation, rec.objective, rec.failure, rec.origin) == (
+            one.worst, one.violation, one.objective, one.failure, one.origin)
+        assert (rec.eval_index, one.eval_index) == (i, 0)
+        # the batch's one violation call scores each row as a call on that row would
+        assert (rec.objective, rec.violation) == (
+            (-math.inf, math.inf) if rec.failure else
+            (rec.worst.fom, violation(rec.worst, problem.constraints)))
         failed += rec.failure is not None
     assert next(train_y, None) is None
     if name != "stage1":  # the LDO-side problems lose designs to headroom
@@ -105,12 +112,14 @@ def test_init_db_records_equal_one_at_a_time_records(bundled, tc, all_corners, c
 
 
 def test_benchmark_layer_probes_fire(bundled, tc, all_corners, monkeypatch):
-    # the benchmark's `behavior` and `optimizer.evaluate_record` spans wrap
-    # these two names: the evaluator runs once per batch (the initial
-    # sample, then each step's design) and records are made once each
+    # the benchmark's `behavior`, `optimizer.evaluate_record` and
+    # `problem.violation` spans wrap these three names: the evaluator runs
+    # and the records are scored once per batch (the initial sample, then
+    # each step's design), and records are made once each
     space, constraints = bundled
-    calls = {"behavior": [], "record": 0}
+    calls = {"behavior": [], "record": 0, "violation": []}
     batch_evaluator, make_record = flows.evaluate, optimizer.evaluate_record
+    score = SizingProblem.violation
 
     def counted_evaluate(space, points, *args, **kwargs):
         calls["behavior"].append(len(points))
@@ -120,13 +129,25 @@ def test_benchmark_layer_probes_fire(bundled, tc, all_corners, monkeypatch):
         calls["record"] += 1
         return make_record(*args, **kwargs)
 
+    def counted_violation(self, metrics):
+        calls["violation"].append(np.shape(metrics))
+        return score(self, metrics)
+
     monkeypatch.setattr(flows, "evaluate", counted_evaluate)
     monkeypatch.setattr(optimizer, "evaluate_record", counted_record)
+    monkeypatch.setattr(SizingProblem, "violation", counted_violation)
     problem = coupled_problem(space, all_corners[:5], constraints, tc)
     state = start(problem, OptConfig(eval_budget=14, seed=2, init_samples=12))
+    scored = sum(r.failure is None for r in state.db.records)
     assert (calls["behavior"], calls["record"]) == ([12], 12)
+    assert calls["violation"] == [(scored, len(METRIC_NAMES))]
     step(state)
     assert (calls["behavior"], calls["record"]) == ([12, 1], 13)
+    # the prescreen scores the children when there is a model to predict them
+    prescreen = [(50, len(METRIC_NAMES))] if state.model is not None else []
+    scored_step = int(state.db.records[-1].failure is None)
+    assert calls["violation"] == [
+        (scored, len(METRIC_NAMES)), *prescreen, (scored_step, len(METRIC_NAMES))]
     assert state.evals_used == 13
 
 

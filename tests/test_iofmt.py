@@ -122,6 +122,8 @@ class TestBundledProblem:
         ("pm <= 80", r"^constraint on pm must use >= \(a lower pm is worse\), got 'pm <= 80'$"),
         ("pdyn >= 1m",
          r"^constraint on pdyn must use <= \(a higher pdyn is worse\), got 'pdyn >= 1m'$"),
+        # the bundled file already bounds pn100k
+        ("pn100k <= -94", r"^constraint on pn100k given twice, in 'pn100k <= -94'$"),
     ])
     def test_bad_constraint_rejected(self, bundled, line, match):
         # [constraints] is the last section of the formatted file

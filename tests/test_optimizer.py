@@ -162,9 +162,10 @@ class TestInitDb:
 class TestDatabase:
     @staticmethod
     def _record(i, objective, violation):
-        return TrialRecord(point=np.array([float(i)]), table=None, worst=None,
-                           violation=violation, objective=objective, eval_index=i,
-                           origin="initial")
+        # a record's objective is its worst case's fom; -inf, a failure's, has none
+        worst = None if objective == -math.inf else PerfMetrics(*(0.0,) * 9, fom=objective)
+        return TrialRecord(point=np.array([float(i)]), table=None, worst=worst,
+                           violation=violation, eval_index=i, origin="initial")
 
     def test_ties_rank_oldest_first(self):
         scores = [(-math.inf, math.inf), (190.0, 0.0), (185.0, 0.2), (190.0, 0.0),
