@@ -10,11 +10,10 @@ mW power), not to reproduce any particular silicon numbers.
 The models run over a (design, corner) grid: apply_corners stacks the
 corner-dependent constants into arrays over the corners once, the design
 values are (designs, 1) columns against them, and evaluate_batch computes a
-chunk of CHUNK_DESIGNS designs at all their corners in one numpy pass. A
-batch of one reads its design values as float64 scalars instead, so that
-its grid is the corner axis alone: numpy's arithmetic on scalars costs a
-fraction of the same call on (1, 1) arrays. A design that fails a model
-test leaves the batch there, so the later models run on the survivors only.
+chunk of CHUNK_DESIGNS designs at all their corners in one numpy pass. Every
+batch has this one shape, a step's batch of one included. A design that
+fails a model test leaves the batch there, so the later models run on the
+survivors only.
 The PSR curve is computed one distinct LDO corner at a time and only its
 peak is kept.
 
@@ -202,15 +201,11 @@ class _Failures:
 
 
 def _design_values(space: DesignSpace, points: np.ndarray) -> dict[str, np.ndarray]:
-    """The (n, dim) batch's variables by name, each a (designs, 1) column or,
-    in a batch of one, a float64 scalar, and the space's fixed elements as
-    float64 scalars: under _ERRSTATE a zero size then divides to inf or nan,
-    which a failure test or the finite-metric check names, rather than
-    raising ZeroDivisionError."""
-    if len(points) == 1:
-        columns = points[0]
-    else:
-        columns = np.ascontiguousarray(points.T)[:, :, np.newaxis]
+    """The (n, dim) batch's variables by name, each a (designs, 1) column,
+    and the space's fixed elements as float64 scalars: under _ERRSTATE a
+    zero size then divides to inf or nan, which a failure test or the
+    finite-metric check names, rather than raising ZeroDivisionError."""
+    columns = np.ascontiguousarray(points.T)[:, :, np.newaxis]
     values = dict(zip(space._names, columns))
     values.update(zip(space.fixed, np.array(tuple(space.fixed.values()))))
     return values

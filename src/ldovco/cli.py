@@ -123,6 +123,8 @@ def parse_runconfig(text: str, overrides: dict[str, str] | None = None) -> RunCo
     values = {}
     for line in _logical_lines(text):
         name, _, raw = line.partition(" ")
+        if name in values:
+            raise ValueError(f"duplicate config key {name!r}")
         values[name] = raw
     values.update(overrides or {})
     defaults = {f.name: f.default for f in fields(RunConfig)}
@@ -280,8 +282,8 @@ def cmd_eval(args) -> int:
 
     try:
         point = point_from_dict(space, values)
-    except KeyError as exc:
-        raise _Exit(1, f"design error: {exc}") from None
+    except KeyError as exc:  # its message, not str(KeyError)'s quoted repr
+        raise _Exit(1, f"design error: {exc.args[0]}") from None
     for var, x in zip(space.variables, point.tolist()):
         # a hand-typed value need not round to its bound exactly: 3e-05
         # reads one ulp above a bound written 30u

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -236,16 +237,13 @@ def compare(
         for seed in seeds
         for flow in ("codesign", "sequential")
     ]
-    results: dict[tuple[str, int], FlowResult] = {}
-    if workers > 1:
-        # the pool starts all its workers at once: no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for flow, seed, res in pool.map(_compare_task, tasks):
-                results[(flow, seed)] = res
-    else:
-        for task in tasks:
-            flow, seed, res = _compare_task(task)
-            results[(flow, seed)] = res
+    with ExitStack() as stack:
+        run_all = map
+        if workers > 1:
+            # the pool starts all its workers at once: no more than there are tasks
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+            run_all = stack.enter_context(pool).map
+        results = {(flow, seed): res for flow, seed, res in run_all(_compare_task, tasks)}
 
     rows = [
         _pair_row(seed, results[("codesign", seed)], results[("sequential", seed)])

@@ -48,6 +48,8 @@ class OptConfig:
             raise ValueError("children_per_iter must be positive")
         if not (math.isfinite(self.de_f) and self.de_f > 0.0):
             raise ValueError(f"de_f must be finite and positive, got {self.de_f}")
+        if self.de_f > 2.0:  # Storn & Price's range; a larger one can overflow the mutants
+            raise ValueError(f"de_f must be at most 2, got {self.de_f}")
         for name in ("de_cr", "beta"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")

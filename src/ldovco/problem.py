@@ -124,29 +124,47 @@ LOWER_IS_WORSE = ("f0", "pm", "startup_margin", "fom")
 WORST_BY_MIN = np.isin(METRIC_NAMES, LOWER_IS_WORSE)
 
 
-def _libm_each(x, calls: Callable[[list[float]], Iterator[float]]) -> np.ndarray:
+def _libm_each(x, calls: Callable[[list[float]], Iterator[float]],
+               raised: Callable[[float], float] | None = None) -> np.ndarray:
     """calls(xs) on the elements xs of x as Python floats, back in the shape
     of x: one libm call per element, for the helpers below (numpy's
     log10, arctan, power and x * x differ from libm in the last bit on some
-    inputs)."""
+    inputs). Where libm raises on an element (OverflowError or ValueError,
+    where numpy returns inf or nan), that element alone takes raised(v), the
+    value numpy gives it, and every other element keeps its libm value."""
     x = np.asarray(x, dtype=float)
-    return np.fromiter(calls(x.ravel().tolist()), float, x.size).reshape(x.shape)
+    xs = x.ravel().tolist()
+    try:
+        out = np.fromiter(calls(xs), float, x.size)
+    except (OverflowError, ValueError):
+        out = np.fromiter((_libm_one(calls, v, raised) for v in xs), float, x.size)
+    return out.reshape(x.shape)
+
+
+def _libm_one(calls, v: float, raised: Callable[[float], float]) -> float:
+    """calls on the one element v, or raised(v) where it raises."""
+    try:
+        return next(calls([v]))
+    except (OverflowError, ValueError):
+        return raised(v)
 
 
 def libm_log10(x) -> np.ndarray:
-    return _libm_each(x, lambda xs: map(math.log10, xs))
+    # log10(0) is -inf and log10 of a negative nan, where math.log10 raises
+    return _libm_each(x, lambda xs: map(math.log10, xs),
+                      lambda v: -math.inf if v == 0.0 else math.nan)
 
 
 def libm_atan(x) -> np.ndarray:
-    return _libm_each(x, lambda xs: map(math.atan, xs))
+    return _libm_each(x, lambda xs: map(math.atan, xs))  # raises for no float
 
 
 def libm_square(x) -> np.ndarray:
-    return _libm_each(x, lambda xs: map(pow, xs, itertools.repeat(2.0)))
+    return _libm_each(x, lambda xs: map(pow, xs, itertools.repeat(2.0)), lambda v: math.inf)
 
 
 def libm_exp10(x) -> np.ndarray:
-    return _libm_each(x, lambda xs: map(pow, itertools.repeat(10.0), xs))
+    return _libm_each(x, lambda xs: map(pow, itertools.repeat(10.0), xs), lambda v: math.inf)
 
 
 def fom(f0, delta_f, pn, pdyn):
@@ -217,7 +235,10 @@ def violation(metrics: PerfMetrics | np.ndarray, constraints: ConstraintSet) -> 
             raise KeyError(f"metrics are missing {c.metric!r}")
         if c.bound == 0:
             raise ValueError(f"constraint on {c.metric} has zero bound; cannot normalize")
-        total += c.shortfall(values[c.metric]) / abs(c.bound)
+        # a hairline bound such as 1e-308 normalizes a shortfall to inf,
+        # which ranks after every finite violation
+        with np.errstate(over="ignore"):
+            total += c.shortfall(values[c.metric]) / abs(c.bound)
     return total if total.ndim else float(total)
 
 

@@ -96,7 +96,8 @@ def validate_space(space: DesignSpace) -> list[str]:
             problems.append(f"{v.name}: non-finite bounds [{v.lower}, {v.upper}]")
         if v.kind not in (CONTINUOUS, INTEGER):
             problems.append(f"{v.name}: unknown kind {v.kind!r}")
-        if v.is_integer():
+        # a non-finite bound is reported above; round() cannot take it
+        if v.is_integer() and math.isfinite(v.lower) and math.isfinite(v.upper):
             if v.lower != round(v.lower) or v.upper != round(v.upper):
                 problems.append(f"{v.name}: integer variable has non-integral bounds")
     return problems

@@ -8,7 +8,8 @@ vectorized across members (weights carry a leading member axis), trains
 them: fit() runs it from fresh weights with patience-based early stopping,
 and update() runs it for a fixed number of epochs from an existing model,
 remapped exactly to the grown dataset's scaler. Either way every member
-returns the weights of its best validation score."""
+returns the weights of its best validation score. Predictions take one batch
+shape, (n, d) rows, a batch of one included."""
 
 from __future__ import annotations
 
@@ -300,27 +301,26 @@ def _train(w1, b1, w2, b2, scaler: ScalerStats, x: np.ndarray, y: np.ndarray,
 
 
 def _member_predictions(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """(members, n, k) predictions in original units."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.input_dim:
-        raise ValueError(f"input has {x.shape[1]} dims, model expects {model.input_dim}")
+    """(members, n, k) predictions in original units of an (n, d) batch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValueError(f"input has shape {x.shape}, model expects (n, {model.input_dim})")
     xs = model.scaler.scale_x(x)
     pred, _ = _forward(model.w1, model.b1, model.w2, model.b2, xs)
     return model.scaler.unscale_y(pred)
 
 
 def predict(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """Ensemble-mean prediction in original units; (k,) for a single input
-    vector, (n, k) for a batch."""
-    single = np.asarray(x).ndim == 1
-    out = _member_predictions(model, x).mean(axis=0)
-    return out[0] if single else out
+    """Ensemble-mean (n, k) prediction of an (n, d) batch, in original
+    units."""
+    return _member_predictions(model, x).mean(axis=0)
 
 
 def predict_conservative(
     model: EnsembleModel, x: np.ndarray, beta: float, senses: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-output beta-quantile across members, oriented pessimistically.
+    """Per-output beta-quantile across members of an (n, d) batch, (n, k),
+    oriented pessimistically.
 
     senses: +1 for outputs where larger is worse (upper-bounded metrics take
     the upper quantile), -1 where smaller is worse (lower-bounded metrics and
@@ -329,7 +329,6 @@ def predict_conservative(
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    single = np.asarray(x).ndim == 1
     preds = _member_predictions(model, x)  # (m, n, k)
     if senses is None:
         senses = -np.ones(model.output_dim)
@@ -337,5 +336,4 @@ def predict_conservative(
     if senses.shape != (model.output_dim,):
         raise ValueError("senses must have one entry per output")
     hi, lo = np.quantile(preds, [beta, 1.0 - beta], axis=0)
-    out = np.where(senses > 0, hi, lo)
-    return out[0] if single else out
+    return np.where(senses > 0, hi, lo)

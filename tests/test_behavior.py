@@ -71,7 +71,7 @@ def vco_model(space, point, tc, amp_limit):
     corners = (NOMINAL_CORNER,)
     tcc, _ = apply_corners(tc, corners)
     failures = _Failures(corners, 1)
-    d = map_vco(_design_values(space, [point]), tcc, amp_limit, failures)
+    d = map_vco(_design_values(space, np.array([point])), tcc, amp_limit, failures)
     settle_one(failures)
     return d
 
@@ -80,7 +80,7 @@ def ldo_model(space, point, tc, i_load, c_load, corners=(NOMINAL_CORNER,)):
     """ldo_headroom, then map_ldo, on a batch of one over a fold of
     `corners` (nominal: a 1.62 V input); raises the first failure."""
     tcc, vdd_in = apply_corners(tc, tuple(corners))
-    v = _design_values(space, [point])
+    v = _design_values(space, np.array([point]))
     failures = _Failures(corners, 1)
     ldo_headroom(v, tcc, i_load, vdd_in, failures)
     settle_one(failures)
@@ -244,7 +244,7 @@ class TestLdoModel:
         assert d.a_dc > 0
         assert d.i_q > 0
         assert 1.2 <= d.vdd_max <= 1.62
-        assert curve.shape == d.vn_at(FREQ_GRID).shape == (1, 241)
+        assert curve.shape == d.vn_at(FREQ_GRID).shape == (1, 1, 241)
         assert np.array_equal(d.psr_max, curve.max(axis=-1))
 
     def test_gm1_improves_dc_psr(self, monkeypatch, space, tc, co_point):
@@ -253,7 +253,7 @@ class TestLdoModel:
         bigger[space.index_of("W_pIn")] *= 2
         d2, [curve2] = psr_curves(monkeypatch, space, bigger, tc, 3e-3, 1e-12)
         assert d2.gm1 > d1.gm1
-        assert curve2[0, 0] < curve1[0, 0]
+        assert curve2[0, 0, 0] < curve1[0, 0, 0]
 
     def test_cc_lowers_gbw(self, space, tc, co_point):
         d1 = ldo_model(space, co_point, tc, 3e-3, 1e-12)
@@ -670,8 +670,8 @@ class _ReadNames(dict):
 def test_models_read_the_named_variables_and_fixed_elements(space, tc, co_point):
     corners = (NOMINAL_CORNER,)
     tcc, vdd_in = apply_corners(tc, corners)
-    vco_values = _ReadNames(_design_values(space, [co_point]))
-    ldo_values = _ReadNames(_design_values(space, [co_point]))
+    vco_values = _ReadNames(_design_values(space, np.array([co_point])))
+    ldo_values = _ReadNames(_design_values(space, np.array([co_point])))
     map_vco(vco_values, tcc, IDEAL_AMP_LIMIT, _Failures(corners, 1))
     ldo_headroom(ldo_values, tcc, 2e-3, vdd_in, _Failures(corners, 1))
     map_ldo(ldo_values, tcc, 2e-3, vdd_in, 1e-12)
@@ -685,11 +685,11 @@ def check_psr_rows(monkeypatch, space, tc, point, corners) -> list[float]:
     peak of each corner on its own, bit for bit, and the batch computes one
     curve per distinct peak; returns the batch's peaks."""
     batch, curves = psr_curves(monkeypatch, space, point, tc, 2e-3, 1e-12, corners)
-    assert batch.psr_max.shape == (len(corners),)
-    for peak, corner in zip(batch.psr_max, corners):
+    assert batch.psr_max.shape == (1, len(corners))
+    for peak, corner in zip(batch.psr_max[0], corners):
         one = ldo_model(space, point, tc, 2e-3, 1e-12, [corner])
-        assert peak.tobytes() == one.psr_max[0].tobytes()
-    peaks = batch.psr_max.tolist()
+        assert peak.tobytes() == one.psr_max[0, 0].tobytes()
+    peaks = batch.psr_max[0].tolist()
     assert len(curves) == len(set(peaks))
     return peaks
 

@@ -46,6 +46,13 @@ def test_integer_bounds_must_be_integral():
     assert any("non-integral" in p for p in validate_space(bad))
 
 
+@pytest.mark.parametrize("lower,upper", [(1.0, np.inf), (1.0, np.nan), (-np.inf, 3.0)])
+def test_non_finite_integer_bound_flagged_once(lower, upper):
+    # the integrality check, round(), cannot take it: it is reported once
+    problems = validate_space(DesignSpace((Variable("n", INTEGER, lower, upper),)))
+    assert len(problems) == 1 and "n:" in problems[0]
+
+
 def test_lhs_one_sample_per_stratum():
     pts = np.array(sample_initial(two_var_space(), 4, seed=7))
     for j, var in enumerate(two_var_space().variables):

@@ -126,18 +126,21 @@ class TestPredict:
         probe = lhs_matrix(10, 2, seed=5)
         assert np.allclose(predict(model, probe), predict(flipped, probe), atol=1e-12)
 
-    def test_single_vector_shape(self):
-        x = lhs_matrix(100, 3, seed=4)
-        y = np.hstack([x[:, :1], x[:, 1:2]])
-        model = fit(x, y, MlpConfig(), seed=2)
-        out = predict(model, x[0])
-        assert out.shape == (2,)
-
     def test_dimension_mismatch(self):
         x = lhs_matrix(100, 3, seed=4)
         model = fit(x, x[:, :1], MlpConfig(), seed=2)
-        with pytest.raises(ValueError):
-            predict(model, np.zeros(5))
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            predict(model, np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("predictor", [predict, lambda m, x: predict_conservative(m, x, 0.7)],
+                             ids=["predict", "predict_conservative"])
+    def test_one_dimensional_input_rejected(self, predictor):
+        # a single design is a batch of one, (1, d), never a bare (d,) vector
+        x = lhs_matrix(100, 3, seed=4)
+        model = fit(x, x[:, :1], MlpConfig(), seed=2)
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            predictor(model, x[0])
+        assert predict(model, x[:1]).shape == (1, 1)
 
 
 class TestConservative:
@@ -181,7 +184,7 @@ class TestConservative:
 
     def test_invalid_beta(self, model):
         with pytest.raises(ValueError):
-            predict_conservative(model, np.zeros(2), 1.5)
+            predict_conservative(model, np.zeros((1, 2)), 1.5)
 
 
 class TestUpdate:
