@@ -17,16 +17,13 @@ survivors only.
 The PSR curve is computed one distinct LDO corner at a time and only its
 peak is kept.
 
-Arithmetic, sqrt, min and max are vectorized. The log10, atan and powers
-of the closed forms go through problem's libm helpers (libm_log10,
-libm_atan, libm_square, libm_exp10): one call of math.log10, math.atan,
-pow(x, 2.0) or pow(10.0, x) per element, with pow's arguments positional,
-collected by np.fromiter. numpy's np.log10, np.arctan, x * x and np.power
-are not used for them, since they differ from libm in the last bit on some
-inputs (from a few hundred to about 50000 of a seeded million). So every
-metric equals its scalar closed form exactly, whatever the batch. The PSR
-curve, which has no scalar form, is numpy complex arithmetic and np.log10
-on contiguous (designs, 241) arrays.
+Every closed form is numpy arithmetic and ufuncs (np.sqrt, np.log10,
+np.arctan, np.power, x * x) over the grid, and the PSR curve is numpy
+complex arithmetic on (designs, 241) arrays. Each design's outcome is the
+same, bit for bit, whatever else is in its batch: a ufunc gives an element
+the same bits in every layout numpy hands it (whole array, slice, 0-d array
+or Python float). The low bits follow numpy's SIMD dispatch, so they can
+differ between CPUs.
 """
 
 from __future__ import annotations
@@ -39,8 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .problem import (
-    METRIC_NAMES, Corner, EvaluationFailure, Outcome, PerfMetrics, fom, libm_atan, libm_exp10,
-    libm_log10, libm_square, table_or_raise,
+    METRIC_NAMES, Corner, EvaluationFailure, Outcome, PerfMetrics, fom, table_or_raise,
 )
 from .space import DesignPoint, DesignSpace, frozen_array
 
@@ -253,8 +249,8 @@ def phase_margin(gbw: float, p2: float, f_z: float = math.inf) -> float | np.nda
     signed: negative left-half-plane zeros add phase, positive right-half-
     plane ones remove it; +-inf means no zero (atan(0) adds exactly 0)."""
     f_z = np.asarray(f_z, dtype=float)
-    pm = 90.0 - np.degrees(libm_atan(gbw / p2))
-    return pm + np.degrees(libm_atan(gbw / np.abs(f_z))) * np.where(f_z < 0, 1.0, -1.0)
+    pm = 90.0 - np.degrees(np.arctan(gbw / p2))
+    return pm + np.degrees(np.arctan(gbw / np.abs(f_z))) * np.where(f_z < 0, 1.0, -1.0)
 
 
 _ERRSTATE = np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -330,9 +326,10 @@ def vco_pn_intrinsic(d: VcoDerived, delta_f, tc: TechConstants) -> np.ndarray:
         _outer(x, delta_f) for x in (d.f0, d.q_tank, d.f_corner_1f, tc.kT, d.p_sig)
     )
     f_noise = 1.0 + tc.gamma_excess
-    leeson = 1.0 + libm_square(f0 / (2.0 * q_tank * delta_f))
+    ratio = f0 / (2.0 * q_tank * delta_f)
+    leeson = 1.0 + ratio * ratio
     flicker = 1.0 + f_corner_1f / delta_f
-    return 10.0 * libm_log10((2.0 * f_noise * kT / p_sig) * leeson * flicker)
+    return 10.0 * np.log10((2.0 * f_noise * kT / p_sig) * leeson * flicker)
 
 
 def supply_pn(k_push, vn, delta_f) -> np.ndarray:
@@ -348,7 +345,7 @@ def supply_pn(k_push, vn, delta_f) -> np.ndarray:
     k_push = _outer(k_push, delta_f)
     quiet = (vn == 0.0) | (k_push == 0.0)
     ratio = np.where(quiet, 1.0, k_push * vn / (math.sqrt(2.0) * delta_f))
-    return np.where(quiet, -math.inf, 20.0 * libm_log10(ratio))
+    return np.where(quiet, -math.inf, 20.0 * np.log10(ratio))
 
 
 @_ERRSTATE
@@ -361,8 +358,8 @@ def combine_pn(parts: list[float]) -> float | np.ndarray:
     parts = [np.asarray(p, dtype=float) for p in parts]
     ref = reduce(np.maximum, parts)
     # a -inf part adds 10 ** -inf == 0.0 to the total
-    total = sum(libm_exp10((p - ref) / 10.0) for p in parts)
-    return np.where(ref == -math.inf, -math.inf, ref + 10.0 * libm_log10(total))[()]
+    total = sum(np.power(10.0, (p - ref) / 10.0) for p in parts)
+    return np.where(ref == -math.inf, -math.inf, ref + 10.0 * np.log10(total))[()]
 
 
 def _loop_gain(a_dc, gbw, p2, f_z, f) -> np.ndarray:
@@ -404,8 +401,9 @@ class LdoDerived:
                                    self._s_ref_flicker_1hz, self.f_filter)
         )
         s_amp = s_thermal + s_flicker_1hz / f
-        roll = 1.0 + libm_square(f / (self._beta_fb * gbw))
-        s_ref = (s_ref_flicker_1hz / f + V_REF_NOISE**2) / (1.0 + libm_square(f / f_filter))
+        x_loop, x_filter = f / (self._beta_fb * gbw), f / f_filter
+        roll = 1.0 + x_loop * x_loop
+        s_ref = (s_ref_flicker_1hz / f + V_REF_NOISE**2) / (1.0 + x_filter * x_filter)
         return np.sqrt((s_amp / roll + s_ref)) / self._beta_fb
 
 
@@ -688,6 +686,7 @@ def evaluate(
     return PerfMetrics(*evaluate_corners(space, point, (corner,), mode, tc, i_load)[0].tolist())
 
 
+@_ERRSTATE
 def pn_sweep(
     space: DesignSpace,
     point: DesignPoint,

@@ -110,6 +110,14 @@ class FlowResult:
         return self.violation == 0.0
 
 
+def _require_nominal_first(corners: tuple[Corner, ...]) -> None:
+    """Raises unless the first corner is nominal: _rescore reports table
+    row 0 as the nominal metrics."""
+    if not corners or not corners[0].is_nominal():
+        got = corners[0].label() if corners else "no corners"
+        raise ValueError(f"the first corner must be nominal, got {got}")
+
+
 def _rescore(
     problem: SizingProblem, point: DesignPoint
 ) -> tuple[PerfMetrics, PerfMetrics, float]:
@@ -135,6 +143,7 @@ def run_codesign(
     space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
     tc: TechConstants, cfg: OptConfig, seed: int,
 ) -> FlowResult:
+    _require_nominal_first(corners)
     problem = coupled_problem(space, corners, constraints, tc)
     result = run(problem, replace(cfg, seed=seed))
     return _flow_result(
@@ -148,6 +157,7 @@ def run_sequential(
 ) -> FlowResult:
     """Each stage sizes its initial sample by the auto rule on its own
     budget; a set `cfg.init_samples` applies to co-design only."""
+    _require_nominal_first(corners)
     budget1 = round(cfg.eval_budget * STAGE_SPLIT[0] / STAGE_SPLIT[1])
     budget2 = cfg.eval_budget - budget1
 

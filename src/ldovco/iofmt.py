@@ -60,8 +60,9 @@ def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
     every variable and fixed element the evaluator reads, each finite and no
     lower bound or fixed element negative: each is a size, count, resistance,
     capacitance or ratio (zero is allowed; R_C = 0 means no nulling
-    resistor). A constraint must bound its metric's worse side (the side
-    Constraint.direction names), and a metric takes at most one."""
+    resistor), and the feedback ratio beta_fb lies in (0, 1]. A constraint
+    must bound its metric's worse side (the side Constraint.direction
+    names), and a metric takes at most one."""
     sections = parse_sections(text)
     for required in ("variables", "fixed", "constraints"):
         if required not in sections:
@@ -90,6 +91,9 @@ def parse_problem_file(text: str) -> tuple[DesignSpace, ConstraintSet]:
     missing += [n for n in FIXED_ELEMENTS if n not in space.fixed]
     if missing:
         raise ValueError(f"problem file is missing {', '.join(missing)}, read by the evaluator")
+    beta_fb = space.fixed["beta_fb"]
+    if not 0.0 < beta_fb <= 1.0:
+        raise ValueError(f"beta_fb: divider ratio {beta_fb:g} outside (0, 1]")
     problems = validate_space(space)
     if problems:
         raise ValueError("invalid problem file: " + "; ".join(problems))

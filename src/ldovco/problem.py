@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,59 +124,19 @@ LOWER_IS_WORSE = ("f0", "pm", "startup_margin", "fom")
 WORST_BY_MIN = np.isin(METRIC_NAMES, LOWER_IS_WORSE)
 
 
-def _libm_each(x, calls: Callable[[list[float]], Iterator[float]],
-               raised: Callable[[float], float] | None = None) -> np.ndarray:
-    """calls(xs) on the elements xs of x as Python floats, back in the shape
-    of x: one libm call per element, for the helpers below (numpy's
-    log10, arctan, power and x * x differ from libm in the last bit on some
-    inputs). Where libm raises on an element (OverflowError or ValueError,
-    where numpy returns inf or nan), that element alone takes raised(v), the
-    value numpy gives it, and every other element keeps its libm value."""
-    x = np.asarray(x, dtype=float)
-    xs = x.ravel().tolist()
-    try:
-        out = np.fromiter(calls(xs), float, x.size)
-    except (OverflowError, ValueError):
-        out = np.fromiter((_libm_one(calls, v, raised) for v in xs), float, x.size)
-    return out.reshape(x.shape)
-
-
-def _libm_one(calls, v: float, raised: Callable[[float], float]) -> float:
-    """calls on the one element v, or raised(v) where it raises."""
-    try:
-        return next(calls([v]))
-    except (OverflowError, ValueError):
-        return raised(v)
-
-
-def libm_log10(x) -> np.ndarray:
-    # log10(0) is -inf and log10 of a negative nan, where math.log10 raises
-    return _libm_each(x, lambda xs: map(math.log10, xs),
-                      lambda v: -math.inf if v == 0.0 else math.nan)
-
-
-def libm_atan(x) -> np.ndarray:
-    return _libm_each(x, lambda xs: map(math.atan, xs))  # raises for no float
-
-
-def libm_square(x) -> np.ndarray:
-    return _libm_each(x, lambda xs: map(pow, xs, itertools.repeat(2.0)), lambda v: math.inf)
-
-
-def libm_exp10(x) -> np.ndarray:
-    return _libm_each(x, lambda xs: map(pow, itertools.repeat(10.0), xs), lambda v: math.inf)
-
-
 def fom(f0, delta_f, pn, pdyn):
     """Oscillator figure of merit: -10*log10[(df/f0)^2 * (Pdyn/1mW)] - PN(df),
-    element by element over arrays (libm log10 and pow); a float for float
-    inputs.
+    element by element over arrays; a float for float inputs. A ratio that
+    underflows to 0 or overflows gives +inf or -inf, without a warning, for
+    the finite-metric check to name.
 
     Returned positive; the reporting convention negates it.
     """
     if any(np.any(np.asarray(x) <= 0) for x in (f0, delta_f, pdyn)):
         raise ValueError("fom requires positive f0, delta_f and pdyn")
-    value = -10.0 * libm_log10(libm_square(np.divide(delta_f, f0)) * (pdyn / 1e-3)) - pn
+    ratio = np.divide(delta_f, f0)
+    with np.errstate(divide="ignore", over="ignore"):
+        value = -10.0 * np.log10(ratio * ratio * (pdyn / 1e-3)) - pn
     return value if np.ndim(value) else float(value)
 
 

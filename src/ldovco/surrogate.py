@@ -317,21 +317,19 @@ def predict(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict_conservative(
-    model: EnsembleModel, x: np.ndarray, beta: float, senses: np.ndarray | None = None
+    model: EnsembleModel, x: np.ndarray, beta: float, senses: np.ndarray
 ) -> np.ndarray:
     """Per-output beta-quantile across members of an (n, d) batch, (n, k),
     oriented pessimistically.
 
     senses: +1 for outputs where larger is worse (upper-bounded metrics take
     the upper quantile), -1 where smaller is worse (lower-bounded metrics and
-    the objective take the lower quantile). Default: all -1. beta = 0.5 is
-    the member median either way.
+    the objective take the lower quantile). beta = 0.5 is the member median
+    either way.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     preds = _member_predictions(model, x)  # (m, n, k)
-    if senses is None:
-        senses = -np.ones(model.output_dim)
     senses = np.asarray(senses)
     if senses.shape != (model.output_dim,):
         raise ValueError("senses must have one entry per output")

@@ -459,8 +459,11 @@ def test_bad_constraint_is_exit_3(workdir, co_point_file, capsys, command, line)
      "invalid problem file: W_ind: non-finite bounds [3e-06, inf]"),
     (r"^(M2 \S+ \S+ \S+) \S+", r"\1 1e400",
      "invalid problem file: M2: non-finite bounds [1.0, inf]"),
+    (r"^beta_fb \S+", "beta_fb 0", "beta_fb: divider ratio 0 outside (0, 1]"),
+    (r"^beta_fb \S+", "beta_fb 2", "beta_fb: divider ratio 2 outside (0, 1]"),
 ], ids=["negative-M2", "negative-L_56", "no-c_byp", "no-R_F", "negative-c_byp",
-        "negative-r_div", "nan-c_byp", "inf-c_var", "inf-W_ind", "huge-W_ind", "huge-M2"])
+        "negative-r_div", "nan-c_byp", "inf-c_var", "inf-W_ind", "huge-W_ind", "huge-M2",
+        "zero-beta_fb", "big-beta_fb"])
 def test_bad_problem_file_is_exit_3(workdir, co_point_file, capsys, command, pattern, repl,
                                     message):
     problem = re.sub(pattern, repl, (workdir / PROBLEM_FILE).read_text(), count=1, flags=re.M)

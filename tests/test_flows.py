@@ -274,6 +274,21 @@ def test_set_init_samples_leaves_sequential_unchanged(bundled, tc, all_corners, 
     assert list(map(repr, again.log_rows)) == list(map(repr, seq.log_rows))
 
 
+@pytest.mark.parametrize("runner", [run_codesign, run_sequential])
+@pytest.mark.parametrize("first", [1, None], ids=["grid-first", "no-corners"])
+def test_first_corner_must_be_nominal(bundled, tc, all_corners, small_cfg, monkeypatch, runner,
+                                      first):
+    # the re-score reports row 0 of the table as the nominal metrics
+    space, constraints = bundled
+    corners = all_corners[first:] if first else ()
+    calls = []
+    monkeypatch.setattr(flows, "evaluate", lambda *args: calls.append(args))
+    got = corners[0].label() if corners else "no corners"
+    with pytest.raises(ValueError, match=f"^the first corner must be nominal, got {got}$"):
+        runner(space, corners, constraints, tc, small_cfg, seed=3)
+    assert calls == []
+
+
 def test_codesign_budget_and_legality(bundled, tc, all_corners, small_cfg, flow_pair):
     space, _ = bundled
     co, _ = flow_pair

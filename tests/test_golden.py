@@ -3,10 +3,14 @@ path (at the end of this file).
 
 Every metric float (as its repr) and every failure quantity of the two
 bundled points and a 64-point LHS set, on all 33 corners in all three modes,
-is hashed with sha256, one digest per mode. The digests were recorded from
-the per-corner scalar evaluator; any change in the last bit of any value, or
-in which quantity fails where, changes them. The explicit values below say
-where a mismatch starts.
+is hashed with sha256, one digest per mode. Any change in the last bit of
+any value, or in which quantity fails where, changes them; the low bits
+follow numpy's SIMD dispatch, so a digest holds on the CPUs it was recorded
+on. The explicit values below say where a mismatch starts.
+
+A deliberate re-record prints every digest of the current code:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
@@ -16,23 +20,31 @@ import pytest
 
 from ldovco.behavior import EvaluationFailure, evaluate, evaluate_batch, pn_sweep
 from ldovco.flows import run_codesign, run_sequential
+from ldovco.iofmt import load_bundled_constants, load_bundled_point, load_bundled_problem
 from ldovco.optimizer import COLD_FIT, RUN_LOG_HEADER, OptConfig
-from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER
-from ldovco.space import sample_initial
+from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER, enumerate_corners
+from ldovco.space import point_from_dict, sample_initial
 from ldovco.surrogate import MlpConfig, fit, update
 
 LDO_ONLY_I_LOAD = 2e-3
 
 GOLDEN_DIGESTS = {
-    "ideal_supply": "241a9b9148dd21ea7965f6403ee516d82ac58eba1aa70542deb9811aaaf127af",
-    "coupled": "8edf43125a0bcffc6b306f587d74664add80d6266f8519b0e885adc47f25f7ce",
+    "ideal_supply": "a076d06dbcfe6e05cd27b25255722f2877c5b3fb16202c7f7b0c2b90fb8ec185",
+    "coupled": "0323d4503504279862653e8afb7fefc4774c823fb2a00f6e21ea085293e9c971",
     "ldo_only": "e73295b9908400579bdec6ecbd39918a1278ef9f8d650584e065f2dddcadbf3c",
 }
 
 
+def golden_point_set(space) -> list:
+    """The two bundled points and the 64-point LHS set."""
+    bundled = [point_from_dict(space, load_bundled_point(name))
+               for name in ("codesign", "sedesign")]
+    return bundled + sample_initial(space, 64, seed=2024)
+
+
 @pytest.fixture(scope="module")
-def golden_points(space, co_point, se_point):
-    return [co_point, se_point] + sample_initial(space, 64, seed=2024)
+def golden_points(space):
+    return golden_point_set(space)
 
 
 def corner_line(space, tc, point, corner, mode) -> str:
@@ -44,13 +56,17 @@ def corner_line(space, tc, point, corner, mode) -> str:
     return ",".join(repr(getattr(m, name)) for name in METRIC_NAMES)
 
 
+def golden_digest(space, tc, corners, points, mode) -> str:
+    h = hashlib.sha256()
+    for point in points:
+        for corner in corners:
+            h.update((corner_line(space, tc, point, corner, mode) + "\n").encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("mode", sorted(GOLDEN_DIGESTS))
 def test_golden_digest(space, tc, all_corners, golden_points, mode):
-    h = hashlib.sha256()
-    for point in golden_points:
-        for corner in all_corners:
-            h.update((corner_line(space, tc, point, corner, mode) + "\n").encode())
-    assert h.hexdigest() == GOLDEN_DIGESTS[mode]
+    assert golden_digest(space, tc, all_corners, golden_points, mode) == GOLDEN_DIGESTS[mode]
 
 
 def test_golden_spot_values(space, tc, all_corners, co_point, golden_points):
@@ -78,52 +94,59 @@ def test_golden_spot_values(space, tc, all_corners, co_point, golden_points):
 # Golden phase-noise sweeps: every swept value (as its repr) of the two
 # bundled points and the 64-point LHS set, at the nominal corner and the
 # first five grid corners, on an ideal supply and coupled; a failure is its
-# quantity and corner label. Recorded from the per-corner scalar sweep.
-PN_SWEEP_DIGEST = "7a3a9c2c930c21f36c6b427ca127521c83cc6cba4009d1fc4f9c1c30596d49a0"
+# quantity and corner label.
+PN_SWEEP_DIGEST = "d0338f55dc6f98d54726e34fd5d6202b616f49a27661582069b3d84bf64cad16"
 
 
-def test_pn_sweep_digest(space, tc, all_corners, golden_points):
+def pn_sweep_digest(space, tc, corners, points) -> str:
     h = hashlib.sha256()
     for mode in ("ideal_supply", "coupled"):
-        for point in golden_points:
-            for corner in all_corners[:6]:
+        for point in points:
+            for corner in corners[:6]:
                 try:
                     line = repr(pn_sweep(space, point, corner, mode, tc).tolist())
                 except EvaluationFailure as exc:
                     line = f"fail {exc.quantity} {exc.corner}"
                 h.update((line + "\n").encode())
-    assert h.hexdigest() == PN_SWEEP_DIGEST
+    return h.hexdigest()
+
+
+def test_pn_sweep_digest(space, tc, all_corners, golden_points):
+    assert pn_sweep_digest(space, tc, all_corners, golden_points) == PN_SWEEP_DIGEST
 
 
 # Golden batch outcomes: the 66 golden points in one evaluate_batch call per
 # mode over all 33 corners, so the batch crosses any chunk boundary the
 # evaluator has; a table contributes the repr of each float, a failure its
-# quantity and corner label. Recorded from 16-design chunks.
+# quantity and corner label.
 BATCH_DIGESTS = {
-    "ideal_supply": "0b491764ff5b923b6fe55cf65970be4cb6545eaacb3def8c9ee2361e646f2541",
-    "coupled": "29faa318a4c6384660870c4a21098c8b1b99e28dc7de4066b137f61ab1f021a6",
+    "ideal_supply": "2950c3d9af3793984dd49cc5780fc0ac54a5d01e829235ecbd275eabd7fdc242",
+    "coupled": "b58a6d381aa2c877e2c86b76bddcf8e5b4fae146ba29b70b43bcc7e02ccf22eb",
     "ldo_only": "a9f336c0f7a2b62a0c34ff0a75afb7e04b0438304bf10c3abbd2937cb1ebf55b",
 }
 
 
-@pytest.mark.parametrize("mode", sorted(BATCH_DIGESTS))
-def test_batch_digest(space, tc, all_corners, golden_points, mode):
+def batch_digest(space, tc, corners, points, mode) -> str:
     i_load = LDO_ONLY_I_LOAD if mode == "ldo_only" else None
     h = hashlib.sha256()
-    for outcome in evaluate_batch(space, golden_points, all_corners, mode, tc, i_load=i_load):
+    for outcome in evaluate_batch(space, points, corners, mode, tc, i_load=i_load):
         if isinstance(outcome, EvaluationFailure):
             line = f"fail {outcome.quantity} {outcome.corner}"
         else:
             line = repr(outcome.tolist())
         h.update((line + "\n").encode())
-    assert h.hexdigest() == BATCH_DIGESTS[mode]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(BATCH_DIGESTS))
+def test_batch_digest(space, tc, all_corners, golden_points, mode):
+    assert batch_digest(space, tc, all_corners, golden_points, mode) == BATCH_DIGESTS[mode]
 
 # Golden values of the training and search path: the weights and train_log
 # of one cold fit followed by a warm update chain, and the run_log rows of
 # short co-design and sequential runs, each hashed with sha256 over the
-# repr of every value. They were recorded from the per-child breeding,
-# per-row prescreen and allocating training epoch; any moved bit in a
-# weight, a prediction, an RNG draw or a selected child changes them.
+# repr of every value. Any moved bit in a weight, a prediction, an RNG
+# draw, a selected child or an evaluated metric changes them.
 
 TRAINING_DIGESTS = {
     "optimizer": "2814420117e2bc357c5be49de57bc688f9b7a623be0ccda2d3d8a3e77c059cf2",
@@ -131,8 +154,8 @@ TRAINING_DIGESTS = {
 }
 
 FLOW_DIGESTS = {
-    "codesign": "b99098cf2eb3bcadab23af3d7f2483befed3866f01e428eb9a9f80da94ab53e9",
-    "sequential": "769a38583cbb0d6467a7845949c32df02baa4c34aff79bb10b69f376ded9381e",
+    "codesign": "03c297b2d2220813592589f52a58c1ea82259c977331b6465b119e60ee67edc9",
+    "sequential": "5adb15fa73a8eaed7983013e04c17c41bdad33e89aba1eebec41f6546a93c46c",
 }
 
 
@@ -150,8 +173,7 @@ def _model_lines(model) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("name", sorted(TRAINING_DIGESTS))
-def test_training_digest(name):
+def training_digest(name) -> str:
     if name == "optimizer":
         cfg = COLD_FIT  # the optimizer's cold fit
     else:  # members freeze at different epochs
@@ -162,17 +184,41 @@ def test_training_digest(name):
     for rows, epochs, seed in ((67, 60, 12), (67, 0, 13), (80, 60, 14)):
         model = update(model, x[:rows], y[:rows], epochs, seed)
         lines += _model_lines(model)
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == TRAINING_DIGESTS[name]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_DIGESTS))
+def test_training_digest(name):
+    assert training_digest(name) == TRAINING_DIGESTS[name]
+
+
+def flow_digest(space, constraints, tc, corners, flow) -> str:
+    runner = run_codesign if flow == "codesign" else run_sequential
+    cfg = OptConfig(eval_budget=40, seed=0, init_samples=30, no_improve_limit=40)
+    res = runner(space, corners, constraints, tc, cfg, seed=5)
+    header = list(RUN_LOG_HEADER) + (["stage"] if flow == "sequential" else [])
+    lines = [",".join(repr(row[h]) for h in header) for row in res.log_rows]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("flow", sorted(FLOW_DIGESTS))
 def test_flow_digest(bundled, tc, all_corners, flow):
     space, constraints = bundled
-    runner = run_codesign if flow == "codesign" else run_sequential
-    cfg = OptConfig(eval_budget=40, seed=0, init_samples=30, no_improve_limit=40)
-    res = runner(space, all_corners, constraints, tc, cfg, seed=5)
-    header = list(RUN_LOG_HEADER) + (["stage"] if flow == "sequential" else [])
-    lines = [",".join(repr(row[h]) for h in header) for row in res.log_rows]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == FLOW_DIGESTS[flow]
+    assert flow_digest(space, constraints, tc, all_corners, flow) == FLOW_DIGESTS[flow]
+
+
+if __name__ == "__main__":
+    space, constraints = load_bundled_problem()
+    tc = load_bundled_constants()
+    corners = tuple([NOMINAL_CORNER] + enumerate_corners())
+    points = golden_point_set(space)
+    for mode in sorted(GOLDEN_DIGESTS):
+        print(f"GOLDEN_DIGESTS[{mode!r}] = {golden_digest(space, tc, corners, points, mode)!r}")
+    print(f"PN_SWEEP_DIGEST = {pn_sweep_digest(space, tc, corners, points)!r}")
+    for mode in sorted(BATCH_DIGESTS):
+        print(f"BATCH_DIGESTS[{mode!r}] = {batch_digest(space, tc, corners, points, mode)!r}")
+    for name in sorted(TRAINING_DIGESTS):
+        print(f"TRAINING_DIGESTS[{name!r}] = {training_digest(name)!r}")
+    for flow in sorted(FLOW_DIGESTS):
+        digest = flow_digest(space, constraints, tc, corners, flow)
+        print(f"FLOW_DIGESTS[{flow!r}] = {digest!r}")

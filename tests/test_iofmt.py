@@ -160,6 +160,23 @@ class TestBundledProblem:
             parse_problem_file(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value,shown", [
+        ("0", "0"), ("1.5", "1.5"), ("1e308", "1e+308"),
+    ])
+    def test_beta_fb_outside_unit_interval_rejected(self, bundled, value, shown):
+        text = re.sub(r"^beta_fb \S+", f"beta_fb {value}", format_problem_file(*bundled),
+                      flags=re.M)
+        with pytest.raises(ValueError) as info:
+            parse_problem_file(text)
+        assert str(info.value) == f"beta_fb: divider ratio {shown} outside (0, 1]"
+
+    @pytest.mark.parametrize("value", ["1", "1e-308"])
+    def test_beta_fb_inside_unit_interval_accepted(self, bundled, value):
+        text = re.sub(r"^beta_fb \S+", f"beta_fb {value}", format_problem_file(*bundled),
+                      flags=re.M)
+        space, _ = parse_problem_file(text)
+        assert space.fixed["beta_fb"] == float(value)
+
     def test_zero_fixed_element_accepted(self, bundled):
         text = re.sub(r"^c_byp \S+", "c_byp 0", format_problem_file(*bundled), flags=re.M)
         space, _ = parse_problem_file(text)

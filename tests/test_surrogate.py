@@ -132,8 +132,9 @@ class TestPredict:
         with pytest.raises(ValueError, match=r"\(n, 3\)"):
             predict(model, np.zeros((1, 5)))
 
-    @pytest.mark.parametrize("predictor", [predict, lambda m, x: predict_conservative(m, x, 0.7)],
-                             ids=["predict", "predict_conservative"])
+    @pytest.mark.parametrize("predictor", [
+        predict, lambda m, x: predict_conservative(m, x, 0.7, senses=np.array([-1.0])),
+    ], ids=["predict", "predict_conservative"])
     def test_one_dimensional_input_rejected(self, predictor):
         # a single design is a batch of one, (1, d), never a bare (d,) vector
         x = lhs_matrix(100, 3, seed=4)
@@ -166,7 +167,8 @@ class TestConservative:
         probe = lhs_matrix(12, 2, seed=2)
         for beta in (0.0, 0.3, 0.5, 0.9, 1.0):
             assert np.allclose(
-                predict_conservative(clone, probe, beta), predict(clone, probe), atol=1e-12
+                predict_conservative(clone, probe, beta, senses=np.array([1.0, -1.0])),
+                predict(clone, probe), atol=1e-12
             )
 
     def test_monotone_in_beta_per_orientation(self, model):
@@ -184,7 +186,7 @@ class TestConservative:
 
     def test_invalid_beta(self, model):
         with pytest.raises(ValueError):
-            predict_conservative(model, np.zeros((1, 2)), 1.5)
+            predict_conservative(model, np.zeros((1, 2)), 1.5, senses=np.array([1.0, -1.0]))
 
 
 class TestUpdate:
