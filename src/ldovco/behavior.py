@@ -15,15 +15,17 @@ batch has this one shape, a step's batch of one included. A design that
 fails a model test leaves the batch there, so the later models run on the
 survivors only.
 The PSR curve is computed one distinct LDO corner at a time and only its
-peak is kept.
+peak is kept: its design-only terms are computed once per batch, and every
+corner's curve is written into the same five (designs, 1, 241) work
+buffers, three complex and two real, which the batch owns.
 
 Every closed form is numpy arithmetic and ufuncs (np.sqrt, np.log10,
 np.arctan, np.power, x * x) over the grid, and the PSR curve is numpy
-complex arithmetic on (designs, 241) arrays. Each design's outcome is the
-same, bit for bit, whatever else is in its batch: a ufunc gives an element
-the same bits in every layout numpy hands it (whole array, slice, 0-d array
-or Python float). The low bits follow numpy's SIMD dispatch, so they can
-differ between CPUs.
+complex arithmetic into those buffers (ufuncs with out=). Each design's
+outcome is the same, bit for bit, whatever else is in its batch: a ufunc
+gives an element the same bits in every layout numpy hands it (whole
+array, slice, 0-d array or Python float). The low bits follow numpy's SIMD
+dispatch, so they can differ between CPUs.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ MODES = ("ideal_supply", "ldo_only", "coupled")
 # Designs per numpy pass of evaluate_batch: a screen batch of 200 and the
 # default LHS sample (at most 172) are each one pass, which spreads the
 # fixed cost of the models' ~150 numpy calls; the memory bound, since the
-# PSR curve's complex temporaries hold 241 points per design of the chunk.
+# PSR curve's work buffers (five, and two design-only complex terms) hold
+# 241 points per design of the chunk, about 23 KB per design in all.
 CHUNK_DESIGNS = 200
 
 # The design variables map_vco and map_ldo read, and the fixed elements the
@@ -172,8 +175,11 @@ class _Failures:
         self.tests.append((name, bad, detail))
 
     def at(self, x, d: int, i: int) -> float:
-        """Design d's value of x at corner i."""
-        return np.broadcast_to(x, self.shape)[d, i].item()
+        """Design d's value of x at corner i, for an x that broadcasts to
+        the grid: each trailing axis of x is indexed, at 0 where it has
+        length 1."""
+        x = np.asarray(x)
+        return x[tuple(k if n > 1 else 0 for k, n in zip((d, i)[2 - x.ndim:], x.shape))].item()
 
     def require_positive(self, name: str, value: np.ndarray) -> None:
         bad = ~((value > 0.0) & np.isfinite(value))
@@ -362,15 +368,30 @@ def combine_pn(parts: list[float]) -> float | np.ndarray:
     return np.where(ref == -math.inf, -math.inf, ref + 10.0 * np.log10(total))[()]
 
 
-def _loop_gain(a_dc, gbw, p2, f_z, f) -> np.ndarray:
-    """Complex loop gain on the dominant-pole + output-pole + zero model.
-    The zero frequency is signed: positive right-half-plane zeros lose
-    phase, negative left-half-plane ones add it."""
-    jf = 1j * np.asarray(f, dtype=float)
+def _recip(x) -> np.ndarray:
+    """1.0 / x of a real x, with -0.0 taken as +0.0: then 1.0 +- jf *
+    _recip(x) equals 1.0 +- jf / x bit for bit for a pure-imaginary jf
+    (numpy's complex division by a zero divides by its absolute value)."""
+    return 1.0 / (x + 0.0)
+
+
+def _loop_gain(a_dc, gbw, p2, f_z, jf, out: np.ndarray,
+               spare: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Complex loop gain on the dominant-pole + output-pole + zero model at
+    jf (j times the frequency, on a trailing axis), written into `out`; the
+    two `spare` buffers have its shape. The zero frequency is signed:
+    positive right-half-plane zeros lose phase, negative left-half-plane
+    ones add it."""
     a_dc, gbw, p2, f_z = (_outer(x, jf) for x in (a_dc, gbw, p2, f_z))
     p1 = gbw / a_dc
-    # an infinite f_z (no zero) makes jf / f_z exactly 0
-    return a_dc * (1.0 - jf / f_z) / ((1.0 + jf / p1) * (1.0 + jf / p2))
+    # a_dc * (1.0 - jf / f_z) / ((1.0 + jf / p1) * (1.0 + jf / p2)); an
+    # infinite f_z (no zero) makes jf / f_z exactly 0
+    pole1, pole2 = spare
+    np.subtract(1.0, np.multiply(jf, _recip(f_z), out=out), out=out)
+    np.multiply(a_dc, out, out=out)
+    np.add(1.0, np.multiply(jf, _recip(p1), out=pole1), out=pole1)
+    np.add(1.0, np.multiply(jf, _recip(p2), out=pole2), out=pole2)
+    return np.divide(out, np.multiply(pole1, pole2, out=pole1), out=out)
 
 
 @dataclass(frozen=True)
@@ -411,34 +432,54 @@ def _lambda(l_chan: float, lam_per_um: float) -> float:
     return lam_per_um * 1e-6 / l_chan
 
 
-def psr_curve(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z) -> np.ndarray:
+class _PsrWork:
+    """What psr_curve needs of a batch beyond one corner's inputs: the
+    terms that depend on the design only, computed once, and the work
+    buffers, of the curves' shape, that every corner's curve is written
+    into."""
+
+    def __init__(self, gds_pass, c_ds_pass, c_out, shape: tuple[int, ...]):
+        jw = 2j * math.pi * FREQ_GRID
+        self.jf = 1j * FREQ_GRID
+        self.gds_pass, c_ds_pass, c_out = (_outer(x, jw) for x in (gds_pass, c_ds_pass, c_out))
+        self.leak = self.gds_pass + jw * c_ds_pass
+        self.jw_c_out = jw * c_out
+        self.complex = tuple(np.empty(shape, dtype=complex) for _ in range(3))
+        self.real = tuple(np.empty(shape) for _ in range(2))
+
+
+def psr_curve(work: _PsrWork, gm_pass, a_dc, gbw, p2, f_z) -> np.ndarray:
     """Supply rejection in dB vs FREQ_GRID, on a trailing axis after the
-    inputs' axes: the (gds + j w c_ds) leakage through the pass device
-    against the output node admittance, suppressed by the loop; the output
-    capacitance (bypass included) strictly attenuates it at every
-    frequency."""
-    jw = 2j * math.pi * FREQ_GRID
-    gds_pass, c_ds_pass, c_out, gm_pass = (
-        _outer(x, jw) for x in (gds_pass, c_ds_pass, c_out, gm_pass))
-    h_open = (gds_pass + jw * c_ds_pass) / (gm_pass + gds_pass + jw * c_out)
-    loop = _loop_gain(a_dc, gbw, p2, f_z, FREQ_GRID)
-    return 20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + loop))
+    inputs' axes, written into a buffer of `work`: the (gds + j w c_ds)
+    leakage through the pass device against the output node admittance,
+    suppressed by the loop; the output capacitance (bypass included)
+    strictly attenuates it at every frequency."""
+    h_open, spare = work.complex[0], work.complex[1:]
+    mag_open, mag_loop = work.real
+    # (gds + j w c_ds) / (gm_pass + gds + j w c_out)
+    np.add(_outer(gm_pass, work.jf) + work.gds_pass, work.jw_c_out, out=h_open)
+    np.abs(np.divide(work.leak, h_open, out=h_open), out=mag_open)
+    loop = _loop_gain(a_dc, gbw, p2, f_z, work.jf, h_open, spare)
+    np.abs(np.add(1.0, loop, out=loop), out=mag_loop)
+    # 20 log10(|h_open| / |1 + loop|)
+    np.log10(np.divide(mag_open, mag_loop, out=mag_open), out=mag_open)
+    return np.multiply(20.0, mag_open, out=mag_open)
 
 
 def _psr_max(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z) -> np.ndarray:
     """The peak of psr_curve over the (design, corner) grid. gds_pass,
     c_ds_pass and c_out are per design; the curve is computed one corner at
-    a time, once per corner whose other inputs differ, bit for bit over the
-    batch, from every earlier corner's (the LDO sees only the MOS skew and
-    the temperature: 9 of 33 corners), and its peak is gathered back onto
-    the corner axis."""
+    a time, into one set of work buffers, once per corner whose other
+    inputs differ, bit for bit over the batch, from every earlier corner's
+    (the LDO sees only the MOS skew and the temperature: 9 of 33 corners),
+    and its peak is gathered back onto the corner axis."""
     per_corner = np.stack((gm_pass, a_dc, gbw, p2, f_z))  # (input, ..., corner)
     by_corner = np.ascontiguousarray(per_corner.T).reshape(f_z.shape[-1], -1)
     keys = by_corner.view(f"V{by_corner.shape[1] * by_corner.itemsize}").ravel().tolist()
     first = {key: keys.index(key) for key in dict.fromkeys(keys)}  # in corner order
     slots = {key: n for n, key in enumerate(first)}
-    peaks = [psr_curve(gds_pass, c_ds_pass, c_out, *per_corner[..., i:i + 1]).max(axis=-1)
-             for i in first.values()]
+    work = _PsrWork(gds_pass, c_ds_pass, c_out, f_z.shape[:-1] + (1, len(FREQ_GRID)))
+    peaks = [psr_curve(work, *per_corner[..., i:i + 1]).max(axis=-1) for i in first.values()]
     return np.concatenate(peaks, axis=-1)[..., [slots[key] for key in keys]]
 
 

@@ -655,6 +655,18 @@ class TestFiniteMetrics:
         assert (info.value.quantity, info.value.corner) == (quantity, "nominal")
 
 
+@pytest.mark.parametrize("shape", [(), (3, 1), (4,), (3, 4), (1, 4), (1, 1)])
+def test_failure_detail_value_at_grid_cell(all_corners, shape):
+    failures = _Failures(all_corners[:4], 3)
+    values = np.array([1.5, -0.0, math.nan, math.inf, 5e-324, -2.0e300] * 2)
+    for x in [values[:math.prod(shape)].reshape(shape), float(values[1]), values[2]]:
+        for d in range(3):
+            for i in range(4):
+                expected = np.broadcast_to(x, failures.shape)[d, i].item()
+                got = failures.at(x, d, i)
+                assert type(got) is type(expected) and repr(got) == repr(expected)
+
+
 class _ReadNames(dict):
     """A design-value dict that records every name read from it."""
 
@@ -738,6 +750,63 @@ class TestPsrDistinctRows:
         assert batch.psr_max.shape == (36, len(all_corners))
         for peaks, (_, one) in zip(batch.psr_max, passing):
             assert peaks.tobytes() == one.psr_max.tobytes()
+
+    def test_curves_share_the_batch_buffers(self, monkeypatch, space, tc, co_point,
+                                            all_corners):
+        _, curves = psr_curves(monkeypatch, space, co_point, tc, 2e-3, 1e-12, all_corners)
+        assert len(curves) == 9
+        assert all(np.shares_memory(a, b) for a, b in zip(curves, curves[1:]))
+
+
+def plain_psr_curve(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z):
+    """The PSR curve as one expression over the whole grid, with fresh
+    temporaries: the pass-device leakage over the output admittance,
+    suppressed by the two-pole-plus-zero loop."""
+    jw = 2j * math.pi * FREQ_GRID
+    jf = 1j * FREQ_GRID
+    gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z = (
+        np.asarray(x)[..., np.newaxis] for x in (gds_pass, c_ds_pass, c_out, gm_pass,
+                                                 a_dc, gbw, p2, f_z))
+    h_open = (gds_pass + jw * c_ds_pass) / (gm_pass + gds_pass + jw * c_out)
+    p1 = gbw / a_dc
+    loop = a_dc * (1.0 - jf / f_z) / ((1.0 + jf / p1) * (1.0 + jf / p2))
+    return 20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + loop))
+
+
+class TestPsrWork:
+    """The batch's PSR peak, computed corner by corner in work buffers,
+    has the bits of the curve written as one plain expression."""
+
+    @pytest.mark.parametrize("mode", ["coupled", "ldo_only"])
+    def test_batch_peak_equals_plain_expression(self, monkeypatch, space, tc, all_corners,
+                                                mode):
+        calls, psr_max = [], behavior._psr_max
+
+        def recorded(*inputs):
+            calls.append((inputs, psr_max(*inputs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(behavior, "_psr_max", recorded)
+        i_load = 2e-3 if mode == "ldo_only" else None
+        outcomes = evaluate_batch(space, sample_initial(space, 120, seed=7), all_corners, mode,
+                                  tc, i_load=i_load)
+        [(inputs, peaks)] = calls
+        assert peaks.shape == (len(peaks), len(all_corners))
+        assert len(peaks) >= sum(isinstance(o, np.ndarray) for o in outcomes) > 20
+        with np.errstate(all="ignore"):
+            plain = plain_psr_curve(*inputs).max(axis=-1)
+        assert peaks.tobytes() == plain.tobytes()
+
+    def test_reciprocal_equals_division_on_edge_values(self):
+        tiny = np.nextafter(0.0, 1.0)
+        x = np.array([0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1e-300, -1e-320,
+                      1.0, -1.0, -3e5, 7e8, 1.7e308, -1.7e308,
+                      math.inf, -math.inf, math.nan])[:, np.newaxis]
+        jf = 1j * FREQ_GRID
+        with np.errstate(all="ignore"):
+            for plain, by_recip in [(1.0 + jf / x, 1.0 + jf * behavior._recip(x)),
+                                    (1.0 - jf / x, 1.0 - jf * behavior._recip(x))]:
+                assert plain.tobytes() == by_recip.tobytes()
 
 
 class TestConstantsFile:
