@@ -734,14 +734,12 @@ def pn_sweep(
     corner: Corner,
     mode: str,
     tc: TechConstants,
-    offsets: np.ndarray = SWEEP_OFFSETS,
 ) -> np.ndarray:
-    """Total phase noise vs offset at one corner, for export; one dBc/Hz
-    value per offset. The corner is evaluated as a one-corner batch of one,
-    so a design that fails there raises as evaluate would."""
+    """Total phase noise at one corner, for export: one dBc/Hz value per
+    offset of SWEEP_OFFSETS. The corner is evaluated as a one-corner batch
+    of one, so a design that fails there raises as evaluate would."""
     outcomes, vco, ldo, tcc = _evaluate(
         space, np.asarray(point, dtype=float)[np.newaxis], (corner,), mode, tc, None
     )
     table_or_raise(outcomes[0])
-    offsets = np.asarray(offsets, dtype=float)
-    return _phase_noise(vco, ldo, tcc, offsets).reshape(offsets.shape)
+    return _phase_noise(vco, ldo, tcc, SWEEP_OFFSETS)[0, 0]

@@ -63,7 +63,6 @@ class RunConfig:
     init_samples: int | None = OptConfig.init_samples
     no_improve_limit: int = OptConfig.no_improve_limit
     beta: float = OptConfig.beta
-    refit_epochs: int = OptConfig.refit_epochs
     out: str = "runs"
     seeds: tuple[int, ...] = tuple(range(1, 11))
     workers: int = 1
@@ -84,7 +83,6 @@ _RUNCONFIG_COMMENTS = {
                     " half the budget (each seq stage always uses auto on its own budget)",
     "no_improve_limit": "stop after this many non-improving iterations",
     "beta": "conservatism of the surrogate prescreen quantile",
-    "refit_epochs": "surrogate training epochs per iteration (warm start)",
     "out": "artifact directory",
     "seeds": "seed list for the compare command",
     "workers": "parallel worker processes for compare",

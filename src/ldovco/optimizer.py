@@ -39,7 +39,6 @@ class OptConfig:
     init_samples: int | None = None  # None -> max(80, 4 * dim), at most half the budget
     no_improve_limit: int = 100
     beta: float = 0.7
-    refit_epochs: int = 60  # warm-start training budget per iteration
 
     def __post_init__(self):
         if self.lambda_parents < 4:
@@ -53,8 +52,6 @@ class OptConfig:
         for name in ("de_cr", "beta"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if self.refit_epochs < 0:
-            raise ValueError(f"refit_epochs must be nonnegative, got {self.refit_epochs}")
         if self.no_improve_limit < 1:
             # the stop check runs before the first step, so such a run never steps
             raise ValueError(f"no_improve_limit must be positive, got {self.no_improve_limit}")
@@ -73,9 +70,11 @@ class OptConfig:
         return n
 
 
-# The cold fit's training run. Per-iteration refits warm-start from the
-# previous model, so this full-length budget is only paid once.
+# The surrogate's two training budgets: the cold fit's full run, paid once,
+# and the epochs of each per-iteration refit, which warm-starts from the
+# previous model.
 COLD_FIT = MlpConfig(epochs=300, patience=50)
+REFIT_EPOCHS = 60
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,8 @@ class Database:
     def incumbent(self) -> TrialRecord:
         return self.records[self.incumbent_index]
 
-    def insert(self, rec: TrialRecord) -> bool:
-        """Record one evaluation; returns True if the incumbent changed."""
+    def insert(self, rec: TrialRecord) -> None:
+        """Record one evaluation."""
         changed = not self.records or _rank(rec) < _rank(self.incumbent)
         self.records.append(rec)
         self.incumbents.append(len(self.records) - 1 if changed else self.incumbent_index)
@@ -141,7 +140,6 @@ class Database:
         if rec.worst is not None:  # a failed evaluation trains nothing
             self.train_x.append(point)
             self.train_y.append(np.array(rec.worst))
-        return changed
 
     def top_distinct_points(self, count: int) -> list[DesignPoint]:
         """Best `count` distinct designs (re-evaluations of one point count
@@ -225,19 +223,19 @@ def de_generate(
 
 
 def fit_surrogate(
-    x_rows: list[np.ndarray], y_rows: list[np.ndarray], cfg: OptConfig, seed: int,
+    x_rows: list[np.ndarray], y_rows: list[np.ndarray], seed: int,
     prev: EnsembleModel | None = None,
 ) -> EnsembleModel | None:
-    """Refit on every successfully evaluated record in the database: a full
-    training run the first time, warm-started continuation afterwards. None
-    while there are not yet enough records to train on."""
+    """Refit on every successfully evaluated record in the database: the
+    COLD_FIT run the first time, REFIT_EPOCHS of warm-started continuation
+    afterwards. None while there are not yet enough records to train on."""
     if len(x_rows) < MIN_TRAIN_ROWS:
         return None
     x = np.array(x_rows)
     y = np.array(y_rows)
     if prev is None:
         return fit(x, y, COLD_FIT, seed)
-    return update(prev, x, y, cfg.refit_epochs, seed)
+    return update(prev, x, y, REFIT_EPOCHS, seed)
 
 
 def select_candidate(
@@ -245,7 +243,7 @@ def select_candidate(
     model: EnsembleModel | None,
     problem: SizingProblem,
     cfg: OptConfig,
-    seen: set[bytes] | None = None,
+    seen: set[bytes],
 ) -> DesignPoint:
     """Score the (n, dim) batch of children with the conservative surrogate
     and return a copy of the one the feasibility-first ranking likes best
@@ -262,10 +260,9 @@ def select_candidate(
     preds = predict_conservative(model, children, cfg.beta, senses=PRESCREEN_SENSES)
     keys = list(map(rank_key, preds[:, _FOM].tolist(), problem.violation(preds).tolist()))
     order = sorted(range(len(children)), key=keys.__getitem__)
-    if seen:
-        for idx in order:
-            if children[idx].tobytes() not in seen:
-                return children[idx].copy()
+    for idx in order:
+        if children[idx].tobytes() not in seen:
+            return children[idx].copy()
     return children[order[0]].copy()
 
 
@@ -332,7 +329,7 @@ def step(state: RunState) -> bool:
 
     children = repair(problem.space, de_generate(parents, best, cfg, state.rng))
     fit_seed = int(np.random.SeedSequence([cfg.seed, 2, state.evals_used]).generate_state(1)[0])
-    state.model = fit_surrogate(db.train_x, db.train_y, cfg, fit_seed, prev=state.model)
+    state.model = fit_surrogate(db.train_x, db.train_y, fit_seed, prev=state.model)
     chosen = select_candidate(children, state.model, problem, cfg, seen=db.seen)
 
     before = db.incumbent

@@ -71,28 +71,15 @@ def table_or_raise(outcome: Outcome) -> np.ndarray:
     return outcome
 
 
-def enumerate_corners(
-    mos_pairs: Sequence[tuple[str, str]] = MOS_PAIRS,
-    inductor_extremes: Sequence[str] = ("min", "max"),
-    capacitor_extremes: Sequence[str] = ("min", "max"),
-    temperatures: Sequence[float] = (-55.0, 125.0),
-    vdd_in: float = DEFAULT_VDD_IN,
-) -> list[Corner]:
-    """Full Cartesian corner grid in deterministic lexicographic order
-    (MOS pair, then inductor, capacitor, temperature). The nominal corner is
-    not part of this grid; use NOMINAL_CORNER separately."""
-    for name, seq in (
-        ("mos_pairs", mos_pairs),
-        ("inductor_extremes", inductor_extremes),
-        ("capacitor_extremes", capacitor_extremes),
-        ("temperatures", temperatures),
-    ):
-        if len(seq) == 0:
-            raise ValueError(f"{name} must be nonempty")
+def enumerate_corners() -> list[Corner]:
+    """The 32-corner grid at DEFAULT_VDD_IN, in lexicographic order: MOS
+    pair (MOS_PAIRS order), then inductor, capacitor (min, max each) and
+    temperature (-55, 125 C). The nominal corner is not part of this grid;
+    use NOMINAL_CORNER separately."""
     return [
-        Corner(nmos=n, pmos=p, inductor=l, capacitor=c, temperature=t, vdd_in=vdd_in)
+        Corner(nmos=n, pmos=p, inductor=l, capacitor=c, temperature=t, vdd_in=DEFAULT_VDD_IN)
         for (n, p), l, c, t in itertools.product(
-            mos_pairs, inductor_extremes, capacitor_extremes, temperatures
+            MOS_PAIRS, ("min", "max"), ("min", "max"), (-55.0, 125.0)
         )
     ]
 

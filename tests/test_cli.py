@@ -414,7 +414,6 @@ def test_exit_codes(workdir, co_point_file, capsys, argv, code, prefix):
     ("de_f nan", "de_f must be finite and positive, got nan"),
     ("de_f 0", "de_f must be finite and positive, got 0.0"),
     ("de_f 1e308", "de_f must be at most 2, got 1e+308"),
-    ("refit_epochs -1", "refit_epochs must be nonnegative, got -1"),
     ("no_improve_limit 0", "no_improve_limit must be positive, got 0"),
     ("no_improve_limit -5", "no_improve_limit must be positive, got -5"),
 ])
@@ -424,6 +423,16 @@ def test_optimizer_setting_that_cannot_run_is_exit_2(workdir, capsys, command, l
     config.write_text(f"budget 30\nseeds 1,2\n{line}\n")
     assert main([command, str(config)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (workdir / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_config_with_a_refit_epochs_line_is_exit_2(workdir, capsys, command):
+    # every refit trains the same fixed number of epochs; the key is gone
+    config = workdir / RUNCONFIG_FILE
+    config.write_text(config.read_text() + "refit_epochs 60\n")
+    assert main([command, str(config)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: refit_epochs\n"
     assert not (workdir / "runs").exists()
 
 

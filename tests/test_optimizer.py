@@ -181,14 +181,14 @@ class TestDatabase:
     def test_first_of_tied_records_stays_incumbent(self):
         db = Database()
         for i in range(3):
-            assert db.insert(self._record(i, 190.0, 0.0)) == (i == 0)
-        assert db.incumbent_index == 0
+            db.insert(self._record(i, 190.0, 0.0))
+        assert db.incumbents == [0, 0, 0]
 
 
 class TestSelectCandidate:
     def test_singleton(self, toy_problem):
         only = [np.array([1.0, 1.0])]
-        assert select_candidate(only, None, toy_problem, cfg_for(toy_problem))[0] == 1.0
+        assert select_candidate(only, None, toy_problem, cfg_for(toy_problem), set())[0] == 1.0
 
     @staticmethod
     def _linear_problem():
@@ -210,9 +210,9 @@ class TestSelectCandidate:
 
         return SizingProblem(space, (NOMINAL_CORNER,), (Constraint("pdyn", 4.0),), ev)
 
-    def _exact_model(self, problem, cfg):
+    def _exact_model(self, problem):
         state = start(problem, OptConfig(eval_budget=300, seed=2, init_samples=250))
-        return fit_surrogate(state.db.train_x, state.db.train_y, cfg, seed=9)
+        return fit_surrogate(state.db.train_x, state.db.train_y, seed=9)
 
     def test_matches_true_best_on_linear_metrics(self):
         # children sit clear of the constraint boundary, so the conservative
@@ -220,7 +220,7 @@ class TestSelectCandidate:
         # the selection must reproduce the true ranking
         problem = self._linear_problem()
         cfg = cfg_for(problem, budget=600, seed=2)
-        model = self._exact_model(problem, cfg)
+        model = self._exact_model(problem)
         children = [
             np.array([x, y])
             for x in (0.5, 1.25, 2.0, 2.75)
@@ -233,16 +233,16 @@ class TestSelectCandidate:
             return (vio > 0, vio, -worst.fom)
 
         true_best = min(children, key=key)
-        chosen = select_candidate(children, model, problem, cfg)
+        chosen = select_candidate(children, model, problem, cfg, set())
         assert np.array_equal(chosen, true_best)
 
     def test_feasibility_first(self):
         problem = self._linear_problem()
         cfg = cfg_for(problem, budget=600, seed=2)
-        model = self._exact_model(problem, cfg)
+        model = self._exact_model(problem)
         # deep-infeasible child with great objective vs feasible mediocre one
         children = [np.array([4.5, 4.5]), np.array([1.0, 1.0])]
-        chosen = select_candidate(children, model, problem, cfg)
+        chosen = select_candidate(children, model, problem, cfg, set())
         assert np.array_equal(chosen, children[1])
 
 

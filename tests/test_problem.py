@@ -44,32 +44,18 @@ class TestCorners:
         assert NOMINAL_CORNER.temperature == 27.0
         assert NOMINAL_CORNER.vdd_in == pytest.approx(1.62)
 
-    def test_singleton_product(self):
-        corners = enumerate_corners(
-            mos_pairs=[("fast", "fast")], inductor_extremes=["min"],
-            capacitor_extremes=["min"], temperatures=[125.0],
-        )
-        assert len(corners) == 1
-
     def test_lexicographic_order(self):
-        corners = enumerate_corners(
-            mos_pairs=[("fast", "fast"), ("slow", "slow")],
-            inductor_extremes=["min"], capacitor_extremes=["min"],
-            temperatures=[-55.0, 125.0],
+        # MOS pair, then inductor, capacitor and temperature: the pair moves
+        # every 8 corners, the temperature every corner
+        labels = [c.label() for c in enumerate_corners()]
+        assert (labels[0], labels[8], labels[-1]) == (
+            "fnfp_minL_minC_m55C", "fnsp_minL_minC_m55C", "snfp_maxL_maxC_125C"
         )
-        assert len(corners) == 4
-        assert [(c.nmos, c.temperature) for c in corners] == [
-            ("fast", -55.0), ("fast", 125.0), ("slow", -55.0), ("slow", 125.0),
-        ]
 
     def test_mos_pair_order_is_documented(self):
         assert MOS_PAIRS == (
             ("fast", "fast"), ("fast", "slow"), ("slow", "slow"), ("slow", "fast")
         )
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_corners(temperatures=[])
 
     def test_vdd_in_default(self):
         assert all(c.vdd_in == pytest.approx(1.8 * 0.9) for c in enumerate_corners())
