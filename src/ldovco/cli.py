@@ -56,13 +56,8 @@ class RunConfig:
     flow: str = "co"  # co | seq
     seed: int = 1
     budget: int = 500
-    lambda_parents: int = OptConfig.lambda_parents
-    children_per_iter: int = OptConfig.children_per_iter
-    de_f: float = OptConfig.de_f
-    de_cr: float = OptConfig.de_cr
     init_samples: int | None = OptConfig.init_samples
     no_improve_limit: int = OptConfig.no_improve_limit
-    beta: float = OptConfig.beta
     out: str = "runs"
     seeds: tuple[int, ...] = tuple(range(1, 11))
     workers: int = 1
@@ -82,7 +77,6 @@ _RUNCONFIG_COMMENTS = {
     "init_samples": "initial LHS size, co-design only; auto = max(80, 4*dim) capped at"
                     " half the budget (each seq stage always uses auto on its own budget)",
     "no_improve_limit": "stop after this many non-improving iterations",
-    "beta": "conservatism of the surrogate prescreen quantile",
     "out": "artifact directory",
     "seeds": "seed list for the compare command",
     "workers": "parallel worker processes for compare",

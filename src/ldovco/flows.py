@@ -151,6 +151,17 @@ def run_codesign(
     )
 
 
+def _stage_config(cfg: OptConfig, stage: int, budget: int, seed: int, dim: int) -> OptConfig:
+    """A sequential stage's settings; a share of the budget too small to run is named."""
+    stage_cfg = replace(cfg, eval_budget=budget, seed=seed, init_samples=None)
+    try:
+        stage_cfg.resolve_init_samples(dim)
+    except ValueError:
+        raise ValueError(f"sequential stage {stage} gets {budget} of budget {cfg.eval_budget},"
+                         " too few evaluations for its initial sample") from None
+    return stage_cfg
+
+
 def run_sequential(
     space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
     tc: TechConstants, cfg: OptConfig, seed: int,
@@ -159,17 +170,18 @@ def run_sequential(
     budget; a set `cfg.init_samples` applies to co-design only."""
     _require_nominal_first(corners)
     budget1 = round(cfg.eval_budget * STAGE_SPLIT[0] / STAGE_SPLIT[1])
-    budget2 = cfg.eval_budget - budget1
+    cfg1 = _stage_config(cfg, 1, budget1, seed, len(VCO_VARIABLES))
+    cfg2 = _stage_config(cfg, 2, cfg.eval_budget - budget1, seed + 1, len(LDO_VARIABLES))
 
     stage1, vco_full = _stage_problem(
         space, corners, constraints, tc, VCO_VARIABLES, _mid_box(space), "ideal_supply"
     )
-    res1 = run(stage1, replace(cfg, eval_budget=budget1, seed=seed, init_samples=None))
+    res1 = run(stage1, cfg1)
 
     stage2, ldo_full = _stage_problem(
         space, corners, constraints, tc, LDO_VARIABLES, vco_full(res1.incumbent.point), "coupled"
     )
-    res2 = run(stage2, replace(cfg, eval_budget=budget2, seed=seed + 1, init_samples=None))
+    res2 = run(stage2, cfg2)
 
     log_rows = [dict(r, stage=1) for r in res1.log_rows] + [
         dict(r, stage=2) for r in res2.log_rows
@@ -242,8 +254,8 @@ def compare(
     if workers < 1:
         raise ValueError(f"compare needs at least one worker, got {workers}")
     cfg = replace(cfg, no_improve_limit=max(cfg.no_improve_limit, cfg.eval_budget))
-    tasks = [
-        (flow, seed, space, corners, constraints, tc, cfg)
+    tasks = [  # each config carries its seed, so OptConfig rejects a bad one before any run
+        (flow, seed, space, corners, constraints, tc, replace(cfg, seed=seed))
         for seed in seeds
         for flow in ("codesign", "sequential")
     ]

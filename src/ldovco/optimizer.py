@@ -32,26 +32,14 @@ RUN_LOG_HEADER = [
 class OptConfig:
     eval_budget: int
     seed: int
-    lambda_parents: int = 20
-    children_per_iter: int = 50
-    de_f: float = 0.8
-    de_cr: float = 0.8
     init_samples: int | None = None  # None -> max(80, 4 * dim), at most half the budget
     no_improve_limit: int = 100
-    beta: float = 0.7
 
     def __post_init__(self):
-        if self.lambda_parents < 4:
-            raise ValueError("differential evolution needs at least 4 parents")
-        if self.children_per_iter < 1:
-            raise ValueError("children_per_iter must be positive")
-        if not (math.isfinite(self.de_f) and self.de_f > 0.0):
-            raise ValueError(f"de_f must be finite and positive, got {self.de_f}")
-        if self.de_f > 2.0:  # Storn & Price's range; a larger one can overflow the mutants
-            raise ValueError(f"de_f must be at most 2, got {self.de_f}")
-        for name in ("de_cr", "beta"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if self.seed < 0:  # SeedSequence takes non-negative entropy only
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.init_samples is not None and self.init_samples < 2:  # LHS needs two rows
+            raise ValueError(f"init_samples must be at least 2, got {self.init_samples}")
         if self.no_improve_limit < 1:
             # the stop check runs before the first step, so such a run never steps
             raise ValueError(f"no_improve_limit must be positive, got {self.no_improve_limit}")
@@ -75,6 +63,14 @@ class OptConfig:
 # previous model.
 COLD_FIT = MlpConfig(epochs=300, patience=50)
 REFIT_EPOCHS = 60
+
+# Each step's differential evolution, current-to-best/1 with binomial
+# crossover (Storn & Price 1997), and the prescreen's β-quantile.
+PARENTS = 20
+CHILDREN = 50
+DE_F = 0.8
+DE_CR = 0.8
+BETA = 0.7
 
 
 @dataclass(frozen=True)
@@ -197,17 +193,17 @@ def init_db(problem: SizingProblem, cfg: OptConfig) -> Database:
 
 
 def de_generate(
-    parents: list[DesignPoint], best: DesignPoint, cfg: OptConfig, rng: np.random.Generator
+    parents: list[DesignPoint], best: DesignPoint, rng: np.random.Generator
 ) -> np.ndarray:
-    """current-to-best/1 mutation with binomial crossover; returns the raw
-    (children_per_iter, dim) batch of children (pass it through repair
-    before evaluating). Each child draws its parents, crossover mask and
-    guaranteed gene in turn, so the random stream is the same as breeding
-    them one at a time."""
+    """current-to-best/1 mutation with scale factor DE_F and binomial
+    crossover at rate DE_CR; returns the raw (CHILDREN, dim) batch of
+    children (pass it through repair before evaluating). Each child draws
+    its parents, crossover mask and guaranteed gene in turn, so the random
+    stream is the same as breeding them one at a time."""
     if len(parents) < 4:
         raise ValueError("need at least 4 distinct parents")
     pool = np.asarray(parents, dtype=float)
-    n, d = cfg.children_per_iter, pool.shape[1]
+    n, d = CHILDREN, pool.shape[1]
     picks = np.empty((n, 3), dtype=np.intp)
     u = np.empty((n, d))
     gene = np.empty(n, dtype=np.intp)
@@ -216,8 +212,8 @@ def de_generate(
         u[j] = rng.uniform(size=d)
         gene[j] = rng.integers(d)
     x_i, x_r1, x_r2 = pool[picks[:, 0]], pool[picks[:, 1]], pool[picks[:, 2]]
-    mutant = x_i + cfg.de_f * (best - x_i) + cfg.de_f * (x_r1 - x_r2)
-    cross = u < cfg.de_cr
+    mutant = x_i + DE_F * (best - x_i) + DE_F * (x_r1 - x_r2)
+    cross = u < DE_CR
     cross[np.arange(n), gene] = True  # at least one mutant gene
     return np.where(cross, mutant, x_i)
 
@@ -239,15 +235,12 @@ def fit_surrogate(
 
 
 def select_candidate(
-    children: np.ndarray,
-    model: EnsembleModel | None,
-    problem: SizingProblem,
-    cfg: OptConfig,
-    seen: set[bytes],
+    children: np.ndarray, model: EnsembleModel | None, problem: SizingProblem, seen: set[bytes],
 ) -> DesignPoint:
-    """Score the (n, dim) batch of children with the conservative surrogate
-    and return a copy of the one the feasibility-first ranking likes best
-    (ties to the lowest index). With no model yet, the first child stands in.
+    """Score the (n, dim) batch of children with the surrogate ensemble's
+    BETA quantile on each metric's worse side and return a copy of the one
+    the feasibility-first ranking likes best (ties to the lowest index).
+    With no model yet, the first child stands in.
 
     Children identical to an already-evaluated point carry no information, so
     the best not-yet-seen child wins when there is one (`seen` holds the raw
@@ -257,7 +250,7 @@ def select_candidate(
         raise ValueError("select_candidate needs at least one child")
     if model is None:
         return children[0].copy()
-    preds = predict_conservative(model, children, cfg.beta, senses=PRESCREEN_SENSES)
+    preds = predict_conservative(model, children, BETA, senses=PRESCREEN_SENSES)
     keys = list(map(rank_key, preds[:, _FOM].tolist(), problem.violation(preds).tolist()))
     order = sorted(range(len(children)), key=keys.__getitem__)
     for idx in order:
@@ -322,15 +315,15 @@ def step(state: RunState) -> bool:
     """One loop iteration: rank parents, breed children, prescreen, perform
     exactly one true evaluation, update the database. Returns the stop flag."""
     cfg, db, problem = state.cfg, state.db, state.problem
-    parents = db.top_distinct_points(cfg.lambda_parents)
+    parents = db.top_distinct_points(PARENTS)
     best = db.incumbent.point
     while len(parents) < 4:  # tiny databases: pad with the incumbent
         parents.append(best)
 
-    children = repair(problem.space, de_generate(parents, best, cfg, state.rng))
+    children = repair(problem.space, de_generate(parents, best, state.rng))
     fit_seed = int(np.random.SeedSequence([cfg.seed, 2, state.evals_used]).generate_state(1)[0])
     state.model = fit_surrogate(db.train_x, db.train_y, fit_seed, prev=state.model)
-    chosen = select_candidate(children, state.model, problem, cfg, seen=db.seen)
+    chosen = select_candidate(children, state.model, problem, seen=db.seen)
 
     before = db.incumbent
     _evaluate_into(db, problem, chosen[None], "de")  # a batch of one

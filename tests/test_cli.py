@@ -381,8 +381,19 @@ class TestCompare:
         # the sequential flow's first stage gets too few evaluations
         args = ["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1,2", "--budget", "3"]
         assert main(args) == 2
-        assert capsys.readouterr().err.startswith("config error: eval_budget")
+        assert capsys.readouterr().err == ("config error: sequential stage 1 gets 1 of budget 3,"
+                                           " too few evaluations for its initial sample\n")
         assert not (workdir / "runs" / "comparison").exists()
+
+    def test_negative_seed_is_exit_2_before_any_run(self, workdir, capsys, monkeypatch):
+        from ldovco import flows
+
+        calls = []
+        monkeypatch.setattr(flows, "run_codesign", lambda *args: calls.append(args))
+        assert main(["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1,-1"]) == 2
+        assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
+        assert calls == []
+        assert not (workdir / "runs").exists()
 
 
 @pytest.mark.parametrize("argv,code,prefix", [
@@ -406,14 +417,8 @@ def test_exit_codes(workdir, co_point_file, capsys, argv, code, prefix):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("line,message", [
-    ("children_per_iter 0", "children_per_iter must be positive"),
-    ("lambda_parents 3", "differential evolution needs at least 4 parents"),
-    ("beta 1.5", "beta must lie in [0, 1], got 1.5"),
-    ("beta nan", "beta must lie in [0, 1], got nan"),
-    ("de_cr -0.1", "de_cr must lie in [0, 1], got -0.1"),
-    ("de_f nan", "de_f must be finite and positive, got nan"),
-    ("de_f 0", "de_f must be finite and positive, got 0.0"),
-    ("de_f 1e308", "de_f must be at most 2, got 1e+308"),
+    ("seed -1", "seed must be non-negative, got -1"),
+    ("init_samples 1", "init_samples must be at least 2, got 1"),
     ("no_improve_limit 0", "no_improve_limit must be positive, got 0"),
     ("no_improve_limit -5", "no_improve_limit must be positive, got -5"),
 ])
@@ -428,12 +433,17 @@ def test_optimizer_setting_that_cannot_run_is_exit_2(workdir, capsys, command, l
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_config_with_a_refit_epochs_line_is_exit_2(workdir, capsys, command):
-    # every refit trains the same fixed number of epochs; the key is gone
+    # the refit epochs and the DE and prescreen settings are constants, so
+    # an old config's line for any of them names an unknown key
     config = workdir / RUNCONFIG_FILE
-    config.write_text(config.read_text() + "refit_epochs 60\n")
-    assert main([command, str(config)]) == 2
-    assert capsys.readouterr().err == "config error: unknown config keys: refit_epochs\n"
-    assert not (workdir / "runs").exists()
+    text = config.read_text()
+    for line in ("refit_epochs 60", "lambda_parents 20", "children_per_iter 50", "de_f 0.8",
+                 "de_cr 0.8", "beta 0.7"):
+        config.write_text(f"{text}{line}\n")
+        assert main([command, str(config)]) == 2
+        key = line.split()[0]
+        assert capsys.readouterr().err == f"config error: unknown config keys: {key}\n"
+        assert not (workdir / "runs").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "eval", "compare"])

@@ -1,9 +1,9 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ldovco import optimizer
 from ldovco.optimizer import (
     COLD_FIT,
     Database,
@@ -46,75 +46,81 @@ class FakeRng:
         return self.gene
 
 
+def set_de(monkeypatch, children, de_f, de_cr):
+    """Breed with these settings in place of the module's constants."""
+    monkeypatch.setattr(optimizer, "CHILDREN", children)
+    monkeypatch.setattr(optimizer, "DE_F", de_f)
+    monkeypatch.setattr(optimizer, "DE_CR", de_cr)
+
+
 class TestDeGenerate:
-    def test_direct_arithmetic_example(self):
+    def test_direct_arithmetic_example(self, monkeypatch):
         # x_i=2, best=6, x_r1=3, x_r2=1, F=0.5 -> 2 + 0.5*4 + 0.5*2 = 5
         parents = [np.array([2.0]), np.array([3.0]), np.array([1.0]), np.array([9.0])]
-        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, children_per_iter=1, de_f=0.5, de_cr=1.0)
-        child = de_generate(parents, np.array([6.0]), cfg, FakeRng([0, 1, 2]))[0]
+        set_de(monkeypatch, 1, 0.5, 1.0)
+        child = de_generate(parents, np.array([6.0]), FakeRng([0, 1, 2]))[0]
         assert child[0] == pytest.approx(5.0)
 
-    def test_zero_f_full_crossover_returns_parent(self):
+    def test_zero_f_full_crossover_returns_parent(self, monkeypatch):
         rng = np.random.default_rng(3)
         parents = [rng.uniform(size=4) for _ in range(6)]
-        # a run rejects F = 0 (OptConfig); de_generate reads only these fields
-        cfg = SimpleNamespace(children_per_iter=1, de_f=0.0, de_cr=1.0)
+        set_de(monkeypatch, 1, 0.0, 1.0)
         for _ in range(10):
-            child = de_generate(parents, rng.uniform(size=4), cfg, rng)[0]
+            child = de_generate(parents, rng.uniform(size=4), rng)[0]
             assert any(np.allclose(child, p) for p in parents)
 
-    def test_identical_parents_reproduce_themselves(self):
+    def test_identical_parents_reproduce_themselves(self, monkeypatch):
         p = np.array([1.0, 2.0, 3.0])
         parents = [p.copy() for _ in range(5)]
         rng = np.random.default_rng(0)
-        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, children_per_iter=1)
-        child = de_generate(parents, p.copy(), cfg, rng)[0]
+        monkeypatch.setattr(optimizer, "CHILDREN", 1)
+        child = de_generate(parents, p.copy(), rng)[0]
         assert np.allclose(child, p)
 
     def test_needs_four_parents(self):
-        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2)
         with pytest.raises(ValueError):
-            de_generate([np.zeros(2)] * 3, np.zeros(2), cfg, np.random.default_rng(0))
+            de_generate([np.zeros(2)] * 3, np.zeros(2), np.random.default_rng(0))
 
-    def test_at_least_one_mutant_gene(self):
+    def test_at_least_one_mutant_gene(self, monkeypatch):
         # CR = 0 would otherwise clone the parent entirely
         parents = [np.array([0.0, 0.0]), np.array([1.0, 1.0]),
                    np.array([2.0, 2.0]), np.array([3.0, 3.0])]
-        cfg = OptConfig(eval_budget=10, seed=0, init_samples=2, children_per_iter=1, de_f=0.8, de_cr=0.0)
+        set_de(monkeypatch, 1, 0.8, 0.0)
         rng = np.random.default_rng(1)
         diffs = 0
         for _ in range(20):
-            child = de_generate(parents, np.array([5.0, 5.0]), cfg, rng)[0]
+            child = de_generate(parents, np.array([5.0, 5.0]), rng)[0]
             diffs += int(not any(np.allclose(child, p) for p in parents))
         assert diffs > 0
 
 
-def reference_child(parents, best, cfg, rng):
+def reference_child(parents, best, de_f, de_cr, rng):
     """One child of current-to-best/1 with binomial crossover, bred on its own."""
     i, r1, r2 = rng.choice(len(parents), size=3, replace=False)
     x_i, x_r1, x_r2 = parents[i], parents[r1], parents[r2]
-    mutant = x_i + cfg.de_f * (best - x_i) + cfg.de_f * (x_r1 - x_r2)
-    cross = rng.uniform(size=len(x_i)) < cfg.de_cr
+    mutant = x_i + de_f * (best - x_i) + de_f * (x_r1 - x_r2)
+    cross = rng.uniform(size=len(x_i)) < de_cr
     cross[rng.integers(len(x_i))] = True
     return np.where(cross, mutant, x_i)
 
 
 @pytest.mark.parametrize("seed,de_f,de_cr", [(0, 0.8, 0.8), (1, 0.5, 0.0), (2, 1.2, 1.0)])
-def test_batch_breeding_equals_per_child_breeding(space, seed, de_f, de_cr):
+def test_batch_breeding_equals_per_child_breeding(space, monkeypatch, seed, de_f, de_cr):
     # the bundled space mixes integer and continuous variables, and DE with
     # F > 1 leaves the box, so repair has work to do
     parents = sample_initial(space, 20, seed)
     best = parents[3]
-    cfg = OptConfig(eval_budget=10, seed=seed, init_samples=2, de_f=de_f, de_cr=de_cr)
+    monkeypatch.setattr(optimizer, "DE_F", de_f)
+    monkeypatch.setattr(optimizer, "DE_CR", de_cr)
     rng_batch = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     rng_ref = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     for _ in range(3):  # successive steps draw on from where the last left off
-        batch = repair(space, de_generate(parents, best, cfg, rng_batch))
+        batch = repair(space, de_generate(parents, best, rng_batch))
         ref = np.array([
-            repair(space, reference_child(parents, best, cfg, rng_ref))
-            for _ in range(cfg.children_per_iter)
+            repair(space, reference_child(parents, best, de_f, de_cr, rng_ref))
+            for _ in range(optimizer.CHILDREN)
         ])
-        assert batch.shape == (cfg.children_per_iter, space.dim)
+        assert batch.shape == (optimizer.CHILDREN, space.dim)
         assert np.array_equal(batch, ref)
     assert rng_batch.uniform() == rng_ref.uniform()
 
@@ -188,7 +194,7 @@ class TestDatabase:
 class TestSelectCandidate:
     def test_singleton(self, toy_problem):
         only = [np.array([1.0, 1.0])]
-        assert select_candidate(only, None, toy_problem, cfg_for(toy_problem), set())[0] == 1.0
+        assert select_candidate(only, None, toy_problem, set())[0] == 1.0
 
     @staticmethod
     def _linear_problem():
@@ -219,7 +225,6 @@ class TestSelectCandidate:
         # screen cannot flip their feasibility; with near-exact linear fits
         # the selection must reproduce the true ranking
         problem = self._linear_problem()
-        cfg = cfg_for(problem, budget=600, seed=2)
         model = self._exact_model(problem)
         children = [
             np.array([x, y])
@@ -233,16 +238,15 @@ class TestSelectCandidate:
             return (vio > 0, vio, -worst.fom)
 
         true_best = min(children, key=key)
-        chosen = select_candidate(children, model, problem, cfg, set())
+        chosen = select_candidate(children, model, problem, set())
         assert np.array_equal(chosen, true_best)
 
     def test_feasibility_first(self):
         problem = self._linear_problem()
-        cfg = cfg_for(problem, budget=600, seed=2)
         model = self._exact_model(problem)
         # deep-infeasible child with great objective vs feasible mediocre one
         children = [np.array([4.5, 4.5]), np.array([1.0, 1.0])]
-        chosen = select_candidate(children, model, problem, cfg, set())
+        chosen = select_candidate(children, model, problem, set())
         assert np.array_equal(chosen, children[1])
 
 
@@ -336,10 +340,6 @@ class TestCheckStop:
 
 
 class TestConfig:
-    def test_lambda_floor(self):
-        with pytest.raises(ValueError):
-            OptConfig(eval_budget=100, seed=0, lambda_parents=3)
-
     def test_default_init_scales_with_dim(self):
         cfg = OptConfig(eval_budget=500, seed=0)
         assert cfg.resolve_init_samples(43) == 172
