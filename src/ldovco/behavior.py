@@ -37,8 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .problem import (
-    METRIC_NAMES, Corner, EvaluationFailure, Outcome, PerfMetrics, fom, table_or_raise,
+from .problem import (  # EvaluationFailure is part of this module's interface
+    METRIC_NAMES, BatchResult, Corner, EvaluationFailure, PerfMetrics, fom,
 )
 from .space import DesignPoint, DesignSpace, frozen_array
 
@@ -165,7 +165,6 @@ class _Failures:
     failing corner, naming the first quantity that fails there."""
 
     def __init__(self, corners: Sequence[Corner], designs: int):
-        self.corners = corners
         self.shape = (designs, len(corners))
         self.tests: list[tuple[str, np.ndarray, Callable[[int, int], str]]] = []
 
@@ -185,21 +184,25 @@ class _Failures:
         bad = ~((value > 0.0) & np.isfinite(value))
         self.add(name, bad, lambda d, i: f"nonpositive or non-finite value {self.at(value, d, i)}")
 
-    def settle(self, outcomes: list) -> list[int]:
-        """Put each failing design's EvaluationFailure in its slot of
-        `outcomes`; the indices of the designs that pass every test."""
+    def settle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
+        """The indices of the designs that pass every test; then, in batch
+        order, each failing design's index, quantity, corner index and
+        detail writer (BatchResult.details)."""
+        designs = np.arange(self.shape[0])
         if not any(bad.any() for _, bad, _ in self.tests):
-            return list(range(self.shape[0]))
+            return designs, designs[:0], np.empty(0, dtype=object), designs[:0], []
         bad = np.empty((len(self.tests),) + self.shape, dtype=bool)
         for t, (_, b, _) in enumerate(self.tests):
             bad[t] = b
         at_corner = bad.any(axis=0)  # (design, corner)
         failing = at_corner.any(axis=1)
-        for d in np.flatnonzero(failing).tolist():
-            i = int(at_corner[d].argmax())
-            name, _, detail = self.tests[int(bad[:, d, i].argmax())]
-            outcomes[d] = EvaluationFailure(name, detail(d, i), corner=self.corners[i].label())
-        return np.flatnonzero(~failing).tolist()
+        failed = designs[failing]
+        corner = at_corner[failed].argmax(axis=1)
+        test = bad[:, failed, corner].argmax(axis=0)
+        names = np.array([name for name, _, _ in self.tests], dtype=object)
+        details = [(self.tests[t][2], d, i)
+                   for t, d, i in zip(test.tolist(), failed.tolist(), corner.tolist())]
+        return designs[~failing], failed, names[test], corner, details
 
 
 def _design_values(space: DesignSpace, points: np.ndarray) -> dict[str, np.ndarray]:
@@ -603,22 +606,22 @@ def _evaluate(
     mode: str,
     tc: TechConstants,
     i_load: float | None,
-) -> tuple[list[Outcome], VcoDerived | None, LdoDerived | None, TechConstants]:
+) -> tuple[BatchResult, VcoDerived | None, LdoDerived | None, TechConstants]:
     """The one evaluation path, for an (n, dim) batch of points: fold the
     corners into tc, read the designs once and run the models of `mode` over
     the (design, corner) grid with one failure collector. A design that
     fails a model test leaves the batch there with its failure, so the loop
-    model and the phase noise run on the survivors only; each survivor's
-    corner x metric table is then checked on its own. Returns each point's
-    Outcome in batch order, the survivors' model parts and the
-    corner-applied constants."""
+    model and the phase noise run on the survivors only; one finiteness
+    check over the survivors' table stack then fails the tables with a
+    non-finite metric. Returns the BatchResult, the survivors' model parts
+    (those of the designs past the model tests) and the corner-applied
+    constants."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "ldo_only" and (i_load is None or i_load <= 0):
         raise ValueError("ldo_only mode requires a positive i_load")
     tcc, vdd_in = apply_corners(tc, corners)
     failures = _Failures(corners, len(points))
-    outcomes: list[Outcome] = [None] * len(points)
     v = _design_values(space, points)
     vco = ldo = None
 
@@ -630,9 +633,10 @@ def _evaluate(
     else:  # coupled: the LDO carries the VCO's bias and drives its parasitics
         vco = map_vco(v, tcc, coupled_swing_limit(v["c_byp"]), failures)
         ldo_headroom(v, tcc, vco.i_bias, vdd_in, failures)
-    keep = failures.settle(outcomes)
-    if not keep:
-        return outcomes, None, None, tcc
+    keep, *failed = failures.settle()
+    if not len(keep):
+        return BatchResult(corners, np.empty((0, len(corners), len(METRIC_NAMES))), keep,
+                           *failed), None, None, tcc
     if len(keep) < len(points):  # the failing designs leave the batch
         v = _take(v, keep)
         if vco is not None:
@@ -662,20 +666,35 @@ def _evaluate(
     tables = np.empty((len(keep), len(corners), len(METRIC_NAMES)))
     for k, name in enumerate(METRIC_NAMES):
         tables[..., k] = values[name]  # a scalar fills a column
-    finite = np.isfinite(tables)
-    for slot, table, ok in zip(keep, tables, finite):
-        outcomes[slot] = table if ok.all() else _non_finite(table, ok, corners)
-    return outcomes, vco, ldo, tcc
+    finite = np.isfinite(tables).all(axis=(1, 2))
+    if not finite.all():
+        tables, keep, failed = _non_finite(tables, finite, keep, failed)
+    return BatchResult(corners, tables, keep, *failed), vco, ldo, tcc
 
 
-def _non_finite(table: np.ndarray, finite: np.ndarray,
-                corners: Sequence[Corner]) -> EvaluationFailure:
-    """The failure of a table with a non-finite metric: it names the
-    lowest-index corner with one and the first such metric there, in
-    METRIC_NAMES order."""
-    i, k = np.argwhere(~finite)[0]
-    return EvaluationFailure(METRIC_NAMES[k], f"non-finite value {table[i, k]}",
-                             corner=corners[i].label())
+_METRIC_ARRAY = np.array(METRIC_NAMES, dtype=object)
+
+
+def _non_finite(tables: np.ndarray, finite: np.ndarray, keep: np.ndarray,
+                failed: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """Fail the tables with a non-finite metric, each at the lowest-index
+    corner with one and the first such metric there, in METRIC_NAMES order.
+    Returns the finite tables, their designs, and every failure (settle's
+    four lists with these merged in) in batch order."""
+    bad = np.flatnonzero(~finite)
+    cells = ~np.isfinite(tables[bad])
+    corner = cells.any(axis=2).argmax(axis=1)
+    metric = cells[np.arange(len(bad)), corner].argmax(axis=1)
+    designs, quantities, corners, details = failed
+    designs = np.concatenate((designs, keep[bad]))
+    details = details + [("non-finite value {}".format, x) for x in tables[bad, corner, metric]]
+    order = np.argsort(designs, kind="stable")
+    return tables[finite], keep[finite], [
+        designs[order],
+        np.concatenate((quantities, _METRIC_ARRAY[metric]))[order],
+        np.concatenate((corners, corner))[order],
+        [details[k] for k in order.tolist()],
+    ]
 
 
 def evaluate_batch(
@@ -685,21 +704,31 @@ def evaluate_batch(
     mode: str,
     tc: TechConstants,
     i_load: float | None = None,
-) -> list[Outcome]:
+) -> BatchResult:
     """Evaluate a batch of points at every corner in one mode, CHUNK_DESIGNS
-    designs per numpy pass; each point's corner x metric table, or the
-    EvaluationFailure that stopped it, in batch order. Pure and
-    deterministic, and each outcome is the same whatever else is in the
-    batch. A failure names the lowest-index failing corner and the first
-    quantity that fails there; a model quantity that fails at any corner
-    comes before a non-finite metric."""
+    designs per numpy pass: the survivors' stacked corner x metric tables
+    and each failing design's quantity and corner, in batch order (see
+    BatchResult). Pure and deterministic, and each design's outcome is the
+    same whatever else is in the batch. A failure names the lowest-index
+    failing corner and the first quantity that fails there; a model
+    quantity that fails at any corner comes before a non-finite metric."""
     points = np.asarray(points, dtype=float).reshape(len(points), space.dim)
     corners = tuple(corners)
-    outcomes: list[Outcome] = []
-    for start in range(0, len(points), CHUNK_DESIGNS):
-        chunk = points[start:start + CHUNK_DESIGNS]
-        outcomes += _evaluate(space, chunk, corners, mode, tc, i_load)[0]
-    return outcomes
+    # an empty batch is one empty chunk, so its stack has the usual shape
+    starts = range(0, max(len(points), 1), CHUNK_DESIGNS)
+    chunks = [_evaluate(space, points[s:s + CHUNK_DESIGNS], corners, mode, tc, i_load)[0]
+              for s in starts]
+    if len(chunks) == 1:
+        return chunks[0]
+
+    def joined(name: str, offset: bool = False) -> np.ndarray:
+        return np.concatenate([getattr(c, name) + s if offset else getattr(c, name)
+                               for s, c in zip(starts, chunks)])
+
+    return BatchResult(
+        corners, joined("tables"), joined("survivors", True), joined("failed", True),
+        joined("quantities"), joined("failed_corners"), [d for c in chunks for d in c.details],
+    )
 
 
 def evaluate_corners(
@@ -712,7 +741,7 @@ def evaluate_corners(
 ) -> np.ndarray:
     """The corner x metric table of one point, as a batch of one; raises
     its EvaluationFailure."""
-    return table_or_raise(evaluate_batch(space, [point], corners, mode, tc, i_load)[0])
+    return evaluate_batch(space, [point], corners, mode, tc, i_load).table(0)
 
 
 def evaluate(
@@ -738,8 +767,8 @@ def pn_sweep(
     """Total phase noise at one corner, for export: one dBc/Hz value per
     offset of SWEEP_OFFSETS. The corner is evaluated as a one-corner batch
     of one, so a design that fails there raises as evaluate would."""
-    outcomes, vco, ldo, tcc = _evaluate(
+    result, vco, ldo, tcc = _evaluate(
         space, np.asarray(point, dtype=float)[np.newaxis], (corner,), mode, tc, None
     )
-    table_or_raise(outcomes[0])
+    result.table(0)  # raises the design's failure
     return _phase_noise(vco, ldo, tcc, SWEEP_OFFSETS)[0, 0]

@@ -232,6 +232,21 @@ def _design_record(space: DesignSpace, result: FlowResult, constraints) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _stop_reasons(reasons: tuple[str, ...]) -> str:
+    if len(reasons) == 1:
+        return reasons[0]
+    return ", ".join(f"stage {k} {reason}" for k, reason in enumerate(reasons, 1))
+
+
+def _failed_evaluations(result: FlowResult) -> str:
+    """N of M, then the count per (quantity, corner), most frequent first."""
+    counts = sorted(result.eval_failures.items(), key=lambda item: (-item[1], item[0]))
+    text = f"{sum(n for _, n in counts)} of {result.evals_used}"
+    if counts:
+        text += " (" + ", ".join(f"{q} at {corner}: {n}" for (q, corner), n in counts) + ")"
+    return text
+
+
 def cmd_run(args) -> int:
     cfg, config_dir, space, constraints, tc = _load(args)
     runner = run_codesign if cfg.flow == "co" else run_sequential
@@ -248,6 +263,8 @@ def cmd_run(args) -> int:
         f"flow: {result.flow}",
         f"seed: {result.seed}",
         f"true evaluations: {result.evals_used}",
+        f"stop reason: {_stop_reasons(result.stop_reasons)}",
+        f"failed evaluations: {_failed_evaluations(result)}",
         f"feasible: {'yes' if result.feasible else 'no'}",
         f"worst-case FoM: {_fmt(-result.coupled_worst.fom)} dBc/Hz (reported negated)",
         f"nominal FoM: {_fmt(-result.coupled_nominal.fom)} dBc/Hz",

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,11 +25,11 @@ from .behavior import LDO_VARIABLES, VCO_VARIABLES, EvaluationFailure, TechConst
 # name, one call per batch of designs for all their corners; the benchmark's
 # `behavior` span wraps it here.
 from .behavior import evaluate_batch as evaluate
-from .optimizer import OptConfig, run
+from .optimizer import OptConfig, RunState, run
 from .problem import (
+    BatchResult,
     ConstraintSet,
     Corner,
-    Outcome,
     PerfMetrics,
     SizingProblem,
     rank_key,
@@ -47,7 +48,7 @@ def coupled_problem(
     space: DesignSpace, corners: tuple[Corner, ...], constraints: ConstraintSet,
     tc: TechConstants,
 ) -> SizingProblem:
-    def ev(points: Sequence[DesignPoint], batch: tuple[Corner, ...]) -> list[Outcome]:
+    def ev(points: Sequence[DesignPoint], batch: tuple[Corner, ...]) -> BatchResult:
         return evaluate(space, points, batch, "coupled", tc)
 
     return SizingProblem(space, corners, constraints, ev)
@@ -75,7 +76,7 @@ def _stage_problem(
         points[..., indices] = sub_points
         return points
 
-    def ev(sub_points: Sequence[DesignPoint], batch: tuple[Corner, ...]) -> list[Outcome]:
+    def ev(sub_points: Sequence[DesignPoint], batch: tuple[Corner, ...]) -> BatchResult:
         return evaluate(space, full(sub_points), batch, mode, tc)
 
     return SizingProblem(space.subspace(names), corners, constraints, ev), full
@@ -104,6 +105,9 @@ class FlowResult:
     evals_used: int
     log_rows: list[dict]
     failure: EvaluationFailure | None = None  # why the re-score failed
+    stop_reasons: tuple[str, ...] = ()  # why each optimizer run stopped, stage by stage
+    # the failed true evaluations per (quantity, corner label)
+    eval_failures: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
@@ -127,16 +131,23 @@ def _rescore(
 
 
 def _flow_result(
-    flow: str, seed: int, coupled: SizingProblem, point: DesignPoint,
-    log_rows: list[dict], evals_used: int,
+    flow: str, seed: int, coupled: SizingProblem, point: DesignPoint, log_rows: list[dict],
+    runs: list[RunState],
 ) -> FlowResult:
-    """The final design re-scored in coupled mode; a failed re-score is
+    """The final design re-scored in coupled mode, with the optimizer runs'
+    evaluation count, stop reasons and failures; a failed re-score is
     carried, not raised, so that the run log survives it."""
+    about = dict(
+        evals_used=sum(r.evals_used for r in runs),
+        log_rows=log_rows,
+        stop_reasons=tuple(r.stop_reason for r in runs),
+        eval_failures=dict(sum((r.failure_counts() for r in runs), Counter())),
+    )
     try:
         nominal, worst, violation = _rescore(coupled, point)
     except EvaluationFailure as exc:
-        return FlowResult(flow, seed, point, None, None, math.inf, evals_used, log_rows, exc)
-    return FlowResult(flow, seed, point, nominal, worst, violation, evals_used, log_rows)
+        return FlowResult(flow, seed, point, None, None, math.inf, failure=exc, **about)
+    return FlowResult(flow, seed, point, nominal, worst, violation, **about)
 
 
 def run_codesign(
@@ -146,9 +157,8 @@ def run_codesign(
     _require_nominal_first(corners)
     problem = coupled_problem(space, corners, constraints, tc)
     result = run(problem, replace(cfg, seed=seed))
-    return _flow_result(
-        "codesign", seed, problem, result.incumbent.point, result.log_rows, result.evals_used
-    )
+    return _flow_result("codesign", seed, problem, result.incumbent.point, result.log_rows,
+                        [result])
 
 
 def _stage_config(cfg: OptConfig, stage: int, budget: int, seed: int, dim: int) -> OptConfig:
@@ -188,7 +198,7 @@ def run_sequential(
     ]
     return _flow_result(
         "sequential", seed, coupled_problem(space, corners, constraints, tc),
-        ldo_full(res2.incumbent.point), log_rows, res1.evals_used + res2.evals_used,
+        ldo_full(res2.incumbent.point), log_rows, [res1, res2],
     )
 
 

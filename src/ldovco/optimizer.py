@@ -6,13 +6,14 @@ generation, conservative surrogate prescreening, and exactly one true
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .problem import (
-    METRIC_NAMES, WORST_BY_MIN, EvaluationFailure, Outcome, PerfMetrics, SizingProblem,
-    rank_key, worst_case,
+    METRIC_NAMES, WORST_BY_MIN, BatchResult, PerfMetrics, SizingProblem, rank_key, worst_case,
 )
 from .space import DesignPoint, repair, sample_initial
 from .surrogate import MIN_TRAIN_ROWS, EnsembleModel, MlpConfig, fit, predict_conservative, update
@@ -73,114 +74,215 @@ DE_CR = 0.8
 BETA = 0.7
 
 
-@dataclass(frozen=True)
+def _field(name: str, convert=lambda value: value, doc: str | None = None) -> property:
+    return property(lambda rec: convert(rec._columns[name][rec.eval_index]), doc=doc)
+
+
 class TrialRecord:
-    point: DesignPoint
-    table: np.ndarray | None  # corner x metric table; None on failure
-    worst: PerfMetrics | None
-    violation: float
-    eval_index: int
-    origin: str  # "initial" or "de"
-    failure: str | None = None
+    """One true evaluation: a view of its row of a database's columns and
+    table stacks (which hold no reference back to it, so a run's database
+    is freed as soon as it is dropped)."""
+
+    __slots__ = ("_columns", "_stacks", "eval_index")
+
+    def __init__(self, columns: dict[str, np.ndarray], stacks: list[np.ndarray], eval_index: int):
+        self._columns, self._stacks, self.eval_index = columns, stacks, eval_index
+
+    point = _field("points")
+    violation = _field("violation", float)
+    objective = _field("objective", float, "The worst case's fom; -inf for a failed evaluation.")
+    origin = _field("origin", doc='"initial" or "de"')
+    failure = _field("failure", doc="The quantity the evaluation failed at; None on success.")
 
     @property
-    def objective(self) -> float:
-        """The worst case's fom; -inf for a failed evaluation."""
-        return -math.inf if self.worst is None else self.worst.fom
+    def table(self) -> np.ndarray | None:
+        """The corner x metric table; None on failure."""
+        row = self._columns["stack_row"][self.eval_index]
+        return None if row < 0 else self._stacks[self._columns["stack"][self.eval_index]][row]
+
+    @property
+    def worst(self) -> PerfMetrics | None:
+        """The worst case over the corners; None on failure."""
+        if self.failure is not None:
+            return None
+        return PerfMetrics._make(self._columns["worst"][self.eval_index].tolist())
 
     @property
     def per_corner(self) -> tuple[PerfMetrics, ...]:
         """The table's rows as PerfMetrics, built on access."""
-        return () if self.table is None else tuple(map(PerfMetrics._make, self.table.tolist()))
+        table = self.table
+        return () if table is None else tuple(map(PerfMetrics._make, table.tolist()))
 
 
 _FOM = METRIC_NAMES.index("fom")
-_NO_METRICS = (math.nan,) * len(METRIC_NAMES)  # a failed record's worst_* log columns
 
 # The prescreen's quantile side per metric: the lower quantile where a lower
 # value is worse (the objective included), the upper one elsewhere.
 PRESCREEN_SENSES = np.where(WORST_BY_MIN, -1.0, 1.0)
 
 
-def _rank(rec: TrialRecord) -> tuple[int, float]:
-    return rank_key(rec.objective, rec.violation)
+def _rank_order(objective: np.ndarray, violation: np.ndarray) -> np.ndarray:
+    """The rows in rank_key order, exact ties oldest-first (lexsort is
+    stable): feasible rows by objective, highest first, then the rest by
+    violation, lowest first."""
+    infeasible = violation != 0.0
+    return np.lexsort((np.where(infeasible, violation, -objective), infeasible))
 
 
-@dataclass
+def _row_bytes(points: np.ndarray) -> np.ndarray:
+    """Each row of an (n, dim) array as one raw-bytes scalar, so that
+    equality is byte equality, as with tobytes()."""
+    rows = np.ascontiguousarray(points)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
+
+
+def _grown(column: np.ndarray, rows: int) -> np.ndarray:
+    """The column, with room for at least `rows` rows (twice its length or more)."""
+    if len(column) >= rows:
+        return column
+    grown = np.empty((max(rows, 2 * len(column)),) + column.shape[1:], dtype=column.dtype)
+    grown[:len(column)] = column
+    return grown
+
+
+def _column(name: str, doc: str) -> property:
+    return property(lambda db: db._columns[name][:db._rows], doc=doc)
+
+
 class Database:
-    """A run's true evaluations in order, the incumbent index after each, the
-    raw bytes of every evaluated point and the surrogate training rows of the
-    successful ones; `insert` is their only writer."""
+    """A run's true evaluations as columns in evaluation order, filled one
+    evaluated batch at a time by `add`. `records` holds a TrialRecord view
+    of each row, `seen` the raw bytes of every evaluated point, and the
+    training rows are the successful rows' points and worst cases."""
 
-    records: list[TrialRecord] = field(default_factory=list)
-    incumbents: list[int] = field(default_factory=list)
-    seen: set[bytes] = field(default_factory=set)
-    train_x: list[np.ndarray] = field(default_factory=list)
-    train_y: list[np.ndarray] = field(default_factory=list)
+    points = _column("points", "(rows, dim) evaluated points")
+    worst = _column("worst", "(rows, metrics) worst cases; NaN rows for failures")
+    violation = _column("violation", "violation per row; inf for a failure")
+    objective = _column("objective", "worst-case fom per row; -inf for a failure")
+    origin = _column("origin", '"initial" or "de" per row')
+    failure = _column("failure", "the failing quantity per row; None on success")
+    failure_corner = _column("failure_corner", "index of the failing corner; -1 on success")
+    incumbents = _column("incumbents", "the incumbent's row after each row")
+
+    def __init__(self) -> None:
+        self.records: list[TrialRecord] = []
+        self._seen: set[bytes] = set()
+        self._seen_rows = 0  # the rows that _seen holds
+        self._rows = 0
+        self._columns: dict[str, np.ndarray] = {}
+        self._stacks: list[np.ndarray] = []  # each batch's survivor table stack
+
+    def __len__(self) -> int:
+        return self._rows
 
     @property
     def incumbent_index(self) -> int:
-        return self.incumbents[-1]
+        return int(self.incumbents[-1])
 
     @property
     def incumbent(self) -> TrialRecord:
         return self.records[self.incumbent_index]
 
-    def insert(self, rec: TrialRecord) -> None:
-        """Record one evaluation."""
-        changed = not self.records or _rank(rec) < _rank(self.incumbent)
-        self.records.append(rec)
-        self.incumbents.append(len(self.records) - 1 if changed else self.incumbent_index)
-        point = np.asarray(rec.point, dtype=float)
-        self.seen.add(point.tobytes())
-        if rec.worst is not None:  # a failed evaluation trains nothing
-            self.train_x.append(point)
-            self.train_y.append(np.array(rec.worst))
+    @property
+    def seen(self) -> set[bytes]:
+        """The raw bytes of every evaluated point, brought up to date with
+        the rows added since the last read."""
+        if self._seen_rows < self._rows:
+            self._seen.update(_row_bytes(self.points[self._seen_rows:]).tolist())
+            self._seen_rows = self._rows
+        return self._seen
+
+    @property
+    def _succeeded(self) -> np.ndarray:
+        return self._columns["stack_row"][:self._rows] >= 0
+
+    @property
+    def train_x(self) -> np.ndarray:
+        """The points of the successful evaluations."""
+        return self.points[self._succeeded]
+
+    @property
+    def train_y(self) -> np.ndarray:
+        """The worst cases of the successful evaluations."""
+        return self.worst[self._succeeded]
+
+    def add(self, points: np.ndarray, batch: BatchResult, worst: np.ndarray,
+            violation: np.ndarray, origin: str) -> range:
+        """Record an evaluated (n, dim) batch of points by slice: its
+        survivors' worst rows and violations, its failures, and the
+        incumbent after each row, from one scan. Returns the rows filled."""
+        n, survivors, failed = len(points), batch.survivors, batch.failed
+        new = {
+            "points": points,
+            "worst": np.full((n, len(METRIC_NAMES)), math.nan),
+            "violation": np.full(n, math.inf),
+            "objective": np.full(n, -math.inf),
+            "origin": np.full(n, origin, dtype=object),
+            "failure": np.full(n, None, dtype=object),
+            "failure_corner": np.full(n, -1, dtype=np.intp),
+            "stack": np.full(n, len(self._stacks), dtype=np.intp),
+            "stack_row": np.full(n, -1, dtype=np.intp),
+        }
+        new["worst"][survivors] = worst
+        new["violation"][survivors] = violation
+        new["objective"][survivors] = worst[:, _FOM]
+        new["stack_row"][survivors] = np.arange(len(survivors))
+        new["failure"][failed] = batch.quantities
+        new["failure_corner"][failed] = batch.failed_corners
+        new["incumbents"] = self._incumbents_after(new["objective"], new["violation"])
+        start, end = self._rows, self._rows + n
+        for name, values in new.items():
+            column = _grown(self._columns.get(name, values[:0]), end)
+            column[start:end] = values
+            self._columns[name] = column
+        self._stacks.append(batch.tables)
+        self._rows = end
+        return range(start, end)
+
+    def _incumbents_after(self, objective: np.ndarray, violation: np.ndarray) -> np.ndarray:
+        """The incumbent after each of the new rows: the best row so far by
+        rank_key, the oldest of exact ties. The current incumbent competes
+        as the oldest row, so a tie with it keeps it."""
+        rows = np.arange(self._rows, self._rows + len(objective))
+        if self._rows:
+            held = self.incumbent_index
+            rows = np.concatenate(([held], rows))
+            objective = np.concatenate((self.objective[held:held + 1], objective))
+            violation = np.concatenate((self.violation[held:held + 1], violation))
+        order = _rank_order(objective, violation)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        best = rows[order[np.minimum.accumulate(rank)]]
+        return best[1:] if self._rows else best
 
     def top_distinct_points(self, count: int) -> list[DesignPoint]:
         """Best `count` distinct designs (re-evaluations of one point count
         once, ties go oldest-first); DE parent diversity depends on
         distinctness."""
-        out: list[DesignPoint] = []
-        taken: set[bytes] = set()
-        for rec in sorted(self.records, key=_rank):
-            key = np.asarray(rec.point).tobytes()
-            if key in taken:
-                continue
-            taken.add(key)
-            out.append(rec.point)
-            if len(out) == count:
-                break
-        return out
+        ranked = self.points[_rank_order(self.objective, self.violation)]
+        _, first = np.unique(_row_bytes(ranked), return_index=True)
+        return list(ranked[np.sort(first)[:count]])
 
 
-def evaluate_record(
-    point: DesignPoint, outcome: Outcome, worst: PerfMetrics | None, violation: float,
-    eval_index: int, origin: str,
-) -> TrialRecord:
-    """The record of one true evaluation over all corners: its outcome, its
-    worst case and that row's violation. A failure (no worst case, infinite
-    violation) yields an infeasible record instead of aborting the run."""
-    failed = isinstance(outcome, EvaluationFailure)
-    return TrialRecord(
-        point=point, table=None if failed else outcome, worst=worst, violation=violation,
-        eval_index=eval_index, origin=origin, failure=outcome.quantity if failed else None,
-    )
+def evaluate_record(db: Database, index: int) -> TrialRecord:
+    """The record of one true evaluation over all corners, row `index` of
+    the database, which its batch has filled. A failure (no worst case,
+    infinite violation) is an infeasible record instead of an aborted run."""
+    return TrialRecord(db._columns, db._stacks, index)
 
 
 def _evaluate_into(
     db: Database, problem: SizingProblem, points: np.ndarray, origin: str
 ) -> Database:
-    """Evaluate an (n, dim) batch of points over all corners and record each
-    in batch order: one evaluator call, one worst case per table and one
-    violation call on the stacked worst rows. Returns the database."""
-    outcomes = problem.evaluate_batch(points, problem.corners)
-    worst = [worst_case(o) for o in outcomes if not isinstance(o, EvaluationFailure)]
-    violations = problem.violation(np.reshape(worst, (len(worst), len(METRIC_NAMES))))
-    scores = iter(zip(worst, violations.tolist()))
-    for point, outcome in zip(points, outcomes):
-        row, vio = (None, math.inf) if isinstance(outcome, EvaluationFailure) else next(scores)
-        db.insert(evaluate_record(point, outcome, row, vio, len(db.records), origin))
+    """Evaluate an (n, dim) batch of points over all corners and record it:
+    one evaluator call, one worst case over the survivors' table stack, one
+    violation call on the worst rows, the database filled by slice, then a
+    record per row in batch order. Returns the database."""
+    points = np.asarray(points, dtype=float).reshape(len(points), problem.space.dim)
+    batch = problem.evaluate_batch(points, problem.corners)
+    worst = worst_case(batch.tables)
+    rows = db.add(points, batch, worst, problem.violation(worst), origin)
+    db.records.extend(map(evaluate_record, repeat(db, len(rows)), rows))
     return db
 
 
@@ -219,16 +321,14 @@ def de_generate(
 
 
 def fit_surrogate(
-    x_rows: list[np.ndarray], y_rows: list[np.ndarray], seed: int,
-    prev: EnsembleModel | None = None,
+    x: np.ndarray, y: np.ndarray, seed: int, prev: EnsembleModel | None = None,
 ) -> EnsembleModel | None:
-    """Refit on every successfully evaluated record in the database: the
-    COLD_FIT run the first time, REFIT_EPOCHS of warm-started continuation
-    afterwards. None while there are not yet enough records to train on."""
-    if len(x_rows) < MIN_TRAIN_ROWS:
+    """Refit on every successfully evaluated record in the database (the
+    (rows, dim) points and (rows, metrics) worst cases): the COLD_FIT run
+    the first time, REFIT_EPOCHS of warm-started continuation afterwards.
+    None while there are not yet enough records to train on."""
+    if len(x) < MIN_TRAIN_ROWS:
         return None
-    x = np.array(x_rows)
-    y = np.array(y_rows)
     if prev is None:
         return fit(x, y, COLD_FIT, seed)
     return update(prev, x, y, REFIT_EPOCHS, seed)
@@ -271,7 +371,7 @@ class RunState:
 
     @property
     def evals_used(self) -> int:
-        return len(self.db.records)
+        return len(self.db)
 
     @property
     def incumbent(self) -> TrialRecord:
@@ -282,18 +382,29 @@ class RunState:
         """One row per record, with the incumbent as it stood when the
         record landed."""
         db = self.db
+        best = db.incumbents
+        columns = zip(db.origin.tolist(), db.objective.tolist(), db.violation.tolist(),
+                      db.objective[best].tolist(), db.violation[best].tolist(), db.worst.tolist())
         return [
             {
-                "eval_index": rec.eval_index,
-                "origin": rec.origin,
-                "objective": rec.objective,
-                "violation": rec.violation,
-                "incumbent_objective": db.records[best].objective,
-                "incumbent_violation": db.records[best].violation,
-                **dict(zip(_WORST_COLUMNS, rec.worst or _NO_METRICS)),
+                "eval_index": i,
+                "origin": origin,
+                "objective": objective,
+                "violation": violation,
+                "incumbent_objective": best_objective,
+                "incumbent_violation": best_violation,
+                **dict(zip(_WORST_COLUMNS, worst)),
             }
-            for rec, best in zip(db.records, db.incumbents)
+            for i, (origin, objective, violation, best_objective, best_violation, worst)
+            in enumerate(columns)
         ]
+
+    def failure_counts(self) -> Counter:
+        """The failed evaluations per (quantity, corner label)."""
+        db, labels = self.db, [c.label() for c in self.problem.corners]
+        failed = db.failure_corner >= 0
+        return Counter(zip(db.failure[failed].tolist(),
+                           [labels[i] for i in db.failure_corner[failed].tolist()]))
 
 
 def start(problem: SizingProblem, cfg: OptConfig) -> RunState:

@@ -59,18 +59,6 @@ class EvaluationFailure(RuntimeError):
         return type(self), (self.quantity, self.detail, self.corner)
 
 
-# What a batch evaluator returns for each design: its corner x metric table,
-# or the failure that stopped it.
-Outcome = np.ndarray | EvaluationFailure
-
-
-def table_or_raise(outcome: Outcome) -> np.ndarray:
-    """The table of one design's outcome; raises its failure."""
-    if isinstance(outcome, EvaluationFailure):
-        raise outcome
-    return outcome
-
-
 def enumerate_corners() -> list[Corner]:
     """The 32-corner grid at DEFAULT_VDD_IN, in lexicographic order: MOS
     pair (MOS_PAIRS order), then inductor, capacitor (min, max each) and
@@ -177,14 +165,14 @@ def violation(metrics: PerfMetrics | np.ndarray, constraints: ConstraintSet) -> 
         )
     values = dict(zip(METRIC_NAMES, table.T))
     total = np.zeros(table.shape[:-1])
-    for c in constraints:
-        if c.metric not in values:
-            raise KeyError(f"metrics are missing {c.metric!r}")
-        if c.bound == 0:
-            raise ValueError(f"constraint on {c.metric} has zero bound; cannot normalize")
-        # a hairline bound such as 1e-308 normalizes a shortfall to inf,
-        # which ranks after every finite violation
-        with np.errstate(over="ignore"):
+    # a hairline bound such as 1e-308 normalizes a shortfall to inf, which
+    # ranks after every finite violation
+    with np.errstate(over="ignore"):
+        for c in constraints:
+            if c.metric not in values:
+                raise KeyError(f"metrics are missing {c.metric!r}")
+            if c.bound == 0:
+                raise ValueError(f"constraint on {c.metric} has zero bound; cannot normalize")
             total += c.shortfall(values[c.metric]) / abs(c.bound)
     return total if total.ndim else float(total)
 
@@ -202,31 +190,79 @@ def compare_designs(a: tuple[float, float], b: tuple[float, float]) -> int:
     return (ka < kb) - (kb < ka)
 
 
-def worst_case(per_corner: np.ndarray | Sequence[PerfMetrics]) -> PerfMetrics:
+def worst_case(per_corner: np.ndarray | Sequence[PerfMetrics]) -> PerfMetrics | np.ndarray:
     """Per-metric pessimization across the corners of a corner x metric
     table (or a sequence of PerfMetrics, the same rows): the minimum where
     WORST_BY_MIN says a lower value is worse, else the maximum. A NaN at
     any corner makes that metric NaN. The worst-case fom is the minimum of
     the per-corner foms, not Eq.-1 arithmetic on the other worst-case
-    fields."""
-    per_corner = np.asarray(per_corner, dtype=float)
-    if len(per_corner) == 0:
+    fields.
+
+    A (designs, corners, metrics) stack gives every design's worst row, as a
+    (designs, metrics) array, from one min and one max over the corner axis."""
+    table = np.asarray(per_corner, dtype=float)
+    if table.ndim not in (2, 3) or table.shape[-1] != len(METRIC_NAMES):
+        raise ValueError(
+            f"worst_case takes a (corners, {len(METRIC_NAMES)}) table or a (designs, corners,"
+            f" {len(METRIC_NAMES)}) stack, got shape {table.shape}"
+        )
+    if table.shape[-2] == 0:
         raise ValueError("worst_case requires a nonempty metrics list")
-    lo, hi = per_corner.min(axis=0), per_corner.max(axis=0)
-    return PerfMetrics(*np.where(WORST_BY_MIN, lo, hi).tolist())
+    # corners first and contiguous, so that each corner's step of the min and
+    # the max is one elementwise pass over every design's row (the corners
+    # are still taken in order)
+    by_corner = np.ascontiguousarray(np.moveaxis(table, -2, 0))
+    worst = np.where(WORST_BY_MIN, by_corner.min(axis=0), by_corner.max(axis=0))
+    return worst if table.ndim == 3 else PerfMetrics(*worst.tolist())
+
+
+@dataclass(frozen=True)
+class BatchResult:
+    """What a batch evaluator returns: the survivors' (designs, corners,
+    metrics) table stack and their batch indices, then each failing design's
+    batch index, the quantity that failed and the index (into `corners`) of
+    the corner it failed at, all in batch order. A failure's
+    EvaluationFailure, detail text and corner label included, is built only
+    when `failure` or `table` asks for it; `details` holds, per failure, a
+    function and its arguments, whose call writes the detail text."""
+
+    corners: tuple[Corner, ...]
+    tables: np.ndarray
+    survivors: np.ndarray
+    failed: np.ndarray
+    quantities: Sequence[str]
+    failed_corners: np.ndarray
+    details: Sequence[tuple]
+
+    def __len__(self) -> int:
+        return len(self.survivors) + len(self.failed)
+
+    def failure(self, j: int) -> EvaluationFailure:
+        """The failure of the j-th failing design."""
+        write, *args = self.details[j]
+        corner = self.corners[self.failed_corners[j]].label()
+        return EvaluationFailure(self.quantities[j], write(*args), corner)
+
+    def table(self, d: int) -> np.ndarray:
+        """The corner x metric table of the design at batch index d; raises
+        its failure."""
+        j = np.flatnonzero(self.failed == d)
+        if len(j):
+            raise self.failure(int(j[0]))
+        return self.tables[int(np.flatnonzero(self.survivors == d)[0])]
 
 
 @dataclass(frozen=True)
 class SizingProblem:
     """A constrained sizing problem: bounded space, corner list (nominal
     first), constraint set, and a batch evaluator mapping a sequence of
-    points and a tuple of corners to one Outcome per point. Objective:
-    maximize worst-case fom over all corners."""
+    points and a tuple of corners to their BatchResult. Objective: maximize
+    worst-case fom over all corners."""
 
     space: DesignSpace
     corners: tuple[Corner, ...]
     constraints: ConstraintSet
-    evaluate_batch: Callable[[Sequence[DesignPoint], tuple[Corner, ...]], list[Outcome]]
+    evaluate_batch: Callable[[Sequence[DesignPoint], tuple[Corner, ...]], BatchResult]
 
     def __post_init__(self):
         if len(self.corners) == 0:
@@ -234,12 +270,11 @@ class SizingProblem:
 
     def evaluate_all(self, point: DesignPoint) -> np.ndarray:
         """The corner x metric table of one point, as a batch of one."""
-        return table_or_raise(self.evaluate_batch([point], self.corners)[0])
+        return self.evaluate_batch([point], self.corners).table(0)
 
     def evaluator(self, point: DesignPoint, corner: Corner) -> PerfMetrics:
         """The metrics at one corner, as a one-corner batch of one."""
-        table = table_or_raise(self.evaluate_batch([point], (corner,))[0])
-        return PerfMetrics(*table[0].tolist())
+        return PerfMetrics(*self.evaluate_batch([point], (corner,)).table(0)[0].tolist())
 
     def violation(self, metrics: PerfMetrics | np.ndarray) -> float | np.ndarray:
         """A design's violation, or each row's of a (designs, metrics) table."""

@@ -10,7 +10,7 @@ from ldovco import (
     load_bundled_problem,
 )
 from ldovco.behavior import _evaluate
-from ldovco.problem import Constraint, PerfMetrics, SizingProblem
+from ldovco.problem import BatchResult, Constraint, PerfMetrics, SizingProblem
 from ldovco.space import DesignSpace, Variable, point_from_dict
 
 
@@ -57,6 +57,26 @@ def coupled_parts(space, point, tc):
     return vco, ldo
 
 
+def outcomes_of(batch):
+    """Each design's corner x metric table, or its EvaluationFailure, in
+    batch order, read from a BatchResult."""
+    out = [None] * len(batch)
+    for row, d in enumerate(batch.survivors.tolist()):
+        out[d] = batch.tables[row]
+    for j, d in enumerate(batch.failed.tolist()):
+        out[d] = batch.failure(j)
+    return out
+
+
+def tables_result(points, corners, table_of):
+    """The BatchResult of an evaluator in which every design survives with
+    the table table_of(point, corners)."""
+    tables = np.array([table_of(point, corners) for point in points]).reshape(
+        len(points), len(corners), len(PerfMetrics._fields))
+    none = np.arange(0)
+    return BatchResult(tuple(corners), tables, np.arange(len(points)), none, (), none, ())
+
+
 def make_toy_problem():
     """2-variable constrained quadratic: maximize -(x-3)^2-(y-2)^2 subject to
     x + y <= 4 on [0,5]^2.
@@ -71,12 +91,16 @@ def make_toy_problem():
         Variable("y", "continuous", 0.0, 5.0),
     ))
 
-    def ev(points, corners):  # the batch contract: one table per point
-        return [np.array([tuple(PerfMetrics(
+    def table(point, corners):
+        x, y = point
+        return [tuple(PerfMetrics(
             f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
             psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
             fom=-((x - 3.0) ** 2) - (y - 2.0) ** 2,
-        ))] * len(corners)) for x, y in points]
+        ))] * len(corners)
+
+    def ev(points, corners):  # the batch contract: every design survives
+        return tables_result(points, corners, table)
 
     return SizingProblem(
         toy_space, (NOMINAL_CORNER,), (Constraint("pdyn", 4.0),), ev

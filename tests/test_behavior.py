@@ -1,11 +1,12 @@
 import math
+import pickle
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import coupled_parts
+from conftest import coupled_parts, outcomes_of
 
 from ldovco import behavior
 from ldovco.behavior import (
@@ -45,7 +46,7 @@ from ldovco.behavior import (
     vco_pn_intrinsic,
 )
 from ldovco.problem import (
-    METRIC_NAMES, Corner, NOMINAL_CORNER, PerfMetrics, enumerate_corners, fom,
+    METRIC_NAMES, BatchResult, Corner, NOMINAL_CORNER, PerfMetrics, enumerate_corners, fom,
 )
 from ldovco.space import point_as_dict, sample_initial
 
@@ -58,11 +59,12 @@ def fold_one(tc, corner):
     return replace(tcc, **{name: getattr(tcc, name)[0].item() for name in CORNER_FIELDS})
 
 
-def settle_one(failures):
-    """Raise the failure of a batch of one, if it has one."""
-    outcomes = [None]
-    if not failures.settle(outcomes):
-        raise outcomes[0]
+def settle_one(failures, corners):
+    """Raise the failure of a batch of one at `corners`, if it has one."""
+    keep, *failed = failures.settle()
+    if not len(keep):
+        raise BatchResult(tuple(corners), np.empty((0, len(corners), len(METRIC_NAMES))), keep,
+                          *failed).failure(0)
 
 
 def vco_model(space, point, tc, amp_limit):
@@ -72,7 +74,7 @@ def vco_model(space, point, tc, amp_limit):
     tcc, _ = apply_corners(tc, corners)
     failures = _Failures(corners, 1)
     d = map_vco(_design_values(space, np.array([point])), tcc, amp_limit, failures)
-    settle_one(failures)
+    settle_one(failures, corners)
     return d
 
 
@@ -83,7 +85,7 @@ def ldo_model(space, point, tc, i_load, c_load, corners=(NOMINAL_CORNER,)):
     v = _design_values(space, np.array([point]))
     failures = _Failures(corners, 1)
     ldo_headroom(v, tcc, i_load, vdd_in, failures)
-    settle_one(failures)
+    settle_one(failures, corners)
     return map_ldo(v, tcc, i_load, vdd_in, c_load)
 
 
@@ -538,7 +540,7 @@ def check_batch(space, tc, all_corners, mode, size):
     outcome."""
     i_load = 2e-3 if mode == "ldo_only" else None
     points = sample_initial(space, max(size, 2), seed=100 + size)[:size]
-    outcomes = evaluate_batch(space, points, all_corners, mode, tc, i_load=i_load)
+    outcomes = outcomes_of(evaluate_batch(space, points, all_corners, mode, tc, i_load=i_load))
     assert len(outcomes) == size
     passed = [assert_one_design_outcome(space, tc, point, all_corners, mode, i_load, outcome)
               for point, outcome in zip(points, outcomes)]
@@ -572,13 +574,50 @@ class TestEvaluateBatch:
             except EvaluationFailure:
                 failing.append(point)
         assert len(failing) > SMALL_CHUNK
-        outcomes = evaluate_batch(space, failing, all_corners, mode, tc, i_load=i_load)
-        for point, outcome in zip(failing, outcomes):
+        batch = evaluate_batch(space, failing, all_corners, mode, tc, i_load=i_load)
+        assert batch.tables.shape == (0, len(all_corners), len(METRIC_NAMES))
+        for point, outcome in zip(failing, outcomes_of(batch), strict=True):
             assert not assert_one_design_outcome(space, tc, point, all_corners, mode, i_load,
                                                  outcome)
 
     def test_empty_batch(self, space, tc, all_corners):
-        assert evaluate_batch(space, [], all_corners, "coupled", tc) == []
+        batch = evaluate_batch(space, [], all_corners, "coupled", tc)
+        assert len(batch) == 0
+        assert batch.tables.shape == (0, len(all_corners), len(METRIC_NAMES))
+
+
+def test_lazy_failure_equals_the_eager_one(monkeypatch, space, tc, co_point, all_corners):
+    # model-test failures (headroom at the nominal corner) and non-finite
+    # ones (pdyn at a NaN input supply) in one batch: each failure built on
+    # request equals the one built when its batch settled, and survives
+    # pickling as a process pool would send it
+    hot = Corner(temperature=125.0, vdd_in=math.nan)
+    corners = (NOMINAL_CORNER, hot) + all_corners[1:3]
+    eager = {}
+    settle = _Failures.settle
+
+    def settle_eagerly(self):
+        keep, *failed = settle(self)
+        for d, q, i, (write, *args) in zip(failed[0].tolist(), failed[1], failed[2].tolist(),
+                                           failed[3]):
+            eager[d] = EvaluationFailure(q, write(*args), corner=corners[i].label())
+        return (keep, *failed)
+
+    monkeypatch.setattr(_Failures, "settle", settle_eagerly)
+    points = [co_point] + sample_initial(space, 30, seed=3)
+    batch = evaluate_batch(space, points, corners, "coupled", tc)
+    assert len(batch.survivors) == 0 and batch.failed.tolist() == list(range(len(points)))
+    assert 0 in batch.failed and 0 not in eager  # co_point passes the model tests
+    kinds = Counter()
+    for j, d in enumerate(batch.failed.tolist()):
+        lazy = batch.failure(j)
+        expected = eager.get(d, EvaluationFailure("pdyn", "non-finite value nan", hot.label()))
+        kinds[d in eager] += 1
+        for failure in (lazy, pickle.loads(pickle.dumps(lazy))):
+            assert type(failure) is EvaluationFailure
+            assert (str(failure), failure.quantity, failure.detail, failure.corner) == (
+                str(expected), expected.quantity, expected.detail, expected.corner)
+    assert kinds[True] and kinds[False]
 
 
 # The quantities the models test before any metric is formed.
@@ -788,11 +827,11 @@ class TestPsrWork:
 
         monkeypatch.setattr(behavior, "_psr_max", recorded)
         i_load = 2e-3 if mode == "ldo_only" else None
-        outcomes = evaluate_batch(space, sample_initial(space, 120, seed=7), all_corners, mode,
-                                  tc, i_load=i_load)
+        batch = evaluate_batch(space, sample_initial(space, 120, seed=7), all_corners, mode,
+                               tc, i_load=i_load)
         [(inputs, peaks)] = calls
         assert peaks.shape == (len(peaks), len(all_corners))
-        assert len(peaks) >= sum(isinstance(o, np.ndarray) for o in outcomes) > 20
+        assert len(peaks) >= len(batch.survivors) > 20
         with np.errstate(all="ignore"):
             plain = plain_psr_curve(*inputs).max(axis=-1)
         assert peaks.tobytes() == plain.tobytes()

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from ldovco.cli import (
+    CORNERS,
     PROBLEM_FILE,
     CONSTANTS_FILE,
     RUNCONFIG_FILE,
@@ -145,6 +146,32 @@ class TestRun:
         assert log[0].endswith(",stage")
         stages = {line.rsplit(",", 1)[1] for line in log[1:]}
         assert stages == {"1", "2"}
+
+    @pytest.mark.parametrize("flow", ["co", "seq"])
+    @pytest.mark.parametrize("limit,reason", [(100, "budget"), (2, "stagnation")])
+    def test_summary_says_why_it_stopped_and_what_failed(self, workdir, flow, limit, reason):
+        config = workdir / "why.txt"
+        config.write_text((workdir / RUNCONFIG_FILE).read_text().replace(
+            "no_improve_limit 100", f"no_improve_limit {limit}"))
+        main(["run", str(config), "--flow", flow, "--budget", "72", "--seed", "1"])
+        out = workdir / "runs" / f"{flow}_seed1"
+        log = (out / "run_log.csv").read_text().splitlines()
+        summary = (out / "summary.txt").read_text().splitlines()
+        stop = reason if flow == "co" else f"stage 1 {reason}, stage 2 {reason}"
+        assert summary[3] == f"stop reason: {stop}"
+        assert (len(log) - 1 < 72) == (reason == "stagnation")
+        # the failed evaluations are the log rows without a worst case, by
+        # failing quantity and corner, most frequent first
+        header = log[0].split(",")
+        failed = sum(dict(zip(header, row.split(",")))["worst_fom"] == "nan" for row in log[1:])
+        match = re.fullmatch(rf"failed evaluations: (\d+) of {len(log) - 1} \((.+)\)", summary[4])
+        assert match and int(match[1]) == failed > 0
+        labels = {c.label() for c in CORNERS}
+        counts = [re.fullmatch(r"pass_headroom at (\S+): (\d+)", part)
+                  for part in match[2].split(", ")]
+        assert all(m and m[1] in labels for m in counts)
+        assert sum(int(m[2]) for m in counts) == failed
+        assert [int(m[2]) for m in counts] == sorted((int(m[2]) for m in counts), reverse=True)
 
     def test_failed_final_design_is_exit_1(self, workdir, capsys):
         # every one of the 5 evaluations fails pass_headroom, so the final

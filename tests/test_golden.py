@@ -18,10 +18,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import outcomes_of
+
 from ldovco.behavior import EvaluationFailure, evaluate, evaluate_batch, pn_sweep
-from ldovco.flows import run_codesign, run_sequential
+from ldovco.flows import coupled_problem, run_codesign, run_sequential, vco_stage_problem
 from ldovco.iofmt import load_bundled_constants, load_bundled_point, load_bundled_problem
-from ldovco.optimizer import COLD_FIT, RUN_LOG_HEADER, OptConfig
+from ldovco.optimizer import COLD_FIT, RUN_LOG_HEADER, OptConfig, init_db
 from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER, enumerate_corners
 from ldovco.space import point_from_dict, sample_initial
 from ldovco.surrogate import MlpConfig, fit, update
@@ -129,7 +131,7 @@ BATCH_DIGESTS = {
 def batch_digest(space, tc, corners, points, mode) -> str:
     i_load = LDO_ONLY_I_LOAD if mode == "ldo_only" else None
     h = hashlib.sha256()
-    for outcome in evaluate_batch(space, points, corners, mode, tc, i_load=i_load):
+    for outcome in outcomes_of(evaluate_batch(space, points, corners, mode, tc, i_load=i_load)):
         if isinstance(outcome, EvaluationFailure):
             line = f"fail {outcome.quantity} {outcome.corner}"
         else:
@@ -141,6 +143,36 @@ def batch_digest(space, tc, corners, points, mode) -> str:
 @pytest.mark.parametrize("mode", sorted(BATCH_DIGESTS))
 def test_batch_digest(space, tc, all_corners, golden_points, mode):
     assert batch_digest(space, tc, all_corners, golden_points, mode) == BATCH_DIGESTS[mode]
+
+
+# Golden screens: init_db on a 201-design LHS batch (one design past
+# CHUNK_DESIGNS) of the coupled and the ideal-supply stage problem; each
+# record contributes its eval_index, failure, objective, violation and worst
+# case (the repr of each), and the incumbent indices end the digest.
+SCREEN_DIGESTS = {
+    "coupled": "7e07662d4de520613bcb2b56f54733bc3f3bb61ee98dd79a1e537ce5858e7f4c",
+    "ideal_supply": "97043796e2d1af1cef4c2898249468ed6a4d91b8dcca574a9d3de2d0cb0c057d",
+}
+SCREEN_PROBLEMS = {"coupled": coupled_problem, "ideal_supply": vco_stage_problem}
+
+
+def screen_digest(space, constraints, tc, corners, name) -> str:
+    problem = SCREEN_PROBLEMS[name](space, corners, constraints, tc)
+    db = init_db(problem, OptConfig(eval_budget=202, seed=7, init_samples=201))
+    h = hashlib.sha256()
+    for rec in db.records:
+        worst = None if rec.worst is None else tuple(rec.worst)
+        line = repr((rec.eval_index, rec.failure, rec.objective, rec.violation, worst))
+        h.update((line + "\n").encode())
+    h.update(repr([int(i) for i in db.incumbents]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_DIGESTS))
+def test_screen_digest(bundled, tc, all_corners, name):
+    space, constraints = bundled
+    assert screen_digest(space, constraints, tc, all_corners, name) == SCREEN_DIGESTS[name]
+
 
 # Golden values of the training and search path: the weights and train_log
 # of one cold fit followed by a warm update chain, and the run_log rows of
@@ -217,6 +249,9 @@ if __name__ == "__main__":
     print(f"PN_SWEEP_DIGEST = {pn_sweep_digest(space, tc, corners, points)!r}")
     for mode in sorted(BATCH_DIGESTS):
         print(f"BATCH_DIGESTS[{mode!r}] = {batch_digest(space, tc, corners, points, mode)!r}")
+    for name in sorted(SCREEN_DIGESTS):
+        digest = screen_digest(space, constraints, tc, corners, name)
+        print(f"SCREEN_DIGESTS[{name!r}] = {digest!r}")
     for name in sorted(TRAINING_DIGESTS):
         print(f"TRAINING_DIGESTS[{name!r}] = {training_digest(name)!r}")
     for flow in sorted(FLOW_DIGESTS):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import tables_result
+
 from ldovco import optimizer
 from ldovco.optimizer import (
     COLD_FIT,
     Database,
     OptConfig,
-    TrialRecord,
     RUN_LOG_HEADER,
     check_stop,
     de_generate,
@@ -19,7 +20,9 @@ from ldovco.optimizer import (
     start,
     step,
 )
-from ldovco.problem import PerfMetrics, compare_designs
+from ldovco.problem import (
+    METRIC_NAMES, NOMINAL_CORNER, BatchResult, PerfMetrics, compare_designs, rank_key,
+)
 from ldovco.space import repair, sample_initial
 
 
@@ -150,10 +153,11 @@ class TestInitDb:
         assert db.incumbent_index == best
 
     def test_evaluator_failure_becomes_max_violation(self, toy_problem):
-        from ldovco.behavior import EvaluationFailure
-
         def exploding(points, corners):
-            return [EvaluationFailure("q_tank") for _ in points]
+            n = len(points)
+            return BatchResult(corners, np.empty((0, len(corners), len(METRIC_NAMES))),
+                               np.arange(0), np.arange(n), ("q_tank",) * n,
+                               np.zeros(n, dtype=np.intp), [(str,)] * n)
 
         broken = type(toy_problem)(
             toy_problem.space, toy_problem.corners, toy_problem.constraints, exploding
@@ -162,33 +166,85 @@ class TestInitDb:
         assert len(db.records) == 20
         assert all(r.violation == math.inf for r in db.records)
         assert all(r.failure == "q_tank" for r in db.records)
-        assert db.train_x == db.train_y == []  # nothing to train on
+        assert db.train_x.shape == (0, 2) and db.train_y.shape == (0, len(METRIC_NAMES))
+
+
+def add_scored(db, points, scores):
+    """Add one batch to db whose rows score (objective, violation) each; an
+    objective of -inf is a failed evaluation."""
+    points = np.asarray(points, dtype=float).reshape(len(scores), -1)
+    objective, violation = (np.array(column, dtype=float) for column in zip(*scores))
+    ok = objective != -math.inf
+    worst = np.zeros((ok.sum(), len(METRIC_NAMES)))
+    worst[:, METRIC_NAMES.index("fom")] = objective[ok]
+    failed = np.flatnonzero(~ok)
+    batch = BatchResult((NOMINAL_CORNER,), worst[:, np.newaxis], np.flatnonzero(ok), failed,
+                        ("q_tank",) * len(failed), np.zeros(len(failed), dtype=np.intp),
+                        [(str,)] * len(failed))
+    return db.add(points, batch, worst, violation[ok], "initial")
+
+
+def reference_ranking(points, scores, count):
+    """The per-record rule: the incumbent after each record replaced only by
+    a strictly better rank_key, and the first `count` distinct points (by
+    tobytes) of the records in sorted rank_key order (a stable sort, so ties
+    go oldest-first)."""
+    incumbents, best = [], None
+    for i, score in enumerate(scores):
+        if best is None or rank_key(*score) < rank_key(*scores[best]):
+            best = i
+        incumbents.append(best)
+    top, taken = [], set()
+    for i in sorted(range(len(scores)), key=lambda i: rank_key(*scores[i])):
+        if points[i].tobytes() not in taken:
+            taken.add(points[i].tobytes())
+            top.append(points[i].tobytes())
+    return incumbents, top[:count]
 
 
 class TestDatabase:
-    @staticmethod
-    def _record(i, objective, violation):
-        # a record's objective is its worst case's fom; -inf, a failure's, has none
-        worst = None if objective == -math.inf else PerfMetrics(*(0.0,) * 9, fom=objective)
-        return TrialRecord(point=np.array([float(i)]), table=None, worst=worst,
-                           violation=violation, eval_index=i, origin="initial")
+    SCORES = [(-math.inf, math.inf), (190.0, 0.0), (185.0, 0.2), (190.0, 0.0),
+              (185.0, 0.2), (192.0, 0.0), (-math.inf, math.inf), (0.0, 0.1)]
 
     def test_ties_rank_oldest_first(self):
-        scores = [(-math.inf, math.inf), (190.0, 0.0), (185.0, 0.2), (190.0, 0.0),
-                  (185.0, 0.2), (192.0, 0.0), (-math.inf, math.inf), (0.0, 0.1)]
-        db = Database()
-        for i, (objective, vio) in enumerate(scores):
-            db.insert(self._record(i, objective, vio))
-        assert db.incumbent_index == 5
-        order = [int(p[0]) for p in db.top_distinct_points(len(scores))]
-        assert order == [5, 1, 3, 7, 2, 4, 0, 6]
-        assert order[:3] == [int(p[0]) for p in db.top_distinct_points(3)]
+        for batches in ([8], [1] * 8, [3, 5]):  # one batch, one row at a time, a split
+            db, start = Database(), 0
+            for size in batches:
+                add_scored(db, np.arange(start, start + size), self.SCORES[start:start + size])
+                start += size
+            assert db.incumbent_index == 5
+            order = [int(p[0]) for p in db.top_distinct_points(len(self.SCORES))]
+            assert order == [5, 1, 3, 7, 2, 4, 0, 6]
+            assert order[:3] == [int(p[0]) for p in db.top_distinct_points(3)]
 
     def test_first_of_tied_records_stays_incumbent(self):
         db = Database()
-        for i in range(3):
-            db.insert(self._record(i, 190.0, 0.0))
-        assert db.incumbents == [0, 0, 0]
+        add_scored(db, [0.0, 1.0], [(190.0, 0.0)] * 2)
+        add_scored(db, [2.0], [(190.0, 0.0)])
+        assert db.incumbents.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_per_record_rule(self, seed):
+        # exact ties, repeated points (0.0 and -0.0 are distinct bytes),
+        # infeasible and failed rows, in random batches
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        pool = np.array([[0.0, 1.0], [-0.0, 1.0], [2.5, 3.0], [1.0, 1.0], [4.0, 0.5]])
+        points = pool[rng.integers(0, len(pool), size=n)] if seed % 2 else rng.uniform(size=(n, 2))
+        choices = [(190.0, 0.0), (185.0, 0.0), (192.5, 0.0), (-3.0, 0.0), (190.0, 0.2),
+                   (195.0, 0.1), (0.0, 0.2), (-math.inf, math.inf)]
+        scores = [choices[k] for k in rng.integers(0, len(choices), size=n)]
+        db, start = Database(), 0
+        while start < n:
+            size = int(rng.integers(1, n - start + 1))
+            rows = add_scored(db, points[start:start + size], scores[start:start + size])
+            assert rows == range(start, start + size)
+            start += size
+        incumbents, top = reference_ranking(points, scores, n)
+        assert db.incumbents.tolist() == incumbents
+        for count in sorted({1, 3, 20, n}):
+            assert [p.tobytes() for p in db.top_distinct_points(count)] == top[:count]
+        assert db.seen == {p.tobytes() for p in points}
 
 
 class TestSelectCandidate:
@@ -207,12 +263,16 @@ class TestSelectCandidate:
             Variable("y", "continuous", 0.0, 5.0),
         ))
 
-        def ev(points, corners):  # the batch contract: one table per point
-            return [np.array([tuple(PerfMetrics(
+        def table(point, corners):
+            x, y = point
+            return [tuple(PerfMetrics(
                 f0=1.0, pn100k=-200.0, pn1m=-200.0, pn10m=-200.0, pdyn=x + y,
                 psr_max=-100.0, pm=90.0, vdd_max=1.0, startup_margin=10.0,
                 fom=2.0 * x + y,
-            ))] * len(corners)) for x, y in points]
+            ))] * len(corners)
+
+        def ev(points, corners):  # the batch contract: every design survives
+            return tables_result(points, corners, table)
 
         return SizingProblem(space, (NOMINAL_CORNER,), (Constraint("pdyn", 4.0),), ev)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,48 @@ class TestWorstCase:
             w = worst_case(order)
             assert math.isnan(getattr(w, name))
             assert w.pdyn == ok.pdyn  # the other columns are untouched
+
+
+class TestStackedWorstCase:
+    """A (designs, corners, metrics) stack gives, row for row, the bits of
+    worst_case on each design's table."""
+
+    @staticmethod
+    def assert_rows_match(stack):
+        rows = worst_case(stack)
+        assert rows.shape == (len(stack), len(METRIC_NAMES))
+        for row, table in zip(rows, stack, strict=True):
+            assert row.tobytes() == np.array(worst_case(table)).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_special_values(self, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(9, 33, len(METRIC_NAMES))) * 1e3
+        specials = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0])
+        cells = rng.random(stack.shape) < 0.1
+        stack[cells] = rng.choice(specials, size=cells.sum())
+        stack[0] = math.nan  # a design with no finite cell
+        stack[1, :, 3] = -0.0  # a column of -0.0 and one of mixed signed zeros
+        stack[2, :, 4] = np.where(np.arange(33) % 2, 0.0, -0.0)
+        self.assert_rows_match(stack)
+
+    def test_crosses_a_chunk_boundary(self, space, tc, all_corners):
+        from ldovco.behavior import CHUNK_DESIGNS, evaluate_batch
+        from ldovco.space import sample_initial
+
+        points = sample_initial(space, CHUNK_DESIGNS + 1, seed=11)
+        batch = evaluate_batch(space, points, all_corners, "ideal_supply", tc)
+        assert batch.survivors[-1] == CHUNK_DESIGNS  # the design past the boundary
+        self.assert_rows_match(batch.tables)
+
+    def test_empty_stack(self):
+        assert worst_case(np.empty((0, 33, len(METRIC_NAMES)))).shape == (0, len(METRIC_NAMES))
+
+    @pytest.mark.parametrize("shape", [(len(METRIC_NAMES),), (2, 3, 4, len(METRIC_NAMES)),
+                                       (3, 4), (2, 3, 4)])
+    def test_wrong_shape_is_named(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            worst_case(np.zeros(shape))
 
 
 class TestWorseSide:
