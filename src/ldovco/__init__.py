@@ -7,22 +7,18 @@ sequential-vs-co-design flow comparison.
 """
 
 from .behavior import (
-    DEFAULT_TECH,
     EvaluationFailure,
     TechConstants,
     evaluate,
-    evaluate_corners,
     pn_sweep,
 )
-from .iofmt import load_bundled_constants, load_bundled_point, load_bundled_problem
+from .iofmt import load_bundled_constants, load_bundled_problem
 from .problem import (
     Constraint,
     Corner,
-    DEFAULT_CONSTRAINTS,
     NOMINAL_CORNER,
     PerfMetrics,
     SizingProblem,
-    compare_designs,
     enumerate_corners,
     fom,
     violation,
@@ -31,7 +27,6 @@ from .problem import (
 from .space import (
     DesignSpace,
     Variable,
-    point_as_dict,
     point_from_dict,
     repair,
     sample_initial,
@@ -39,8 +34,6 @@ from .space import (
 )
 
 __all__ = [
-    "DEFAULT_CONSTRAINTS",
-    "DEFAULT_TECH",
     "Constraint",
     "Corner",
     "DesignSpace",
@@ -50,16 +43,12 @@ __all__ = [
     "SizingProblem",
     "TechConstants",
     "Variable",
-    "compare_designs",
     "enumerate_corners",
     "evaluate",
-    "evaluate_corners",
     "fom",
     "load_bundled_constants",
-    "load_bundled_point",
     "load_bundled_problem",
     "pn_sweep",
-    "point_as_dict",
     "point_from_dict",
     "repair",
     "sample_initial",

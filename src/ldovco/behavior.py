@@ -1,11 +1,11 @@
 """Analytical behavioral models standing in for a transistor-level testbench.
 
-Maps a design point plus its PVT corners to performance metrics in three
-modes: the VCO alone on an ideal 1.2 V supply, the LDO alone driving a fixed
-load current, and the fully coupled LDO-VCO. All closed forms are first-order
-small-signal / Leeson-style models; the constants are calibrated so the
-bundled design points land in physically plausible ranges (GHz oscillation,
-mW power), not to reproduce any particular silicon numbers.
+Maps a design point plus its PVT corners to performance metrics in two
+modes: the VCO alone on an ideal 1.2 V supply, and the fully coupled LDO-VCO,
+in which the LDO carries the VCO's bias current. All closed forms are
+first-order small-signal / Leeson-style models; the constants are calibrated
+so the bundled design points land in physically plausible ranges (GHz
+oscillation, mW power), not to reproduce any particular silicon numbers.
 
 The models run over a (design, corner) grid: apply_corners stacks the
 corner-dependent constants into arrays over the corners once, the design
@@ -68,7 +68,7 @@ FREQ_GRID = np.logspace(3.0, 9.0, 6 * GRID_POINTS_PER_DECADE + 1)
 # Offset grid for phase-noise sweeps: 20 points per decade, 10 kHz - 100 MHz.
 SWEEP_OFFSETS = np.logspace(4.0, 8.0, 4 * 20 + 1)
 
-MODES = ("ideal_supply", "ldo_only", "coupled")
+MODES = ("ideal_supply", "coupled")
 
 # Designs per numpy pass of evaluate_batch: a screen batch of 200 and the
 # default LHS sample (at most 172) are each one pass, which spreads the
@@ -569,13 +569,9 @@ def map_ldo(v: dict[str, np.ndarray], tc: TechConstants, i_load, vdd_in: np.ndar
 PN_METRICS = ("pn100k", "pn1m", "pn10m")
 PN_OFFSETS = np.array([1e5, 1e6, 1e7])
 
-# Placeholder values reported for VCO-side metrics in ldo_only mode and
-# LDO-side metrics in ideal_supply mode.
+# Placeholder values reported for the LDO-side metrics in ideal_supply mode.
 _IDEAL_PSR = -120.0
 _IDEAL_PM = 90.0
-_LDO_ONLY_F0 = 5.5e9
-_LDO_ONLY_PN = -200.0
-_LDO_ONLY_STARTUP = 10.0
 
 
 def coupled_swing_limit(c_byp: float) -> float:
@@ -605,7 +601,6 @@ def _evaluate(
     corners: tuple[Corner, ...],
     mode: str,
     tc: TechConstants,
-    i_load: float | None,
 ) -> tuple[BatchResult, VcoDerived | None, LdoDerived | None, TechConstants]:
     """The one evaluation path, for an (n, dim) batch of points: fold the
     corners into tc, read the designs once and run the models of `mode` over
@@ -618,18 +613,13 @@ def _evaluate(
     constants."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "ldo_only" and (i_load is None or i_load <= 0):
-        raise ValueError("ldo_only mode requires a positive i_load")
     tcc, vdd_in = apply_corners(tc, corners)
     failures = _Failures(corners, len(points))
     v = _design_values(space, points)
-    vco = ldo = None
 
     # the models' tests, then the raise point
     if mode == "ideal_supply":
         vco = map_vco(v, tcc, SWING_FRAC * V_OUT, failures)
-    elif mode == "ldo_only":
-        ldo_headroom(v, tcc, i_load, vdd_in, failures)
     else:  # coupled: the LDO carries the VCO's bias and drives its parasitics
         vco = map_vco(v, tcc, coupled_swing_limit(v["c_byp"]), failures)
         ldo_headroom(v, tcc, vco.i_bias, vdd_in, failures)
@@ -638,31 +628,19 @@ def _evaluate(
         return BatchResult(corners, np.empty((0, len(corners), len(METRIC_NAMES))), keep,
                            *failed), None, None, tcc
     if len(keep) < len(points):  # the failing designs leave the batch
-        v = _take(v, keep)
-        if vco is not None:
-            vco = _take(vco, keep)
+        v, vco = _take(v, keep), _take(vco, keep)
 
     # the survivors' loop model, power, phase noise and table
     if mode == "ideal_supply":
-        pdyn = V_OUT * vco.i_bias
-    elif mode == "ldo_only":
-        ldo = map_ldo(v, tcc, i_load, vdd_in, C_SUP_FIXED)
-        pdyn = vdd_in * (i_load + ldo.i_q)
+        ldo = None
+        values = dict(psr_max=_IDEAL_PSR, pm=_IDEAL_PM, vdd_max=V_OUT, pdyn=V_OUT * vco.i_bias)
     else:
         ldo = map_ldo(v, tcc, vco.i_bias, vdd_in, vco.c_par + C_SUP_FIXED)
-        pdyn = vdd_in * (vco.i_bias + ldo.i_q)
-
-    if vco is None:
-        values = dict(f0=_LDO_ONLY_F0, startup_margin=_LDO_ONLY_STARTUP,
-                      **dict.fromkeys(PN_METRICS, _LDO_ONLY_PN))
-    else:
-        values = dict(f0=vco.f0, startup_margin=vco.startup_margin,
-                      **_pn_metrics(_phase_noise(vco, ldo, tcc, PN_OFFSETS)))
-    if ldo is None:
-        values.update(psr_max=_IDEAL_PSR, pm=_IDEAL_PM, vdd_max=V_OUT)
-    else:
-        values.update(psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max)
-    values.update(pdyn=pdyn, fom=fom(values["f0"], 1e6, values["pn1m"], pdyn))
+        values = dict(psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max,
+                      pdyn=vdd_in * (vco.i_bias + ldo.i_q))
+    values.update(f0=vco.f0, startup_margin=vco.startup_margin,
+                  **_pn_metrics(_phase_noise(vco, ldo, tcc, PN_OFFSETS)))
+    values["fom"] = fom(vco.f0, 1e6, values["pn1m"], values["pdyn"])
     tables = np.empty((len(keep), len(corners), len(METRIC_NAMES)))
     for k, name in enumerate(METRIC_NAMES):
         tables[..., k] = values[name]  # a scalar fills a column
@@ -703,7 +681,6 @@ def evaluate_batch(
     corners: Sequence[Corner],
     mode: str,
     tc: TechConstants,
-    i_load: float | None = None,
 ) -> BatchResult:
     """Evaluate a batch of points at every corner in one mode, CHUNK_DESIGNS
     designs per numpy pass: the survivors' stacked corner x metric tables
@@ -716,7 +693,7 @@ def evaluate_batch(
     corners = tuple(corners)
     # an empty batch is one empty chunk, so its stack has the usual shape
     starts = range(0, max(len(points), 1), CHUNK_DESIGNS)
-    chunks = [_evaluate(space, points[s:s + CHUNK_DESIGNS], corners, mode, tc, i_load)[0]
+    chunks = [_evaluate(space, points[s:s + CHUNK_DESIGNS], corners, mode, tc)[0]
               for s in starts]
     if len(chunks) == 1:
         return chunks[0]
@@ -731,29 +708,16 @@ def evaluate_batch(
     )
 
 
-def evaluate_corners(
-    space: DesignSpace,
-    point: DesignPoint,
-    corners: Sequence[Corner],
-    mode: str,
-    tc: TechConstants,
-    i_load: float | None = None,
-) -> np.ndarray:
-    """The corner x metric table of one point, as a batch of one; raises
-    its EvaluationFailure."""
-    return evaluate_batch(space, [point], corners, mode, tc, i_load).table(0)
-
-
 def evaluate(
     space: DesignSpace,
     point: DesignPoint,
     corner: Corner,
     mode: str,
     tc: TechConstants,
-    i_load: float | None = None,
 ) -> PerfMetrics:
-    """The metrics at one corner: row 0 of a one-corner batch of one."""
-    return PerfMetrics(*evaluate_corners(space, point, (corner,), mode, tc, i_load)[0].tolist())
+    """The metrics at one corner: row 0 of a one-corner batch of one; raises
+    its EvaluationFailure."""
+    return PerfMetrics(*evaluate_batch(space, [point], (corner,), mode, tc).table(0)[0].tolist())
 
 
 @_ERRSTATE
@@ -768,7 +732,7 @@ def pn_sweep(
     offset of SWEEP_OFFSETS. The corner is evaluated as a one-corner batch
     of one, so a design that fails there raises as evaluate would."""
     result, vco, ldo, tcc = _evaluate(
-        space, np.asarray(point, dtype=float)[np.newaxis], (corner,), mode, tc, None
+        space, np.asarray(point, dtype=float)[np.newaxis], (corner,), mode, tc
     )
     result.table(0)  # raises the design's failure
     return _phase_noise(vco, ldo, tcc, SWEEP_OFFSETS)[0, 0]

@@ -11,14 +11,12 @@ evaluator setup error (a problem or constants file that cannot be loaded)."""
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .behavior import SWEEP_OFFSETS, EvaluationFailure, evaluate_corners, pn_sweep
+from .behavior import SWEEP_OFFSETS, EvaluationFailure, evaluate_batch, pn_sweep
 from .flows import FlowResult, compare, run_codesign, run_sequential
-from .units import parse_si
 from .iofmt import (
     _logical_lines,
     atomic_write,
@@ -45,7 +43,7 @@ PROBLEM_FILE = "ldovco_problem.txt"
 CONSTANTS_FILE = "constants.txt"
 RUNCONFIG_FILE = "runconfig.txt"
 
-MODE_NAMES = {"ideal": "ideal_supply", "ldo": "ldo_only", "coupled": "coupled"}
+MODE_NAMES = {"ideal": "ideal_supply", "coupled": "coupled"}
 CORNERS = (NOMINAL_CORNER, *enumerate_corners())
 
 
@@ -301,11 +299,8 @@ def cmd_eval(args) -> int:
             raise _Exit(1, f"design error: {var.name} = {_fmt(x)} outside"
                            f" [{_fmt(var.lower)}, {_fmt(var.upper)}]")
 
-    mode = MODE_NAMES[args.mode]
-    i_load = args.iload if mode == "ldo_only" else None
-
     try:
-        table = evaluate_corners(space, point, CORNERS, mode, tc, i_load=i_load)
+        table = evaluate_batch(space, [point], CORNERS, MODE_NAMES[args.mode], tc).table(0)
     except EvaluationFailure as exc:
         raise _Exit(1, f"corner {exc.corner}: {exc}") from None
     print("corner," + ",".join(METRIC_NAMES))
@@ -356,13 +351,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _positive_si(text: str) -> float:
-    value = parse_si(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite current, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Flags whose dest is a RunConfig key are raw-string overrides of it."""
     parser = argparse.ArgumentParser(
@@ -388,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("design", help="design point file (name value per line)")
     p_eval.add_argument("--mode", choices=tuple(MODE_NAMES), default="coupled")
     p_eval.add_argument("--config", help="run config naming problem/constants files")
-    p_eval.add_argument("--iload", type=_positive_si, default=2e-3,
-                        help="load current for ldo mode (SI suffixes ok)")
     p_eval.add_argument("--sweep", action="store_true", help="write PN sweep CSVs")
     # not the config's out: eval writes no run artifacts
     p_eval.add_argument("--out", dest="sweep_dir", help="directory for sweep artifacts")

@@ -6,10 +6,10 @@ from ldovco import (
     NOMINAL_CORNER,
     enumerate_corners,
     load_bundled_constants,
-    load_bundled_point,
     load_bundled_problem,
 )
 from ldovco.behavior import _evaluate
+from ldovco.iofmt import load_bundled_point
 from ldovco.problem import BatchResult, Constraint, PerfMetrics, SizingProblem
 from ldovco.space import DesignSpace, Variable, point_from_dict
 
@@ -53,7 +53,7 @@ def se_point(space):
 def coupled_parts(space, point, tc):
     """The coupled VCO and LDO model parts of the evaluator's one-corner
     batch at the nominal corner."""
-    _, vco, ldo, _ = _evaluate(space, np.array([point]), (NOMINAL_CORNER,), "coupled", tc, None)
+    _, vco, ldo, _ = _evaluate(space, np.array([point]), (NOMINAL_CORNER,), "coupled", tc)
     return vco, ldo
 
 

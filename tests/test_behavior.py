@@ -34,7 +34,6 @@ from ldovco.behavior import (
     coupled_swing_limit,
     evaluate,
     evaluate_batch,
-    evaluate_corners,
     ldo_headroom,
     map_ldo,
     map_vco,
@@ -275,8 +274,13 @@ class TestLdoModel:
         assert info.value.quantity == "pass_headroom"
 
     def test_low_input_cannot_regulate(self, space, tc, co_point):
+        low = Corner(vdd_in=1.1)
         with pytest.raises(EvaluationFailure) as info:
-            ldo_model(space, co_point, tc, 1e-3, 1e-12, [Corner(vdd_in=1.1)])
+            ldo_model(space, co_point, tc, 1e-3, 1e-12, [low])
+        assert info.value.quantity == "v_drop"
+        # also on the coupled path, where the VCO sets the load current
+        with pytest.raises(EvaluationFailure) as info:
+            evaluate(space, co_point, low, "coupled", tc)
         assert info.value.quantity == "v_drop"
 
 
@@ -382,15 +386,11 @@ class TestEvaluate:
         vco, ldo = coupled_parts(space, co_point, tc)
         assert m.pdyn == pytest.approx(1.62 * (vco.i_bias + ldo.i_q), rel=1e-12)
 
-    def test_ldo_only_requires_i_load(self, space, tc, co_point):
-        with pytest.raises(ValueError):
-            evaluate(space, co_point, NOMINAL_CORNER, "ldo_only", tc)
-        m = evaluate(space, co_point, NOMINAL_CORNER, "ldo_only", tc, i_load=2e-3)
-        assert np.isfinite(m).all()
-
     def test_unknown_mode_rejected(self, space, tc, co_point):
-        with pytest.raises(ValueError):
-            evaluate(space, co_point, NOMINAL_CORNER, "spice", tc)
+        # ldo_only, the LDO alone on a fixed load current, is no longer a mode
+        for mode in ("spice", "ldo_only"):
+            with pytest.raises(ValueError, match=r"'ideal_supply', 'coupled'\)$"):
+                evaluate(space, co_point, NOMINAL_CORNER, mode, tc)
 
     def test_monotonicity_bias_power(self, space, tc, co_point):
         # rising bias current raises signal power until the swing clips
@@ -420,33 +420,30 @@ class TestEvaluate:
         assert len(SWEEP_OFFSETS) == 81  # 20 points per decade over 4 decades
 
 
-def per_corner_run(space, tc, point, corners, mode, i_load):
+def per_corner_run(space, tc, point, corners, mode):
     """evaluate at each corner in turn: the metrics, and the (quantity,
     corner) of the first failing corner, or None."""
     out = []
     for corner in corners:
         try:
-            out.append(evaluate(space, point, corner, mode, tc, i_load=i_load))
+            out.append(evaluate(space, point, corner, mode, tc))
         except EvaluationFailure as exc:
             return out, (exc.quantity, exc.corner, str(exc))
     return out, None
 
 
 class TestEvaluateCorners:
-    @pytest.mark.parametrize("mode,n_failing", [
-        ("ideal_supply", 0), ("coupled", 44), ("ldo_only", 30),
-    ])
+    @pytest.mark.parametrize("mode,n_failing", [("ideal_supply", 0), ("coupled", 44)])
     def test_matches_single_corner_evaluations(self, space, tc, co_point, se_point,
                                                all_corners, mode, n_failing):
         # the golden-value designs: the batch path against the one-corner
-        # path corner by corner; 14 of the coupled and 7 of the ldo_only
-        # failures pass the nominal corner and fail at a later one
-        i_load = 2e-3 if mode == "ldo_only" else None
+        # path corner by corner; 14 of the coupled failures pass the nominal
+        # corner and fail at a later one
         failures = 0
         for point in [co_point, se_point] + sample_initial(space, 64, seed=2024):
-            expected, failure = per_corner_run(space, tc, point, all_corners, mode, i_load)
+            expected, failure = per_corner_run(space, tc, point, all_corners, mode)
             try:
-                batch = evaluate_corners(space, point, all_corners, mode, tc, i_load=i_load)
+                batch = evaluate_batch(space, [point], all_corners, mode, tc).table(0)
             except EvaluationFailure as exc:
                 assert (exc.quantity, exc.corner, str(exc)) == failure
                 failures += 1
@@ -470,10 +467,11 @@ class TestEvaluateCorners:
         # 125 C) the pass device runs out of gate drive
         point = sample_initial(space, 64, seed=2024)[22]
         with pytest.raises(EvaluationFailure) as info:
-            evaluate_corners(space, point, all_corners, "coupled", tc)
+            evaluate_batch(space, [point], all_corners, "coupled", tc).table(0)
         assert info.value.quantity == "pass_headroom"
         assert info.value.corner == all_corners[18].label() == "snsp_minL_minC_125C"
-        assert np.isfinite(evaluate_corners(space, point, all_corners[:18], "coupled", tc)).all()
+        assert np.isfinite(
+            evaluate_batch(space, [point], all_corners[:18], "coupled", tc).table(0)).all()
         with pytest.raises(EvaluationFailure) as single:
             evaluate(space, point, all_corners[18], "coupled", tc)
         assert single.value.corner == "snsp_minL_minC_125C"
@@ -492,7 +490,7 @@ class TestEvaluateCorners:
             c_rest = space.fixed["c_var"] + tc.c_par_unit * width_sw
             shrunk = replace(tc, c_unit_mom=-c_rest / (1.07 * fingers))
             with pytest.raises(EvaluationFailure) as info:
-                evaluate_corners(space, point, all_corners, "coupled", shrunk)
+                evaluate_batch(space, [point], all_corners, "coupled", shrunk).table(0)
             return info.value.quantity, info.value.corner
 
         # c_tank at corner 3 comes before the headroom failure at corner 18
@@ -502,15 +500,15 @@ class TestEvaluateCorners:
         # at the nominal corner design 0 fails headroom, and l_tank is tested first
         negative_l = replace(tc, ind_scale=-1.0)
         with pytest.raises(EvaluationFailure) as info:
-            evaluate_corners(space, lhs[0], all_corners, "coupled", negative_l)
+            evaluate_batch(space, [lhs[0]], all_corners, "coupled", negative_l).table(0)
         assert (info.value.quantity, info.value.corner) == ("l_tank", "nominal")
 
 
-def assert_one_design_outcome(space, tc, point, corners, mode, i_load, outcome):
+def assert_one_design_outcome(space, tc, point, corners, mode, outcome):
     """outcome is the point's one-design outcome: its table equals the
     stacked one-corner rows bit for bit, and its failure names the quantity,
     corner and detail of the per-corner and the one-design evaluations."""
-    expected, failure = per_corner_run(space, tc, point, corners, mode, i_load)
+    expected, failure = per_corner_run(space, tc, point, corners, mode)
     if failure is None:
         assert isinstance(outcome, np.ndarray)
         stacked = np.array(expected)
@@ -519,7 +517,7 @@ def assert_one_design_outcome(space, tc, point, corners, mode, i_load, outcome):
     assert isinstance(outcome, EvaluationFailure)
     assert (outcome.quantity, outcome.corner, str(outcome)) == failure
     with pytest.raises(EvaluationFailure) as one:
-        evaluate_corners(space, point, corners, mode, tc, i_load=i_load)
+        evaluate_batch(space, [point], corners, mode, tc).table(0)
     assert (one.value.quantity, one.value.corner, one.value.detail) == (
         outcome.quantity, outcome.corner, outcome.detail)
     return False
@@ -538,13 +536,12 @@ def small_chunk(monkeypatch):
 def check_batch(space, tc, all_corners, mode, size):
     """evaluate_batch on `size` LHS designs gives each its one-design
     outcome."""
-    i_load = 2e-3 if mode == "ldo_only" else None
     points = sample_initial(space, max(size, 2), seed=100 + size)[:size]
-    outcomes = outcomes_of(evaluate_batch(space, points, all_corners, mode, tc, i_load=i_load))
+    outcomes = outcomes_of(evaluate_batch(space, points, all_corners, mode, tc))
     assert len(outcomes) == size
-    passed = [assert_one_design_outcome(space, tc, point, all_corners, mode, i_load, outcome)
+    passed = [assert_one_design_outcome(space, tc, point, all_corners, mode, outcome)
               for point, outcome in zip(points, outcomes)]
-    if size > 1 and mode != "ideal_supply":  # about half the LDO designs lack headroom
+    if size > 1 and mode == "coupled":  # about half the LDO designs lack headroom
         assert any(passed) and not all(passed)
 
 
@@ -562,23 +559,21 @@ class TestEvaluateBatch:
     def test_crosses_the_chunk_boundary(self, space, tc, all_corners):
         check_batch(space, tc, all_corners, "coupled", CHUNK_DESIGNS + 1)
 
-    @pytest.mark.parametrize("mode", ["ldo_only", "coupled"])
+    @pytest.mark.parametrize("mode", ["coupled"])
     def test_batch_where_no_design_survives(self, small_chunk, space, tc, all_corners, mode):
         # more than a chunk of designs that all fail, so that every chunk
         # ends at its raise point with no design left
-        i_load = 2e-3 if mode == "ldo_only" else None
         failing = []
         for point in sample_initial(space, 96, seed=5):
             try:
-                evaluate_corners(space, point, all_corners, mode, tc, i_load=i_load)
+                evaluate_batch(space, [point], all_corners, mode, tc).table(0)
             except EvaluationFailure:
                 failing.append(point)
         assert len(failing) > SMALL_CHUNK
-        batch = evaluate_batch(space, failing, all_corners, mode, tc, i_load=i_load)
+        batch = evaluate_batch(space, failing, all_corners, mode, tc)
         assert batch.tables.shape == (0, len(all_corners), len(METRIC_NAMES))
         for point, outcome in zip(failing, outcomes_of(batch), strict=True):
-            assert not assert_one_design_outcome(space, tc, point, all_corners, mode, i_load,
-                                                 outcome)
+            assert not assert_one_design_outcome(space, tc, point, all_corners, mode, outcome)
 
     def test_empty_batch(self, space, tc, all_corners):
         batch = evaluate_batch(space, [], all_corners, "coupled", tc)
@@ -632,7 +627,7 @@ class TestFiniteMetrics:
         # the model checks pass, but pdyn = vdd_in * current is not finite
         hot = Corner(temperature=125.0, vdd_in=vdd_in)
         with pytest.raises(EvaluationFailure) as batch:
-            evaluate_corners(space, co_point, (NOMINAL_CORNER, hot), "coupled", tc)
+            evaluate_batch(space, [co_point], (NOMINAL_CORNER, hot), "coupled", tc).table(0)
         assert (batch.value.quantity, batch.value.corner) == ("pdyn", hot.label())
         with pytest.raises(EvaluationFailure) as single:
             evaluate(space, co_point, hot, "coupled", tc)
@@ -649,10 +644,9 @@ class TestFiniteMetrics:
         labels = {c.label() for c in all_corners}
         counts = Counter()
         for mode in MODES:
-            i_load = 2e-3 if mode == "ldo_only" else None
             for point in points:
                 try:
-                    table = evaluate_corners(space, point, all_corners, mode, tc, i_load=i_load)
+                    table = evaluate_batch(space, [point], all_corners, mode, tc).table(0)
                 except EvaluationFailure as exc:
                     assert exc.quantity in MODEL_QUANTITIES + tuple(METRIC_NAMES)
                     assert exc.corner in labels
@@ -674,23 +668,24 @@ class TestFiniteMetrics:
         # by name, never with a ZeroDivisionError or a math domain error
         point = np.array(co_point)
         point[[space.index_of(n) for n in names]] = 0.0
-        i_load = 2e-3 if mode == "ldo_only" else None
         try:
-            table = evaluate_corners(space, point, all_corners, mode, tc, i_load=i_load)
+            table = evaluate_batch(space, [point], all_corners, mode, tc).table(0)
         except EvaluationFailure as exc:
             assert exc.quantity in MODEL_QUANTITIES + tuple(METRIC_NAMES)
             assert exc.corner in {c.label() for c in all_corners}
             return
         assert np.isfinite(table).all()
 
-    @pytest.mark.parametrize("names,quantity", [(("M2",), "p_sig"), (("M_34", "M_56"), "pn100k")])
+    @pytest.mark.parametrize("names,quantity", [(("M2",), "p_sig"), (("M_34", "M_56"), "pn100k"),
+                                                (("W_ind",), "q_tank")])
     def test_zero_valued_coupled_failures(self, space, tc, co_point, all_corners, names, quantity):
         # no bias current, so no swing; no switching devices, so no supply
-        # coupling (its phase-noise part is -inf) and an unbounded flicker corner
+        # coupling (its phase-noise part is -inf) and an unbounded flicker
+        # corner; no inductor width, so an infinite series resistance
         point = np.array(co_point)
         point[[space.index_of(n) for n in names]] = 0.0
         with pytest.raises(EvaluationFailure) as info:
-            evaluate_corners(space, point, all_corners, "coupled", tc)
+            evaluate_batch(space, [point], all_corners, "coupled", tc).table(0)
         assert (info.value.quantity, info.value.corner) == (quantity, "nominal")
 
 
@@ -816,7 +811,7 @@ class TestPsrWork:
     """The batch's PSR peak, computed corner by corner in work buffers,
     has the bits of the curve written as one plain expression."""
 
-    @pytest.mark.parametrize("mode", ["coupled", "ldo_only"])
+    @pytest.mark.parametrize("mode", ["coupled"])
     def test_batch_peak_equals_plain_expression(self, monkeypatch, space, tc, all_corners,
                                                 mode):
         calls, psr_max = [], behavior._psr_max
@@ -826,9 +821,7 @@ class TestPsrWork:
             return calls[-1][1]
 
         monkeypatch.setattr(behavior, "_psr_max", recorded)
-        i_load = 2e-3 if mode == "ldo_only" else None
-        batch = evaluate_batch(space, sample_initial(space, 120, seed=7), all_corners, mode,
-                               tc, i_load=i_load)
+        batch = evaluate_batch(space, sample_initial(space, 120, seed=7), all_corners, mode, tc)
         [(inputs, peaks)] = calls
         assert peaks.shape == (len(peaks), len(all_corners))
         assert len(peaks) >= len(batch.survivors) > 20
