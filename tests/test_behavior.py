@@ -387,10 +387,13 @@ class TestEvaluate:
         assert m.pdyn == pytest.approx(1.62 * (vco.i_bias + ldo.i_q), rel=1e-12)
 
     def test_unknown_mode_rejected(self, space, tc, co_point):
+        with pytest.raises(ValueError, match=r"'ideal_supply', 'coupled'\)$"):
+            evaluate(space, co_point, NOMINAL_CORNER, "spice", tc)
+
+    def test_ldo_only_mode_rejected(self, space, tc, co_point):
         # ldo_only, the LDO alone on a fixed load current, is no longer a mode
-        for mode in ("spice", "ldo_only"):
-            with pytest.raises(ValueError, match=r"'ideal_supply', 'coupled'\)$"):
-                evaluate(space, co_point, NOMINAL_CORNER, mode, tc)
+        with pytest.raises(ValueError, match=r"'ideal_supply', 'coupled'\)$"):
+            evaluate(space, co_point, NOMINAL_CORNER, "ldo_only", tc)
 
     def test_monotonicity_bias_power(self, space, tc, co_point):
         # rising bias current raises signal power until the swing clips

@@ -311,8 +311,9 @@ class TestEval:
 
     @pytest.mark.parametrize("args,message", [
         (["--mode", "ldo"], "argument --mode: invalid choice: 'ldo'"),
-        (["--iload", "2m"], "unrecognized arguments: --iload 2m"),
-    ], ids=["mode_ldo", "iload"])
+        (["--iload", "0"], "unrecognized arguments: --iload 0"),
+        (["--iload", "-0.002"], "unrecognized arguments: --iload -0.002"),
+    ], ids=["mode_ldo", "iload_zero", "iload_negative"])
     def test_removed_ldo_inputs_are_exit_2(self, capsys, co_point_file, args, message):
         # eval has no LDO-alone mode, so no load current to give it
         with pytest.raises(SystemExit) as info:
