@@ -44,6 +44,7 @@ from .space import DesignPoint, DesignSpace, frozen_array
 
 MU0 = 4e-7 * math.pi
 V_OUT = 1.2  # regulated VCO supply
+VDD_IN = 1.8 * 0.90  # the LDO's input: the lowest IO supply, 1.62 V
 
 # Square-spiral inductance prefactors (modified Wheeler form), calibrated so
 # the bundled geometries land around 1 nH.
@@ -121,8 +122,6 @@ class TechConstants:
                 raise ValueError(f"TechConstants.{name} must be strictly positive, got {value}")
 
 
-DEFAULT_TECH = TechConstants()
-
 # The constants a corner changes.
 CORNER_FIELDS = ("kp_n", "kp_p", "ind_scale", "c_unit_mom", "kT")
 
@@ -136,15 +135,12 @@ _EXT_C = {"min": 0.85, "max": 1.15, "nominal": 1.0}
 
 # room for a corner list and each of its 33 corners on its own
 @lru_cache(maxsize=64)
-def apply_corners(
-    base: TechConstants, corners: tuple[Corner, ...]
-) -> tuple[TechConstants, np.ndarray]:
+def apply_corners(base: TechConstants, corners: tuple[Corner, ...]) -> TechConstants:
     """Fold every corner into the constants once: +-10% process skew on kp,
     -+10% inductance, -+15% unit MOM capacitance, kT proportional to
     absolute temperature (27 C == 300 K reference), mobility ~ T^-1.5. The
-    CORNER_FIELDS of the returned constants, and the returned input
-    supplies, are read-only arrays over the corners; the other fields stay
-    scalar."""
+    CORNER_FIELDS of the returned constants are read-only arrays over the
+    corners; the other fields stay scalar."""
     columns: dict[str, list[float]] = {name: [] for name in CORNER_FIELDS}
     for c in corners:
         t_ratio = (c.temperature + 273.0) / 300.0
@@ -155,7 +151,7 @@ def apply_corners(
         columns["c_unit_mom"].append(base.c_unit_mom * _EXT_C[c.capacitor])
         columns["kT"].append(base.kT * t_ratio)
     stacked = {name: frozen_array(column) for name, column in columns.items()}
-    return replace(base, **stacked), frozen_array([c.vdd_in for c in corners])
+    return replace(base, **stacked)
 
 
 class _Failures:
@@ -486,28 +482,24 @@ def _psr_max(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z) -> np.ndar
     return np.concatenate(peaks, axis=-1)[..., [slots[key] for key in keys]]
 
 
-def ldo_headroom(v: dict[str, np.ndarray], tc: TechConstants, i_load, vdd_in: np.ndarray,
+def ldo_headroom(v: dict[str, np.ndarray], tc: TechConstants, i_load,
                  failures: _Failures) -> None:
-    """The LDO's supply and headroom tests, which come before its loop
-    model, over the same grid as map_ldo: the input must lie above the
-    regulated output, and the NMOS follower's gate drive below the input."""
-    v_drop = vdd_in - V_OUT
-    failures.add("v_drop", v_drop <= 0,
-                 lambda d, i: f"input {vdd_in[i].item()} V cannot regulate {V_OUT} V")
+    """The LDO's headroom test, which comes before its loop model, over the
+    same grid as map_ldo: the NMOS follower's gate drive must lie below the
+    input VDD_IN."""
     w_pass = v["W_pass"] * v["F_pass"] * v["M_pass"]
     vov_pass = np.sqrt(2.0 * i_load / (tc.kp_n * w_pass / v["L_pass"]))
     gate = V_OUT + VTH_PASS + vov_pass
-    failures.add("pass_headroom", gate > vdd_in, lambda d, i: (
-        f"needs {failures.at(gate, d, i):.3f} V gate drive from {vdd_in[i].item()} V"))
+    failures.add("pass_headroom", gate > VDD_IN, lambda d, i: (
+        f"needs {failures.at(gate, d, i):.3f} V gate drive from {VDD_IN} V"))
 
 
-def map_ldo(v: dict[str, np.ndarray], tc: TechConstants, i_load, vdd_in: np.ndarray,
-            c_load) -> LdoDerived:
+def map_ldo(v: dict[str, np.ndarray], tc: TechConstants, i_load, c_load) -> LdoDerived:
     """Small-signal model of the two-stage Miller op-amp with NMOS-follower
     pass device: loop gain, poles/zero, phase margin, supply rejection and
     output noise curves, over the design columns of v (_design_values) and
-    the corner axis of the folded constants tc and input supplies vdd_in
-    (runs under _evaluate's _ERRSTATE). i_load and c_load are per design.
+    the corner axis of the folded constants tc (runs under _evaluate's
+    _ERRSTATE). i_load and c_load are per design.
     Run it on designs that passed ldo_headroom."""
     beta_fb = v["beta_fb"]
     i_ref = tc.i_unit
@@ -544,7 +536,7 @@ def map_ldo(v: dict[str, np.ndarray], tc: TechConstants, i_load, vdd_in: np.ndar
     c_ds_pass = CDS_PER_WIDTH * w_pass
 
     i_q = i_ref + i1 + i2 + V_OUT / v["r_div"]
-    vdd_max = np.minimum(V_OUT * (1.0 + 1.0 / a_dc) + i_load / (gm_pass * (1.0 + a_dc)), vdd_in)
+    vdd_max = np.minimum(V_OUT * (1.0 + 1.0 / a_dc) + i_load / (gm_pass * (1.0 + a_dc)), VDD_IN)
 
     # noise model: amp thermal + input-pair flicker roll off at the
     # closed-loop bandwidth; reference/bias flicker is low-pass filtered by
@@ -613,7 +605,7 @@ def _evaluate(
     constants."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    tcc, vdd_in = apply_corners(tc, corners)
+    tcc = apply_corners(tc, corners)
     failures = _Failures(corners, len(points))
     v = _design_values(space, points)
 
@@ -622,7 +614,7 @@ def _evaluate(
         vco = map_vco(v, tcc, SWING_FRAC * V_OUT, failures)
     else:  # coupled: the LDO carries the VCO's bias and drives its parasitics
         vco = map_vco(v, tcc, coupled_swing_limit(v["c_byp"]), failures)
-        ldo_headroom(v, tcc, vco.i_bias, vdd_in, failures)
+        ldo_headroom(v, tcc, vco.i_bias, failures)
     keep, *failed = failures.settle()
     if not len(keep):
         return BatchResult(corners, np.empty((0, len(corners), len(METRIC_NAMES))), keep,
@@ -635,9 +627,9 @@ def _evaluate(
         ldo = None
         values = dict(psr_max=_IDEAL_PSR, pm=_IDEAL_PM, vdd_max=V_OUT, pdyn=V_OUT * vco.i_bias)
     else:
-        ldo = map_ldo(v, tcc, vco.i_bias, vdd_in, vco.c_par + C_SUP_FIXED)
+        ldo = map_ldo(v, tcc, vco.i_bias, vco.c_par + C_SUP_FIXED)
         values = dict(psr_max=ldo.psr_max, pm=ldo.pm, vdd_max=ldo.vdd_max,
-                      pdyn=vdd_in * (vco.i_bias + ldo.i_q))
+                      pdyn=VDD_IN * (vco.i_bias + ldo.i_q))
     values.update(f0=vco.f0, startup_margin=vco.startup_margin,
                   **_pn_metrics(_phase_noise(vco, ldo, tcc, PN_OFFSETS)))
     values["fom"] = fom(vco.f0, 1e6, values["pn1m"], values["pdyn"])

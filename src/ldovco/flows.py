@@ -32,7 +32,7 @@ from .problem import (
     Corner,
     PerfMetrics,
     SizingProblem,
-    rank_key,
+    compare_designs,
     worst_case,
 )
 from .space import DesignPoint, DesignSpace, repair
@@ -219,9 +219,8 @@ def _pair_row(seed: int, co: FlowResult, seq: FlowResult) -> dict:
     # wins use the same feasibility-first order that ranks designs everywhere
     # else; a constraint-violating design does not outrank a compliant one on
     # raw FoM alone. Ties split 0.5/0.5.
-    co_key = rank_key(co.coupled_worst.fom, co.violation)
-    seq_key = rank_key(seq.coupled_worst.fom, seq.violation)
-    win = 0.5 if co_key == seq_key else float(co_key < seq_key)
+    win = (compare_designs((co.coupled_worst.fom, co.violation),
+                           (seq.coupled_worst.fom, seq.violation)) + 1) / 2
     return {
         "seed": seed,
         "codesign_fom": co.coupled_worst.fom,

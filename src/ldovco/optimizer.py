@@ -13,7 +13,7 @@ from itertools import repeat
 import numpy as np
 
 from .problem import (
-    METRIC_NAMES, WORST_BY_MIN, BatchResult, PerfMetrics, SizingProblem, rank_key, worst_case,
+    METRIC_NAMES, WORST_BY_MIN, BatchResult, PerfMetrics, SizingProblem, rank_order, worst_case,
 )
 from .space import DesignPoint, repair, sample_initial
 from .surrogate import MIN_TRAIN_ROWS, EnsembleModel, MlpConfig, fit, predict_conservative, update
@@ -119,14 +119,6 @@ _FOM = METRIC_NAMES.index("fom")
 # The prescreen's quantile side per metric: the lower quantile where a lower
 # value is worse (the objective included), the upper one elsewhere.
 PRESCREEN_SENSES = np.where(WORST_BY_MIN, -1.0, 1.0)
-
-
-def _rank_order(objective: np.ndarray, violation: np.ndarray) -> np.ndarray:
-    """The rows in rank_key order, exact ties oldest-first (lexsort is
-    stable): feasible rows by objective, highest first, then the rest by
-    violation, lowest first."""
-    infeasible = violation != 0.0
-    return np.lexsort((np.where(infeasible, violation, -objective), infeasible))
 
 
 def _row_bytes(points: np.ndarray) -> np.ndarray:
@@ -241,7 +233,7 @@ class Database:
 
     def _incumbents_after(self, objective: np.ndarray, violation: np.ndarray) -> np.ndarray:
         """The incumbent after each of the new rows: the best row so far by
-        rank_key, the oldest of exact ties. The current incumbent competes
+        rank_order, the oldest of exact ties. The current incumbent competes
         as the oldest row, so a tie with it keeps it."""
         rows = np.arange(self._rows, self._rows + len(objective))
         if self._rows:
@@ -249,7 +241,7 @@ class Database:
             rows = np.concatenate(([held], rows))
             objective = np.concatenate((self.objective[held:held + 1], objective))
             violation = np.concatenate((self.violation[held:held + 1], violation))
-        order = _rank_order(objective, violation)
+        order = rank_order(objective, violation)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         best = rows[order[np.minimum.accumulate(rank)]]
@@ -259,7 +251,7 @@ class Database:
         """Best `count` distinct designs (re-evaluations of one point count
         once, ties go oldest-first); DE parent diversity depends on
         distinctness."""
-        ranked = self.points[_rank_order(self.objective, self.violation)]
+        ranked = self.points[rank_order(self.objective, self.violation)]
         _, first = np.unique(_row_bytes(ranked), return_index=True)
         return list(ranked[np.sort(first)[:count]])
 
@@ -339,7 +331,7 @@ def select_candidate(
 ) -> DesignPoint:
     """Score the (n, dim) batch of children with the surrogate ensemble's
     BETA quantile on each metric's worse side and return a copy of the one
-    the feasibility-first ranking likes best (ties to the lowest index).
+    rank_order puts first (ties to the lowest index).
     With no model yet, the first child stands in.
 
     Children identical to an already-evaluated point carry no information, so
@@ -351,8 +343,7 @@ def select_candidate(
     if model is None:
         return children[0].copy()
     preds = predict_conservative(model, children, BETA, senses=PRESCREEN_SENSES)
-    keys = list(map(rank_key, preds[:, _FOM].tolist(), problem.violation(preds).tolist()))
-    order = sorted(range(len(children)), key=keys.__getitem__)
+    order = rank_order(preds[:, _FOM], problem.violation(preds)).tolist()
     for idx in order:
         if children[idx].tobytes() not in seen:
             return children[idx].copy()

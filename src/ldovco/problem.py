@@ -13,7 +13,6 @@ import numpy as np
 from .space import DesignPoint, DesignSpace
 
 NOMINAL_TEMP_C = 27.0
-DEFAULT_VDD_IN = 1.8 * 0.90  # lowest IO supply, 1.62 V
 
 # NMOS/PMOS pair order used when enumerating the corner grid.
 MOS_PAIRS = (("fast", "fast"), ("fast", "slow"), ("slow", "slow"), ("slow", "fast"))
@@ -26,7 +25,6 @@ class Corner:
     inductor: str = "nominal"
     capacitor: str = "nominal"
     temperature: float = NOMINAL_TEMP_C
-    vdd_in: float = DEFAULT_VDD_IN
 
     def label(self) -> str:
         if self.is_nominal():
@@ -35,13 +33,7 @@ class Corner:
         return f"{self.nmos[0]}n{self.pmos[0]}p_{self.inductor}L_{self.capacitor}C_{t}"
 
     def is_nominal(self) -> bool:
-        return (
-            self.nmos == "nominal"
-            and self.pmos == "nominal"
-            and self.inductor == "nominal"
-            and self.capacitor == "nominal"
-            and self.temperature == NOMINAL_TEMP_C
-        )
+        return self == Corner()
 
 
 NOMINAL_CORNER = Corner()
@@ -60,12 +52,12 @@ class EvaluationFailure(RuntimeError):
 
 
 def enumerate_corners() -> list[Corner]:
-    """The 32-corner grid at DEFAULT_VDD_IN, in lexicographic order: MOS
-    pair (MOS_PAIRS order), then inductor, capacitor (min, max each) and
-    temperature (-55, 125 C). The nominal corner is not part of this grid;
-    use NOMINAL_CORNER separately."""
+    """The 32-corner grid, in lexicographic order: MOS pair (MOS_PAIRS
+    order), then inductor, capacitor (min, max each) and temperature (-55,
+    125 C). The nominal corner is not part of this grid; use NOMINAL_CORNER
+    separately."""
     return [
-        Corner(nmos=n, pmos=p, inductor=l, capacitor=c, temperature=t, vdd_in=DEFAULT_VDD_IN)
+        Corner(nmos=n, pmos=p, inductor=l, capacitor=c, temperature=t)
         for (n, p), l, c, t in itertools.product(
             MOS_PAIRS, ("min", "max"), ("min", "max"), (-55.0, 125.0)
         )
@@ -139,18 +131,6 @@ class Constraint:
 
 ConstraintSet = tuple[Constraint, ...]
 
-DEFAULT_CONSTRAINTS: ConstraintSet = (
-    Constraint("f0", 5e9),
-    Constraint("pn100k", -94.0),
-    Constraint("pn1m", -120.0),
-    Constraint("pn10m", -140.0),
-    Constraint("pdyn", 7e-3),
-    Constraint("psr_max", -30.0),
-    Constraint("vdd_max", 1.32),
-    Constraint("pm", 50.0),
-    Constraint("startup_margin", 2.0),
-)
-
 
 def violation(metrics: PerfMetrics | np.ndarray, constraints: ConstraintSet) -> float | np.ndarray:
     """Sum of bound-normalized constraint shortfalls; zero iff all satisfied.
@@ -177,17 +157,24 @@ def violation(metrics: PerfMetrics | np.ndarray, constraints: ConstraintSet) -> 
     return total if total.ndim else float(total)
 
 
-def rank_key(objective: float, violation: float) -> tuple[int, float]:
-    """Feasibility-first sort key (Deb, CMAME 2000): feasible designs by
-    objective, highest first, ahead of infeasible ones by violation, lowest
-    first. Smaller is better; a stable sort keeps exact ties oldest-first."""
-    return (0, -objective) if violation == 0.0 else (1, violation)
+def rank_order(objective: Sequence[float] | np.ndarray,
+               violation: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The indices of the (objective, violation) pairs in feasibility-first
+    order (Deb, CMAME 2000): feasible pairs by objective, highest first,
+    ahead of infeasible ones by violation, lowest first. A NaN sorts after
+    every number in its group, and exact ties keep their order (lexsort is
+    stable)."""
+    objective, violation = np.asarray(objective, dtype=float), np.asarray(violation, dtype=float)
+    infeasible = violation != 0.0
+    return np.lexsort((np.where(infeasible, violation, -objective), infeasible))
 
 
 def compare_designs(a: tuple[float, float], b: tuple[float, float]) -> int:
-    """+1 if (objective, violation) pair a ranks ahead of b, -1 if behind, 0 on a tie."""
-    ka, kb = rank_key(*a), rank_key(*b)
-    return (ka < kb) - (kb < ka)
+    """+1 if (objective, violation) pair a ranks ahead of b, -1 if behind, 0
+    on a tie: a is ahead when rank_order puts it first though placed second."""
+    a_first = rank_order([b[0], a[0]], [b[1], a[1]])[0] == 1
+    b_first = rank_order([a[0], b[0]], [a[1], b[1]])[0] == 1
+    return int(a_first) - int(b_first)
 
 
 def worst_case(per_corner: np.ndarray | Sequence[PerfMetrics]) -> PerfMetrics | np.ndarray:

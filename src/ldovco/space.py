@@ -139,10 +139,6 @@ def repair(space: DesignSpace, raw: np.ndarray) -> DesignPoint:
     return x
 
 
-def point_as_dict(space: DesignSpace, point: DesignPoint) -> dict[str, float]:
-    return dict(zip(space._names, np.asarray(point, dtype=float).tolist()))
-
-
 def point_from_dict(space: DesignSpace, values: dict[str, float]) -> DesignPoint:
     missing = [v.name for v in space.variables if v.name not in values]
     if missing:

@@ -18,17 +18,7 @@ SI_SUFFIXES = {
 }
 
 # Preferred rendering order, largest first.
-_FORMAT_STEPS = [
-    ("G", 1e9),
-    ("M", 1e6),
-    ("K", 1e3),
-    ("", 1.0),
-    ("m", 1e-3),
-    ("u", 1e-6),
-    ("n", 1e-9),
-    ("p", 1e-12),
-    ("f", 1e-15),
-]
+_FORMAT_STEPS = sorted([*SI_SUFFIXES.items(), ("", 1.0)], key=lambda step: step[1], reverse=True)
 
 
 def parse_si(text: str) -> float:

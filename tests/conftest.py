@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,20 @@ def coupled_parts(space, point, tc):
     batch at the nominal corner."""
     _, vco, ldo, _ = _evaluate(space, np.array([point]), (NOMINAL_CORNER,), "coupled", tc)
     return vco, ldo
+
+
+def pairwise_reference(a, b):
+    """Feasibility-first comparison of (objective, violation) pairs written
+    out pairwise: +1 if a wins, -1 if b wins, 0 on a tie. Feasible pairs win
+    by objective, infeasible ones by violation; in either group a NaN loses
+    to every number."""
+    (obj_a, vio_a), (obj_b, vio_b) = a, b
+    if (vio_a == 0.0) != (vio_b == 0.0):
+        return 1 if vio_a == 0.0 else -1
+    x, y = (obj_a, obj_b) if vio_a == 0.0 else (-vio_a, -vio_b)  # higher wins
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(y) - math.isnan(x)
+    return (x > y) - (x < y)
 
 
 def outcomes_of(batch):

@@ -12,7 +12,6 @@ from ldovco import behavior
 from ldovco.behavior import (
     CHUNK_DESIGNS,
     C_OX,
-    DEFAULT_TECH,
     EvaluationFailure,
     FIXED_ELEMENTS,
     FREQ_GRID,
@@ -47,14 +46,14 @@ from ldovco.behavior import (
 from ldovco.problem import (
     METRIC_NAMES, BatchResult, Corner, NOMINAL_CORNER, PerfMetrics, enumerate_corners, fom,
 )
-from ldovco.space import point_as_dict, sample_initial
+from ldovco.space import sample_initial
 
 IDEAL_AMP_LIMIT = 0.9 * 1.2
 
 
 def fold_one(tc, corner):
     """The constants of a one-corner apply_corners fold, as scalars."""
-    tcc, _ = apply_corners(tc, (corner,))
+    tcc = apply_corners(tc, (corner,))
     return replace(tcc, **{name: getattr(tcc, name)[0].item() for name in CORNER_FIELDS})
 
 
@@ -70,7 +69,7 @@ def vco_model(space, point, tc, amp_limit):
     """map_vco on a batch of one over a one-corner fold at the nominal
     corner with its own collector, which raises the first failure."""
     corners = (NOMINAL_CORNER,)
-    tcc, _ = apply_corners(tc, corners)
+    tcc = apply_corners(tc, corners)
     failures = _Failures(corners, 1)
     d = map_vco(_design_values(space, np.array([point])), tcc, amp_limit, failures)
     settle_one(failures, corners)
@@ -79,13 +78,13 @@ def vco_model(space, point, tc, amp_limit):
 
 def ldo_model(space, point, tc, i_load, c_load, corners=(NOMINAL_CORNER,)):
     """ldo_headroom, then map_ldo, on a batch of one over a fold of
-    `corners` (nominal: a 1.62 V input); raises the first failure."""
-    tcc, vdd_in = apply_corners(tc, tuple(corners))
+    `corners`; raises the first failure."""
+    tcc = apply_corners(tc, tuple(corners))
     v = _design_values(space, np.array([point]))
     failures = _Failures(corners, 1)
-    ldo_headroom(v, tcc, i_load, vdd_in, failures)
+    ldo_headroom(v, tcc, i_load, failures)
     settle_one(failures, corners)
-    return map_ldo(v, tcc, i_load, vdd_in, c_load)
+    return map_ldo(v, tcc, i_load, c_load)
 
 
 def psr_curves(monkeypatch, *model_args):
@@ -160,7 +159,7 @@ class TestMapVco:
     def test_bundled_point_against_independent_arithmetic(self, space, tc, co_point):
         # independent route: same documented closed forms, recomputed from
         # the raw table values without going through map_vco
-        v = point_as_dict(space, co_point)
+        v = dict(zip(space.names, co_point.tolist()))
         d_in = 2 * v["R_ind"]
         d_out = d_in + 2 * (v["NT_ind"] * v["W_ind"] + (v["NT_ind"] - 1) * v["S_ind"])
         d_avg = (d_in + d_out) / 2
@@ -200,9 +199,9 @@ def make_vco(f0=5.6e9, q=10.0, p_sig=1e-3, f_corner=2e5):
 
 
 class TestIntrinsicPn:
-    def test_far_offset_floor(self):
+    def test_far_offset_floor(self, tc):
         # F_noise -> 1, kT at 290 K, 1 mW carrier: the thermal-floor identity
-        tc290 = replace(DEFAULT_TECH, gamma_excess=1e-15, kT=1.380649e-23 * 290)
+        tc290 = replace(tc, gamma_excess=1e-15, kT=1.380649e-23 * 290)
         d = make_vco(q=1e9, f_corner=1e-6)
         pn = vco_pn_intrinsic(d, 1e6, tc290)
         assert pn == pytest.approx(-170.97, abs=0.01)
@@ -240,7 +239,7 @@ class TestLdoModel:
 
     def test_map_ldo_quantities(self, monkeypatch, space, tc, co_point):
         d, [curve] = psr_curves(monkeypatch, space, co_point, tc, 3e-3, 1e-12)
-        v = point_as_dict(space, co_point)
+        v = dict(zip(space.names, co_point.tolist()))
         assert d.gbw == pytest.approx(d.gm1 / (2 * math.pi * v["C_C"]), rel=1e-12)
         assert d.a_dc > 0
         assert d.i_q > 0
@@ -272,16 +271,6 @@ class TestLdoModel:
         with pytest.raises(EvaluationFailure) as info:
             ldo_model(space, starved, tc, 5e-3, 1e-12)
         assert info.value.quantity == "pass_headroom"
-
-    def test_low_input_cannot_regulate(self, space, tc, co_point):
-        low = Corner(vdd_in=1.1)
-        with pytest.raises(EvaluationFailure) as info:
-            ldo_model(space, co_point, tc, 1e-3, 1e-12, [low])
-        assert info.value.quantity == "v_drop"
-        # also on the coupled path, where the VCO sets the load current
-        with pytest.raises(EvaluationFailure) as info:
-            evaluate(space, co_point, low, "coupled", tc)
-        assert info.value.quantity == "v_drop"
 
 
 class TestSupplyPn:
@@ -458,11 +447,10 @@ class TestEvaluateCorners:
         assert failures == n_failing
 
     def test_apply_corners_stacks_apply_corner(self, tc, all_corners):
-        stacked, vdd_in = apply_corners(tc, all_corners)
+        stacked = apply_corners(tc, all_corners)
         for k, corner in enumerate(all_corners):
             one = fold_one(tc, corner)
             assert all(getattr(stacked, f)[k] == getattr(one, f) for f in CORNER_FIELDS)
-            assert vdd_in[k] == corner.vdd_in
         assert stacked.kf == tc.kf
 
     def test_failure_names_lowest_failing_corner(self, space, tc, all_corners):
@@ -487,7 +475,7 @@ class TestEvaluateCorners:
         lhs = sample_initial(space, 64, seed=2024)
 
         def failure(point):
-            v = point_as_dict(space, point)
+            v = dict(zip(space.names, point.tolist()))
             fingers = v["N_H"] * v["N_V"] * (4.0 - v["M_bot"])
             width_sw = v["W_34"] * v["F_34"] * v["M_34"] + v["W_56"] * v["F_56"] * v["M_56"]
             c_rest = space.fixed["c_var"] + tc.c_par_unit * width_sw
@@ -586,10 +574,10 @@ class TestEvaluateBatch:
 
 def test_lazy_failure_equals_the_eager_one(monkeypatch, space, tc, co_point, all_corners):
     # model-test failures (headroom at the nominal corner) and non-finite
-    # ones (pdyn at a NaN input supply) in one batch: each failure built on
+    # ones (pn100k at a NaN temperature) in one batch: each failure built on
     # request equals the one built when its batch settled, and survives
     # pickling as a process pool would send it
-    hot = Corner(temperature=125.0, vdd_in=math.nan)
+    hot = Corner(temperature=math.nan)
     corners = (NOMINAL_CORNER, hot) + all_corners[1:3]
     eager = {}
     settle = _Failures.settle
@@ -609,7 +597,7 @@ def test_lazy_failure_equals_the_eager_one(monkeypatch, space, tc, co_point, all
     kinds = Counter()
     for j, d in enumerate(batch.failed.tolist()):
         lazy = batch.failure(j)
-        expected = eager.get(d, EvaluationFailure("pdyn", "non-finite value nan", hot.label()))
+        expected = eager.get(d, EvaluationFailure("pn100k", "non-finite value nan", hot.label()))
         kinds[d in eager] += 1
         for failure in (lazy, pickle.loads(pickle.dumps(lazy))):
             assert type(failure) is EvaluationFailure
@@ -619,22 +607,26 @@ def test_lazy_failure_equals_the_eager_one(monkeypatch, space, tc, co_point, all
 
 
 # The quantities the models test before any metric is formed.
-MODEL_QUANTITIES = ("l_tank", "c_tank", "q_tank", "p_sig", "v_drop", "pass_headroom")
+MODEL_QUANTITIES = ("l_tank", "c_tank", "q_tank", "p_sig", "pass_headroom")
 
 
 class TestFiniteMetrics:
     """Metrics leave the evaluator finite, or the evaluation fails."""
 
-    @pytest.mark.parametrize("vdd_in", [math.nan, math.inf])
-    def test_non_finite_supply_fails_at_its_corner(self, space, tc, co_point, vdd_in):
-        # the model checks pass, but pdyn = vdd_in * current is not finite
-        hot = Corner(temperature=125.0, vdd_in=vdd_in)
+    @pytest.mark.parametrize("temperature,quantity", [(math.nan, "pn100k"),
+                                                      (math.inf, "pass_headroom")],
+                             ids=["nan", "inf"])
+    def test_non_finite_temperature_fails_at_its_corner(self, space, tc, co_point, temperature,
+                                                        quantity):
+        # a NaN passes the model tests and leaves the phase noise NaN; an inf
+        # zeroes the mobility, so the pass device runs out of gate drive
+        hot = Corner(temperature=temperature)
         with pytest.raises(EvaluationFailure) as batch:
             evaluate_batch(space, [co_point], (NOMINAL_CORNER, hot), "coupled", tc).table(0)
-        assert (batch.value.quantity, batch.value.corner) == ("pdyn", hot.label())
+        assert (batch.value.quantity, batch.value.corner) == (quantity, hot.label())
         with pytest.raises(EvaluationFailure) as single:
             evaluate(space, co_point, hot, "coupled", tc)
-        assert (single.value.quantity, single.value.corner) == ("pdyn", hot.label())
+        assert (single.value.quantity, single.value.corner) == (quantity, hot.label())
         assert str(single.value) == str(batch.value)
 
     def test_design_box_property(self, space, tc, all_corners):
@@ -718,12 +710,12 @@ class _ReadNames(dict):
 
 def test_models_read_the_named_variables_and_fixed_elements(space, tc, co_point):
     corners = (NOMINAL_CORNER,)
-    tcc, vdd_in = apply_corners(tc, corners)
+    tcc = apply_corners(tc, corners)
     vco_values = _ReadNames(_design_values(space, np.array([co_point])))
     ldo_values = _ReadNames(_design_values(space, np.array([co_point])))
     map_vco(vco_values, tcc, IDEAL_AMP_LIMIT, _Failures(corners, 1))
-    ldo_headroom(ldo_values, tcc, 2e-3, vdd_in, _Failures(corners, 1))
-    map_ldo(ldo_values, tcc, 2e-3, vdd_in, 1e-12)
+    ldo_headroom(ldo_values, tcc, 2e-3, _Failures(corners, 1))
+    map_ldo(ldo_values, tcc, 2e-3, 1e-12)
     assert vco_values.read - set(FIXED_ELEMENTS) == set(VCO_VARIABLES)
     assert ldo_values.read - set(FIXED_ELEMENTS) == set(LDO_VARIABLES)
     assert vco_values.read | ldo_values.read >= set(FIXED_ELEMENTS)
@@ -781,9 +773,9 @@ class TestPsrDistinctRows:
                 passing.append((point, ldo_model(space, point, tc, 2e-3, 1e-12, all_corners)))
             except EvaluationFailure:
                 continue
-        tcc, vdd_in = apply_corners(tc, all_corners)
+        tcc = apply_corners(tc, all_corners)
         v = _design_values(space, np.array([point for point, _ in passing]))
-        batch = map_ldo(v, tcc, 2e-3, vdd_in, 1e-12)
+        batch = map_ldo(v, tcc, 2e-3, 1e-12)
         assert batch.psr_max.shape == (36, len(all_corners))
         for peaks, (_, one) in zip(batch.psr_max, passing):
             assert peaks.tobytes() == one.psr_max.tobytes()
@@ -848,6 +840,6 @@ class TestConstantsFile:
     def test_code_defaults_match_bundled_file(self, tc):
         assert TechConstants() == tc
 
-    def test_validation_rejects_nonpositive(self):
+    def test_validation_rejects_nonpositive(self, tc):
         with pytest.raises(ValueError):
-            replace(DEFAULT_TECH, kp_n=-1.0).validate()
+            replace(tc, kp_n=-1.0).validate()

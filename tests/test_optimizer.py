@@ -1,9 +1,10 @@
 import math
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
 
-from conftest import tables_result
+from conftest import pairwise_reference, tables_result
 
 from ldovco import optimizer
 from ldovco.optimizer import (
@@ -20,9 +21,8 @@ from ldovco.optimizer import (
     start,
     step,
 )
-from ldovco.problem import (
-    METRIC_NAMES, NOMINAL_CORNER, BatchResult, PerfMetrics, compare_designs, rank_key,
-)
+from ldovco.flows import coupled_problem
+from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER, BatchResult, PerfMetrics, compare_designs
 from ldovco.space import repair, sample_initial
 
 
@@ -186,16 +186,17 @@ def add_scored(db, points, scores):
 
 def reference_ranking(points, scores, count):
     """The per-record rule: the incumbent after each record replaced only by
-    a strictly better rank_key, and the first `count` distinct points (by
-    tobytes) of the records in sorted rank_key order (a stable sort, so ties
-    go oldest-first)."""
+    one that pairwise_reference puts strictly ahead, and the first `count`
+    distinct points (by tobytes) of the records sorted by pairwise_reference
+    (a stable sort, so ties go oldest-first)."""
     incumbents, best = [], None
     for i, score in enumerate(scores):
-        if best is None or rank_key(*score) < rank_key(*scores[best]):
+        if best is None or pairwise_reference(score, scores[best]) > 0:
             best = i
         incumbents.append(best)
     top, taken = [], set()
-    for i in sorted(range(len(scores)), key=lambda i: rank_key(*scores[i])):
+    ahead = cmp_to_key(lambda i, j: pairwise_reference(scores[j], scores[i]))
+    for i in sorted(range(len(scores)), key=ahead):
         if points[i].tobytes() not in taken:
             taken.add(points[i].tobytes())
             top.append(points[i].tobytes())
@@ -308,6 +309,21 @@ class TestSelectCandidate:
         children = [np.array([4.5, 4.5]), np.array([1.0, 1.0])]
         chosen = select_candidate(children, model, problem, set())
         assert np.array_equal(chosen, children[1])
+
+    def test_nan_prediction_ranks_last(self, monkeypatch, space, constraints, tc):
+        # three children predicted to meet every bundled constraint; the one
+        # with a NaN FoM must not be taken ahead of two finite ones
+        problem = coupled_problem(space, (NOMINAL_CORNER,), constraints, tc)
+        feasible = PerfMetrics(
+            f0=5.6e9, pn100k=-96.0, pn1m=-124.0, pn10m=-144.0, pdyn=4.5e-3,
+            psr_max=-33.0, pm=70.0, vdd_max=1.23, startup_margin=3.0, fom=0.0,
+        )
+        preds = np.array([feasible._replace(fom=f) for f in (math.nan, 190.0, 195.0)])
+        assert problem.violation(preds).tolist() == [0.0, 0.0, 0.0]
+        monkeypatch.setattr(optimizer, "predict_conservative", lambda *args, **kw: preds)
+        children = np.arange(3.0)[:, np.newaxis] + np.zeros((3, space.dim))
+        chosen = select_candidate(children, object(), problem, set())
+        assert np.array_equal(chosen, children[2])
 
 
 class TestStepAndRun:

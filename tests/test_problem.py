@@ -1,23 +1,27 @@
 import itertools
 import math
 import re
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
 
+from conftest import pairwise_reference
+
+from ldovco import behavior
 from ldovco.optimizer import PRESCREEN_SENSES
 from ldovco.problem import (
     GE,
     LE,
     Constraint,
-    DEFAULT_CONSTRAINTS,
+    Corner,
     METRIC_NAMES,
     MOS_PAIRS,
     NOMINAL_CORNER,
     PerfMetrics,
     compare_designs,
     enumerate_corners,
-    rank_key,
+    rank_order,
     fom,
     violation,
     worst_case,
@@ -43,7 +47,6 @@ class TestCorners:
     def test_nominal_is_distinct_and_reference(self):
         assert NOMINAL_CORNER.is_nominal()
         assert NOMINAL_CORNER.temperature == 27.0
-        assert NOMINAL_CORNER.vdd_in == pytest.approx(1.62)
 
     def test_lexicographic_order(self):
         # MOS pair, then inductor, capacitor and temperature: the pair moves
@@ -59,7 +62,23 @@ class TestCorners:
         )
 
     def test_vdd_in_default(self):
-        assert all(c.vdd_in == pytest.approx(1.8 * 0.9) for c in enumerate_corners())
+        # the LDO's input is one constant, not a corner field
+        assert behavior.VDD_IN == 1.8 * 0.90
+
+    def test_no_input_supply_field(self):
+        with pytest.raises(TypeError):
+            Corner(vdd_in=1.1)
+
+    def test_bundled_grid_labels_are_distinct(self, all_corners):
+        assert len({c.label() for c in all_corners}) == len(all_corners) == 33
+        assert [c.is_nominal() for c in all_corners] == [True] + [False] * 32
+
+    def test_labels_are_distinct_over_every_field(self):
+        skews, extremes = ("nominal", "fast", "slow"), ("nominal", "min", "max")
+        corners = [Corner(*fields) for fields in itertools.product(
+            skews, skews, extremes, extremes, (27.0, -55.0, 0.0, 125.0))]
+        assert len({c.label() for c in corners}) == len(corners) == 324
+        assert [c for c in corners if c.is_nominal()] == [NOMINAL_CORNER]
 
 
 class TestFom:
@@ -129,39 +148,39 @@ class TestFom:
 
 
 class TestViolation:
-    def test_co_design_nominal_row_feasible(self):
+    def test_co_design_nominal_row_feasible(self, constraints):
         m = metrics(
             f0=5.60e9, pn100k=-95.6, pn1m=-124.1, pn10m=-144.7, pdyn=4.56e-3,
             psr_max=-31.4, vdd_max=1.23, pm=82.0,
         )
-        assert violation(m, DEFAULT_CONSTRAINTS) == 0.0
+        assert violation(m, constraints) == 0.0
 
-    def test_single_shortfall_normalized(self):
+    def test_single_shortfall_normalized(self, constraints):
         m = metrics(pn100k=-93.8)
-        assert violation(m, DEFAULT_CONSTRAINTS) == pytest.approx(0.2 / 94.0)
+        assert violation(m, constraints) == pytest.approx(0.2 / 94.0)
 
-    def test_boundary_counts_as_satisfied(self):
-        assert violation(metrics(pm=50.0), DEFAULT_CONSTRAINTS) == 0.0
+    def test_boundary_counts_as_satisfied(self, constraints):
+        assert violation(metrics(pm=50.0), constraints) == 0.0
 
     # one upper-bounded and one lower-bounded metric
     @pytest.mark.parametrize("metric", ["pdyn", "pm"], ids=["<=", ">="])
-    def test_nan_is_never_satisfied(self, metric):
+    def test_nan_is_never_satisfied(self, metric, constraints):
         assert Constraint(metric, 50.0).shortfall(math.nan) == math.inf
-        assert violation(metrics(pm=math.nan), DEFAULT_CONSTRAINTS) == math.inf
+        assert violation(metrics(pm=math.nan), constraints) == math.inf
 
     def test_hairline_bound_gives_inf_without_a_warning(self):
         # 50 / 1e-308 overflows; the suite turns a RuntimeWarning into an error
         assert violation(metrics(pm=49.5), (Constraint("pm", 1e-308),)) == 0.0
         assert violation(metrics(pm=-50.0), (Constraint("pm", 1e-308),)) == math.inf
 
-    def test_zero_iff_all_satisfied(self):
-        assert violation(metrics(), DEFAULT_CONSTRAINTS) == 0.0
-        assert violation(metrics(pdyn=7.1e-3), DEFAULT_CONSTRAINTS) > 0.0
+    def test_zero_iff_all_satisfied(self, constraints):
+        assert violation(metrics(), constraints) == 0.0
+        assert violation(metrics(pdyn=7.1e-3), constraints) > 0.0
 
-    def test_monotone_in_each_metric(self):
+    def test_monotone_in_each_metric(self, constraints):
         base = metrics(pdyn=7.5e-3, pm=45.0)
         worse = metrics(pdyn=8.0e-3, pm=40.0)
-        assert violation(worse, DEFAULT_CONSTRAINTS) > violation(base, DEFAULT_CONSTRAINTS)
+        assert violation(worse, constraints) > violation(base, constraints)
 
     def test_zero_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -203,17 +222,17 @@ class TestViolationTable:
         table[17] = math.nan
         return table
 
-    def test_rows_match_the_scalar_rule(self):
+    def test_rows_match_the_scalar_rule(self, constraints):
         table = self._table()
-        vio = violation(table, DEFAULT_CONSTRAINTS)
+        vio = violation(table, constraints)
         assert vio.shape == (len(table),)
-        expected = [plain_violation(PerfMetrics(*row.tolist()), DEFAULT_CONSTRAINTS)
+        expected = [plain_violation(PerfMetrics(*row.tolist()), constraints)
                     for row in table]
         assert vio.tolist() == expected  # bit for bit; inf compares equal
         assert [repr(v) for v in vio.tolist()] == [repr(v) for v in expected]
         # one row gives the same float as its row of the table
         for row, value in zip(table, expected):
-            assert repr(violation(PerfMetrics(*row.tolist()), DEFAULT_CONSTRAINTS)) == repr(value)
+            assert repr(violation(PerfMetrics(*row.tolist()), constraints)) == repr(value)
         # a row and its named metrics round-trip bit for bit, NaN and inf included
         for row in table:
             assert np.array(PerfMetrics(*row.tolist())).tobytes() == row.tobytes()
@@ -237,13 +256,13 @@ class TestViolationTable:
         with pytest.raises(ValueError):
             violation(self._table(), (Constraint("pm", 0.0),))
 
-    def test_wrong_width_rejected(self):
+    def test_wrong_width_rejected(self, constraints):
         with pytest.raises(ValueError):
-            violation(self._table()[:, :-1], DEFAULT_CONSTRAINTS)
+            violation(self._table()[:, :-1], constraints)
 
-    def test_scalar_result_is_a_float(self):
-        assert type(violation(metrics(), DEFAULT_CONSTRAINTS)) is float
-        assert type(violation(metrics(pdyn=8e-3), DEFAULT_CONSTRAINTS)) is float
+    def test_scalar_result_is_a_float(self, constraints):
+        assert type(violation(metrics(), constraints)) is float
+        assert type(violation(metrics(pdyn=8e-3), constraints)) is float
 
 
 class TestCompareDesigns:
@@ -271,34 +290,43 @@ class TestCompareDesigns:
             if compare_designs(a, b) >= 0 and compare_designs(b, c) >= 0:
                 assert compare_designs(a, c) >= 0
 
+    def test_nan_objective_ranks_behind_every_feasible_number(self):
+        rng = np.random.default_rng(5)
+        finite = [(float(rng.normal(190, 3)), 0.0) for _ in range(10)]
+        finite += [(-math.inf, 0.0), (math.inf, 0.0)]
+        for nan_pair in [(math.nan, 0.0), (-math.nan, 0.0)]:
+            assert compare_designs(nan_pair, (math.nan, 0.0)) == 0
+            for a in finite:
+                assert compare_designs(nan_pair, a) == -1
+                assert compare_designs(a, nan_pair) == 1
+            # it stays feasible: ahead of every infeasible pair
+            assert compare_designs(nan_pair, (195.0, 0.3)) == 1
+            assert compare_designs((195.0, 0.3), nan_pair) == -1
 
-def pairwise_reference(a, b):
-    """Feasibility-first comparison written out pairwise: +1 if a wins."""
-    (obj_a, vio_a), (obj_b, vio_b) = a, b
-    if (vio_a == 0.0) != (vio_b == 0.0):
-        return 1 if vio_a == 0.0 else -1
-    if vio_a == 0.0:
-        return (obj_a > obj_b) - (obj_a < obj_b)
-    return (vio_a < vio_b) - (vio_a > vio_b)
+
+def score_pool():
+    """Feasible, infeasible and failed (-inf, inf) pairs, NaN objectives in
+    both groups, a NaN violation, and exact ties."""
+    rng = np.random.default_rng(11)
+    pool = [(float(rng.normal(190, 3)), 0.0) for _ in range(15)]
+    pool += [(float(rng.normal(190, 3)), float(rng.choice([0.1, 0.4, rng.exponential()])))
+             for _ in range(15)]
+    pool += [(-math.inf, math.inf)] * 3 + [pool[0], pool[20], (pool[1][0], 0.5)]
+    return pool + [(math.nan, 0.0), (math.nan, 0.2), (190.0, math.nan), (math.nan, 0.0)]
 
 
-class TestRankKey:
+class TestRankOrder:
     def test_orders_as_compare_designs(self):
-        # feasible, infeasible and failed (-inf, inf) records, with exact ties
-        rng = np.random.default_rng(11)
-        pool = [(float(rng.normal(190, 3)), 0.0) for _ in range(15)]
-        pool += [(float(rng.normal(190, 3)), float(rng.choice([0.1, 0.4, rng.exponential()])))
-                 for _ in range(15)]
-        pool += [(-math.inf, math.inf)] * 3 + [pool[0], pool[20], (pool[1][0], 0.5)]
+        pool = score_pool()
         for a, b in itertools.product(pool, repeat=2):
-            assert (compare_designs(a, b) > 0) == (rank_key(*a) < rank_key(*b))
-            assert (compare_designs(a, b) == 0) == (rank_key(*a) == rank_key(*b))
             assert compare_designs(a, b) == pairwise_reference(a, b)
 
-    def test_key_shape(self):
-        assert rank_key(191.0, 0.0) == (0, -191.0)
-        assert rank_key(195.0, 0.3) == (1, 0.3)
-        assert rank_key(-math.inf, math.inf) == (1, math.inf)
+    def test_is_the_stable_sort_by_the_pairwise_rule(self):
+        pool = score_pool()
+        rng = np.random.default_rng(3)
+        for pairs in [pool] + [[pool[i] for i in rng.permutation(len(pool))] for _ in range(5)]:
+            ahead = cmp_to_key(lambda i, j, pairs=pairs: pairwise_reference(pairs[j], pairs[i]))
+            assert rank_order(*zip(*pairs)).tolist() == sorted(range(len(pairs)), key=ahead)
 
 
 class TestWorstCase:

@@ -6,7 +6,6 @@ from ldovco.space import (
     INTEGER,
     DesignSpace,
     Variable,
-    point_as_dict,
     point_from_dict,
     repair,
     sample_initial,
@@ -137,7 +136,7 @@ def test_repair_batch_rejects_wrong_shape(space, shape):
 
 
 def test_point_dict_round_trip(space, co_point):
-    values = point_as_dict(space, co_point)
+    values = dict(zip(space.names, co_point.tolist()))
     assert np.array_equal(point_from_dict(space, values), co_point)
 
 
