@@ -143,6 +143,9 @@ def apply_corners(base: TechConstants, corners: tuple[Corner, ...]) -> TechConst
     corners; the other fields stay scalar."""
     columns: dict[str, list[float]] = {name: [] for name in CORNER_FIELDS}
     for c in corners:
+        if c.temperature <= -273.0:
+            raise ValueError(f"corner {c.label()} is at {c.temperature} C, at or below the"
+                             " model's absolute zero, -273 C")
         t_ratio = (c.temperature + 273.0) / 300.0
         mobility = t_ratio ** -1.5
         columns["kp_n"].append(base.kp_n * _SKEW[c.nmos] * mobility)
@@ -156,13 +159,18 @@ def apply_corners(base: TechConstants, corners: tuple[Corner, ...]) -> TechConst
 
 class _Failures:
     """Failure tests over the (design, corner) grid of a batch of `designs`
-    designs at `corners`, in the order the models compute the quantities.
-    settle gives each failing design the failure of its lowest-index
-    failing corner, naming the first quantity that fails there."""
+    designs at `corners`, in the order they are computed, and each design's
+    failure in BatchResult's three columns. settle gives each design that
+    fails a test the failure of its lowest-index failing corner, naming the
+    first quantity that fails there; the grid's designs are those that no
+    earlier settle failed."""
 
     def __init__(self, corners: Sequence[Corner], designs: int):
-        self.shape = (designs, len(corners))
+        self.n_corners = len(corners)
         self.tests: list[tuple[str, np.ndarray, Callable[[int, int], str]]] = []
+        self.failure = np.full(designs, None, dtype=object)
+        self.failure_corner = np.full(designs, -1, dtype=np.intp)
+        self.details: list[tuple | None] = [None] * designs
 
     def add(self, name: str, bad: np.ndarray, detail: Callable[[int, int], str]) -> None:
         """A test that broadcasts to the grid; detail(d, i) describes design
@@ -180,25 +188,27 @@ class _Failures:
         bad = ~((value > 0.0) & np.isfinite(value))
         self.add(name, bad, lambda d, i: f"nonpositive or non-finite value {self.at(value, d, i)}")
 
-    def settle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
-        """The indices of the designs that pass every test; then, in batch
-        order, each failing design's index, quantity, corner index and
-        detail writer (BatchResult.details)."""
-        designs = np.arange(self.shape[0])
-        if not any(bad.any() for _, bad, _ in self.tests):
-            return designs, designs[:0], np.empty(0, dtype=object), designs[:0], []
-        bad = np.empty((len(self.tests),) + self.shape, dtype=bool)
-        for t, (_, b, _) in enumerate(self.tests):
+    def settle(self) -> np.ndarray:
+        """Record the failures of the tests added since the last settle and
+        drop the tests. Returns the mask of the grid's designs that pass."""
+        rows = np.flatnonzero(self.failure_corner < 0)
+        tests, self.tests = self.tests, []
+        if not any(bad.any() for _, bad, _ in tests):
+            return np.ones(len(rows), dtype=bool)
+        bad = np.empty((len(tests), len(rows), self.n_corners), dtype=bool)
+        for t, (_, b, _) in enumerate(tests):
             bad[t] = b
         at_corner = bad.any(axis=0)  # (design, corner)
         failing = at_corner.any(axis=1)
-        failed = designs[failing]
-        corner = at_corner[failed].argmax(axis=1)
-        test = bad[:, failed, corner].argmax(axis=0)
-        names = np.array([name for name, _, _ in self.tests], dtype=object)
-        details = [(self.tests[t][2], d, i)
-                   for t, d, i in zip(test.tolist(), failed.tolist(), corner.tolist())]
-        return designs[~failing], failed, names[test], corner, details
+        grid = np.flatnonzero(failing)
+        corner = at_corner[grid].argmax(axis=1)
+        test = bad[:, grid, corner].argmax(axis=0)
+        failed = rows[grid]
+        self.failure[failed] = np.array([name for name, _, _ in tests], dtype=object)[test]
+        self.failure_corner[failed] = corner
+        for d, t, g, i in zip(failed.tolist(), test.tolist(), grid.tolist(), corner.tolist()):
+            self.details[d] = (tests[t][2], g, i)
+        return ~failing
 
 
 def _design_values(space: DesignSpace, points: np.ndarray) -> dict[str, np.ndarray]:
@@ -212,10 +222,11 @@ def _design_values(space: DesignSpace, points: np.ndarray) -> dict[str, np.ndarr
     return values
 
 
-def _take(x, keep: list[int]):
-    """The designs at indices `keep`, at least one, of a design-value dict or
-    a model dataclass: each array with a design axis (two axes or more) is
-    indexed; corner arrays and scalars pass as they are."""
+def _take(x, keep: np.ndarray):
+    """The designs that the mask `keep` selects, at least one, of a
+    design-value dict or a model dataclass: each array with a design axis
+    (two axes or more) is indexed; corner arrays and scalars pass as they
+    are."""
     items = x.items() if isinstance(x, dict) else vars(x).items()
     kept = {name: value[keep] for name, value in items if np.ndim(value) >= 2}
     return {**x, **kept} if isinstance(x, dict) else replace(x, **kept)
@@ -598,11 +609,11 @@ def _evaluate(
     corners into tc, read the designs once and run the models of `mode` over
     the (design, corner) grid with one failure collector. A design that
     fails a model test leaves the batch there with its failure, so the loop
-    model and the phase noise run on the survivors only; one finiteness
-    check over the survivors' table stack then fails the tables with a
-    non-finite metric. Returns the BatchResult, the survivors' model parts
-    (those of the designs past the model tests) and the corner-applied
-    constants."""
+    model and the phase noise run on the survivors only. If the survivors'
+    table stack holds a non-finite metric, the collector takes one test per
+    metric, in METRIC_NAMES order, and settles again. Returns the
+    BatchResult, the survivors' model parts (those of the designs past the
+    model tests) and the corner-applied constants."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     tcc = apply_corners(tc, corners)
@@ -615,11 +626,12 @@ def _evaluate(
     else:  # coupled: the LDO carries the VCO's bias and drives its parasitics
         vco = map_vco(v, tcc, coupled_swing_limit(v["c_byp"]), failures)
         ldo_headroom(v, tcc, vco.i_bias, failures)
-    keep, *failed = failures.settle()
-    if not len(keep):
-        return BatchResult(corners, np.empty((0, len(corners), len(METRIC_NAMES))), keep,
-                           *failed), None, None, tcc
-    if len(keep) < len(points):  # the failing designs leave the batch
+    keep = failures.settle()
+    if not keep.any():
+        return BatchResult(corners, np.empty((0, len(corners), len(METRIC_NAMES))),
+                           failures.failure, failures.failure_corner,
+                           failures.details), None, None, tcc
+    if not keep.all():  # the failing designs leave the batch
         v, vco = _take(v, keep), _take(vco, keep)
 
     # the survivors' loop model, power, phase noise and table
@@ -633,38 +645,17 @@ def _evaluate(
     values.update(f0=vco.f0, startup_margin=vco.startup_margin,
                   **_pn_metrics(_phase_noise(vco, ldo, tcc, PN_OFFSETS)))
     values["fom"] = fom(vco.f0, 1e6, values["pn1m"], values["pdyn"])
-    tables = np.empty((len(keep), len(corners), len(METRIC_NAMES)))
+    tables = np.empty((np.count_nonzero(keep), len(corners), len(METRIC_NAMES)))
     for k, name in enumerate(METRIC_NAMES):
         tables[..., k] = values[name]  # a scalar fills a column
-    finite = np.isfinite(tables).all(axis=(1, 2))
+    finite = np.isfinite(tables)
     if not finite.all():
-        tables, keep, failed = _non_finite(tables, finite, keep, failed)
-    return BatchResult(corners, tables, keep, *failed), vco, ldo, tcc
-
-
-_METRIC_ARRAY = np.array(METRIC_NAMES, dtype=object)
-
-
-def _non_finite(tables: np.ndarray, finite: np.ndarray, keep: np.ndarray,
-                failed: list) -> tuple[np.ndarray, np.ndarray, list]:
-    """Fail the tables with a non-finite metric, each at the lowest-index
-    corner with one and the first such metric there, in METRIC_NAMES order.
-    Returns the finite tables, their designs, and every failure (settle's
-    four lists with these merged in) in batch order."""
-    bad = np.flatnonzero(~finite)
-    cells = ~np.isfinite(tables[bad])
-    corner = cells.any(axis=2).argmax(axis=1)
-    metric = cells[np.arange(len(bad)), corner].argmax(axis=1)
-    designs, quantities, corners, details = failed
-    designs = np.concatenate((designs, keep[bad]))
-    details = details + [("non-finite value {}".format, x) for x in tables[bad, corner, metric]]
-    order = np.argsort(designs, kind="stable")
-    return tables[finite], keep[finite], [
-        designs[order],
-        np.concatenate((quantities, _METRIC_ARRAY[metric]))[order],
-        np.concatenate((corners, corner))[order],
-        [details[k] for k in order.tolist()],
-    ]
+        for k, name in enumerate(METRIC_NAMES):
+            failures.add(name, ~finite[..., k],
+                         lambda d, i, x=tables[..., k]: f"non-finite value {x[d, i]}")
+        tables = tables[failures.settle()]
+    return BatchResult(corners, tables, failures.failure, failures.failure_corner,
+                       failures.details), vco, ldo, tcc
 
 
 def evaluate_batch(
@@ -676,8 +667,8 @@ def evaluate_batch(
 ) -> BatchResult:
     """Evaluate a batch of points at every corner in one mode, CHUNK_DESIGNS
     designs per numpy pass: the survivors' stacked corner x metric tables
-    and each failing design's quantity and corner, in batch order (see
-    BatchResult). Pure and deterministic, and each design's outcome is the
+    and each design's failing quantity and corner, if any, in batch order
+    (see BatchResult). Pure and deterministic, and each design's outcome is the
     same whatever else is in the batch. A failure names the lowest-index
     failing corner and the first quantity that fails there; a model
     quantity that fails at any corner comes before a non-finite metric."""
@@ -689,15 +680,9 @@ def evaluate_batch(
               for s in starts]
     if len(chunks) == 1:
         return chunks[0]
-
-    def joined(name: str, offset: bool = False) -> np.ndarray:
-        return np.concatenate([getattr(c, name) + s if offset else getattr(c, name)
-                               for s, c in zip(starts, chunks)])
-
-    return BatchResult(
-        corners, joined("tables"), joined("survivors", True), joined("failed", True),
-        joined("quantities"), joined("failed_corners"), [d for c in chunks for d in c.details],
-    )
+    return BatchResult(corners, *(np.concatenate([getattr(c, name) for c in chunks])
+                                  for name in ("tables", "failure", "failure_corner")),
+                       [d for c in chunks for d in c.details])
 
 
 def evaluate(

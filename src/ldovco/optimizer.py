@@ -128,17 +128,8 @@ def _row_bytes(points: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
 
 
-def _grown(column: np.ndarray, rows: int) -> np.ndarray:
-    """The column, with room for at least `rows` rows (twice its length or more)."""
-    if len(column) >= rows:
-        return column
-    grown = np.empty((max(rows, 2 * len(column)),) + column.shape[1:], dtype=column.dtype)
-    grown[:len(column)] = column
-    return grown
-
-
 def _column(name: str, doc: str) -> property:
-    return property(lambda db: db._columns[name][:db._rows], doc=doc)
+    return property(lambda db: db._columns[name], doc=doc)
 
 
 class Database:
@@ -160,12 +151,11 @@ class Database:
         self.records: list[TrialRecord] = []
         self._seen: set[bytes] = set()
         self._seen_rows = 0  # the rows that _seen holds
-        self._rows = 0
         self._columns: dict[str, np.ndarray] = {}
         self._stacks: list[np.ndarray] = []  # each batch's survivor table stack
 
     def __len__(self) -> int:
-        return self._rows
+        return len(self._columns.get("points", ()))
 
     @property
     def incumbent_index(self) -> int:
@@ -179,14 +169,14 @@ class Database:
     def seen(self) -> set[bytes]:
         """The raw bytes of every evaluated point, brought up to date with
         the rows added since the last read."""
-        if self._seen_rows < self._rows:
+        if self._seen_rows < len(self):
             self._seen.update(_row_bytes(self.points[self._seen_rows:]).tolist())
-            self._seen_rows = self._rows
+            self._seen_rows = len(self)
         return self._seen
 
     @property
     def _succeeded(self) -> np.ndarray:
-        return self._columns["stack_row"][:self._rows] >= 0
+        return self.failure_corner < 0
 
     @property
     def train_x(self) -> np.ndarray:
@@ -200,43 +190,39 @@ class Database:
 
     def add(self, points: np.ndarray, batch: BatchResult, worst: np.ndarray,
             violation: np.ndarray, origin: str) -> range:
-        """Record an evaluated (n, dim) batch of points by slice: its
-        survivors' worst rows and violations, its failures, and the
-        incumbent after each row, from one scan. Returns the rows filled."""
-        n, survivors, failed = len(points), batch.survivors, batch.failed
+        """Record an evaluated (n, dim) batch of points, one concatenation
+        per column: its survivors' worst rows and violations, its failure
+        columns, and the incumbent after each row, from one scan. Returns
+        the rows added."""
+        n, survivors = len(points), batch.failure_corner < 0
         new = {
             "points": points,
             "worst": np.full((n, len(METRIC_NAMES)), math.nan),
             "violation": np.full(n, math.inf),
             "objective": np.full(n, -math.inf),
             "origin": np.full(n, origin, dtype=object),
-            "failure": np.full(n, None, dtype=object),
-            "failure_corner": np.full(n, -1, dtype=np.intp),
+            "failure": batch.failure,
+            "failure_corner": batch.failure_corner,
             "stack": np.full(n, len(self._stacks), dtype=np.intp),
             "stack_row": np.full(n, -1, dtype=np.intp),
         }
         new["worst"][survivors] = worst
         new["violation"][survivors] = violation
         new["objective"][survivors] = worst[:, _FOM]
-        new["stack_row"][survivors] = np.arange(len(survivors))
-        new["failure"][failed] = batch.quantities
-        new["failure_corner"][failed] = batch.failed_corners
+        new["stack_row"][survivors] = np.arange(len(worst))
         new["incumbents"] = self._incumbents_after(new["objective"], new["violation"])
-        start, end = self._rows, self._rows + n
+        start = len(self)
         for name, values in new.items():
-            column = _grown(self._columns.get(name, values[:0]), end)
-            column[start:end] = values
-            self._columns[name] = column
+            self._columns[name] = np.concatenate((self._columns.get(name, values[:0]), values))
         self._stacks.append(batch.tables)
-        self._rows = end
-        return range(start, end)
+        return range(start, len(self))
 
     def _incumbents_after(self, objective: np.ndarray, violation: np.ndarray) -> np.ndarray:
         """The incumbent after each of the new rows: the best row so far by
         rank_order, the oldest of exact ties. The current incumbent competes
         as the oldest row, so a tie with it keeps it."""
-        rows = np.arange(self._rows, self._rows + len(objective))
-        if self._rows:
+        rows = np.arange(len(self), len(self) + len(objective))
+        if len(self):
             held = self.incumbent_index
             rows = np.concatenate(([held], rows))
             objective = np.concatenate((self.objective[held:held + 1], objective))
@@ -245,7 +231,7 @@ class Database:
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         best = rows[order[np.minimum.accumulate(rank)]]
-        return best[1:] if self._rows else best
+        return best[1:] if len(self) else best
 
     def top_distinct_points(self, count: int) -> list[DesignPoint]:
         """Best `count` distinct designs (re-evaluations of one point count
@@ -268,8 +254,8 @@ def _evaluate_into(
 ) -> Database:
     """Evaluate an (n, dim) batch of points over all corners and record it:
     one evaluator call, one worst case over the survivors' table stack, one
-    violation call on the worst rows, the database filled by slice, then a
-    record per row in batch order. Returns the database."""
+    violation call on the worst rows, the database grown by one batch, then
+    a record per row in batch order. Returns the database."""
     points = np.asarray(points, dtype=float).reshape(len(points), problem.space.dim)
     batch = problem.evaluate_batch(points, problem.corners)
     worst = worst_case(batch.tables)

@@ -206,37 +206,40 @@ def worst_case(per_corner: np.ndarray | Sequence[PerfMetrics]) -> PerfMetrics | 
 @dataclass(frozen=True)
 class BatchResult:
     """What a batch evaluator returns: the survivors' (designs, corners,
-    metrics) table stack and their batch indices, then each failing design's
-    batch index, the quantity that failed and the index (into `corners`) of
-    the corner it failed at, all in batch order. A failure's
-    EvaluationFailure, detail text and corner label included, is built only
-    when `failure` or `table` asks for it; `details` holds, per failure, a
-    function and its arguments, whose call writes the detail text."""
+    metrics) table stack, then one entry per design, in batch order: the
+    quantity it failed at (`failure`, None for a survivor), the index into
+    `corners` of the corner it failed at (`failure_corner`, -1 for a
+    survivor), and the writer of its detail text (`details`, None for a
+    survivor): a function and its arguments. A failure's EvaluationFailure,
+    detail text and corner label included, is built only when `exception`
+    or `table` asks for it."""
 
     corners: tuple[Corner, ...]
     tables: np.ndarray
-    survivors: np.ndarray
-    failed: np.ndarray
-    quantities: Sequence[str]
-    failed_corners: np.ndarray
-    details: Sequence[tuple]
+    failure: np.ndarray
+    failure_corner: np.ndarray
+    details: Sequence[tuple | None]
 
     def __len__(self) -> int:
-        return len(self.survivors) + len(self.failed)
+        return len(self.failure_corner)
 
-    def failure(self, j: int) -> EvaluationFailure:
-        """The failure of the j-th failing design."""
-        write, *args = self.details[j]
-        corner = self.corners[self.failed_corners[j]].label()
-        return EvaluationFailure(self.quantities[j], write(*args), corner)
+    @property
+    def survivors(self) -> np.ndarray:
+        """The batch indices of the survivors, the designs of `tables`."""
+        return np.flatnonzero(self.failure_corner < 0)
+
+    def exception(self, d: int) -> EvaluationFailure:
+        """The failure of the design at batch index d, which failed."""
+        write, *args = self.details[d]
+        corner = self.corners[self.failure_corner[d]].label()
+        return EvaluationFailure(self.failure[d], write(*args), corner)
 
     def table(self, d: int) -> np.ndarray:
         """The corner x metric table of the design at batch index d; raises
         its failure."""
-        j = np.flatnonzero(self.failed == d)
-        if len(j):
-            raise self.failure(int(j[0]))
-        return self.tables[int(np.flatnonzero(self.survivors == d)[0])]
+        if self.failure_corner[d] >= 0:
+            raise self.exception(d)
+        return self.tables[np.count_nonzero(self.failure_corner[:d] < 0)]
 
 
 @dataclass(frozen=True)

@@ -76,21 +76,34 @@ def pairwise_reference(a, b):
 def outcomes_of(batch):
     """Each design's corner x metric table, or its EvaluationFailure, in
     batch order, read from a BatchResult."""
-    out = [None] * len(batch)
-    for row, d in enumerate(batch.survivors.tolist()):
-        out[d] = batch.tables[row]
-    for j, d in enumerate(batch.failed.tolist()):
-        out[d] = batch.failure(j)
-    return out
+    tables = iter(batch.tables)
+    return [next(tables) if q is None else batch.exception(d)
+            for d, q in enumerate(batch.failure.tolist())]
+
+
+def batch_of(corners, outcomes):
+    """The BatchResult of per-design outcomes, in batch order: a design's
+    corner x metric table, or the quantity it fails at, alone (at corner 0,
+    with an empty detail) or as (quantity, corner index, detail writer)."""
+    def columns(outcome):
+        if isinstance(outcome, str):
+            return outcome, 0, (str,)
+        failed = isinstance(outcome, tuple) and isinstance(outcome[0], str)
+        return outcome if failed else (None, -1, None)
+
+    failure, corner, details = zip(*map(columns, outcomes)) if len(outcomes) else ((), (), ())
+    tables = [table for table, q in zip(outcomes, failure) if q is None]
+    return BatchResult(
+        tuple(corners),
+        np.array(tables, dtype=float).reshape(len(tables), len(corners), len(PerfMetrics._fields)),
+        np.array(failure, dtype=object), np.array(corner, dtype=np.intp), list(details),
+    )
 
 
 def tables_result(points, corners, table_of):
     """The BatchResult of an evaluator in which every design survives with
     the table table_of(point, corners)."""
-    tables = np.array([table_of(point, corners) for point in points]).reshape(
-        len(points), len(corners), len(PerfMetrics._fields))
-    none = np.arange(0)
-    return BatchResult(tuple(corners), tables, np.arange(len(points)), none, (), none, ())
+    return batch_of(corners, [table_of(point, corners) for point in points])
 
 
 def make_toy_problem():

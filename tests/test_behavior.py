@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import coupled_parts, outcomes_of
+from conftest import batch_of, coupled_parts, outcomes_of
 
 from ldovco import behavior
 from ldovco.behavior import (
@@ -44,7 +44,7 @@ from ldovco.behavior import (
     vco_pn_intrinsic,
 )
 from ldovco.problem import (
-    METRIC_NAMES, BatchResult, Corner, NOMINAL_CORNER, PerfMetrics, enumerate_corners, fom,
+    METRIC_NAMES, Corner, NOMINAL_CORNER, PerfMetrics, enumerate_corners, fom,
 )
 from ldovco.space import sample_initial
 
@@ -59,10 +59,9 @@ def fold_one(tc, corner):
 
 def settle_one(failures, corners):
     """Raise the failure of a batch of one at `corners`, if it has one."""
-    keep, *failed = failures.settle()
-    if not len(keep):
-        raise BatchResult(tuple(corners), np.empty((0, len(corners), len(METRIC_NAMES))), keep,
-                          *failed).failure(0)
+    if not failures.settle()[0]:
+        failed = (failures.failure[0], failures.failure_corner[0], failures.details[0])
+        raise batch_of(corners, [failed]).exception(0)
 
 
 def vco_model(space, point, tc, amp_limit):
@@ -125,6 +124,15 @@ class TestApplyCorner:
         assert out.ind_scale == pytest.approx(tc.ind_scale * 0.9)
         assert out.c_unit_mom == pytest.approx(tc.c_unit_mom * 0.85)
         assert out.kT < tc.kT
+
+    @pytest.mark.parametrize("temperature", [-273.0, -300.0, -math.inf])
+    def test_at_or_below_absolute_zero_rejected(self, space, tc, co_point, temperature):
+        # the model's zero is (T + 273) / 300: a setup error that names the
+        # corner, not a ZeroDivisionError or a complex mobility
+        cold = Corner(temperature=temperature)
+        with pytest.raises(ValueError) as info:
+            evaluate_batch(space, [co_point], (NOMINAL_CORNER, cold), "coupled", tc)
+        assert f"corner {cold.label()} is at {temperature} C" in str(info.value)
 
     def test_worst_corner_reaches_min_f0(self, space, tc, co_point):
         # exhaustive oracle: f0 across all 32 corners; the slow/slow,
@@ -575,35 +583,40 @@ class TestEvaluateBatch:
 def test_lazy_failure_equals_the_eager_one(monkeypatch, space, tc, co_point, all_corners):
     # model-test failures (headroom at the nominal corner) and non-finite
     # ones (pn100k at a NaN temperature) in one batch: each failure built on
-    # request equals the one built when its batch settled, and survives
-    # pickling as a process pool would send it
+    # request equals the one built by the settle that recorded it, and
+    # survives pickling as a process pool would send it
     hot = Corner(temperature=math.nan)
     corners = (NOMINAL_CORNER, hot) + all_corners[1:3]
-    eager = {}
+    eager, settles = {}, Counter()
     settle = _Failures.settle
 
     def settle_eagerly(self):
-        keep, *failed = settle(self)
-        for d, q, i, (write, *args) in zip(failed[0].tolist(), failed[1], failed[2].tolist(),
-                                           failed[3]):
-            eager[d] = EvaluationFailure(q, write(*args), corner=corners[i].label())
-        return (keep, *failed)
+        passed = settle(self)
+        settles[self] += 1
+        for d in np.flatnonzero(self.failure_corner >= 0).tolist():
+            if d not in eager:
+                write, *args = self.details[d]
+                corner = corners[self.failure_corner[d]].label()
+                eager[d] = settles[self], EvaluationFailure(self.failure[d], write(*args), corner)
+        return passed
 
     monkeypatch.setattr(_Failures, "settle", settle_eagerly)
     points = [co_point] + sample_initial(space, 30, seed=3)
     batch = evaluate_batch(space, points, corners, "coupled", tc)
-    assert len(batch.survivors) == 0 and batch.failed.tolist() == list(range(len(points)))
-    assert 0 in batch.failed and 0 not in eager  # co_point passes the model tests
+    assert len(batch.survivors) == 0 and sorted(eager) == list(range(len(points)))
+    assert eager[0][0] == 2  # co_point passes the model tests
     kinds = Counter()
-    for j, d in enumerate(batch.failed.tolist()):
-        lazy = batch.failure(j)
-        expected = eager.get(d, EvaluationFailure("pn100k", "non-finite value nan", hot.label()))
-        kinds[d in eager] += 1
+    for d, (settled, expected) in eager.items():
+        if settled == 2:  # the NaN corner's phase noise
+            assert (expected.quantity, expected.detail, expected.corner) == (
+                "pn100k", "non-finite value nan", hot.label())
+        lazy = batch.exception(d)
+        kinds[settled] += 1
         for failure in (lazy, pickle.loads(pickle.dumps(lazy))):
             assert type(failure) is EvaluationFailure
             assert (str(failure), failure.quantity, failure.detail, failure.corner) == (
                 str(expected), expected.quantity, expected.detail, expected.corner)
-    assert kinds[True] and kinds[False]
+    assert kinds[1] and kinds[2]
 
 
 # The quantities the models test before any metric is formed.
@@ -628,6 +641,15 @@ class TestFiniteMetrics:
             evaluate(space, co_point, hot, "coupled", tc)
         assert (single.value.quantity, single.value.corner) == (quantity, hot.label())
         assert str(single.value) == str(batch.value)
+
+    def test_model_failure_at_a_later_corner_precedes_a_non_finite_metric(self, space, tc,
+                                                                         co_point):
+        # the NaN corner leaves pn100k NaN, a failure of the second settle;
+        # the inf corner after it fails the first settle's headroom test
+        corners = (Corner(temperature=math.nan), Corner(temperature=math.inf))
+        with pytest.raises(EvaluationFailure) as info:
+            evaluate_batch(space, [co_point], corners, "coupled", tc).table(0)
+        assert (info.value.quantity, info.value.corner) == ("pass_headroom", corners[1].label())
 
     def test_design_box_property(self, space, tc, all_corners):
         # LHS designs and box vertices: each evaluation gives a finite
@@ -691,7 +713,7 @@ def test_failure_detail_value_at_grid_cell(all_corners, shape):
     for x in [values[:math.prod(shape)].reshape(shape), float(values[1]), values[2]]:
         for d in range(3):
             for i in range(4):
-                expected = np.broadcast_to(x, failures.shape)[d, i].item()
+                expected = np.broadcast_to(x, (3, 4))[d, i].item()
                 got = failures.at(x, d, i)
                 assert type(got) is type(expected) and repr(got) == repr(expected)
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from functools import cmp_to_key
 
 import numpy as np
 import pytest
 
-from conftest import pairwise_reference, tables_result
+from conftest import batch_of, pairwise_reference, tables_result
 
 from ldovco import optimizer
 from ldovco.optimizer import (
@@ -22,7 +23,7 @@ from ldovco.optimizer import (
     step,
 )
 from ldovco.flows import coupled_problem
-from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER, BatchResult, PerfMetrics, compare_designs
+from ldovco.problem import METRIC_NAMES, NOMINAL_CORNER, PerfMetrics, compare_designs
 from ldovco.space import repair, sample_initial
 
 
@@ -154,10 +155,7 @@ class TestInitDb:
 
     def test_evaluator_failure_becomes_max_violation(self, toy_problem):
         def exploding(points, corners):
-            n = len(points)
-            return BatchResult(corners, np.empty((0, len(corners), len(METRIC_NAMES))),
-                               np.arange(0), np.arange(n), ("q_tank",) * n,
-                               np.zeros(n, dtype=np.intp), [(str,)] * n)
+            return batch_of(corners, ["q_tank"] * len(points))
 
         broken = type(toy_problem)(
             toy_problem.space, toy_problem.corners, toy_problem.constraints, exploding
@@ -168,6 +166,23 @@ class TestInitDb:
         assert all(r.failure == "q_tank" for r in db.records)
         assert db.train_x.shape == (0, 2) and db.train_y.shape == (0, len(METRIC_NAMES))
 
+    def test_failure_columns_are_the_batch_columns(self, space, constraints, tc, all_corners):
+        # a coupled LHS sample in which some designs fail: the database
+        # takes the batch's per-design failure columns as they come
+        problem = coupled_problem(space, all_corners, constraints, tc)
+        batches = []
+
+        def recorded(points, corners):
+            batches.append(problem.evaluate_batch(points, corners))
+            return batches[-1]
+
+        db = init_db(replace(problem, evaluate_batch=recorded), cfg_for(problem, budget=100))
+        [batch] = batches
+        assert 0 < np.count_nonzero(batch.failure_corner >= 0) < len(batch) == len(db)
+        assert db.failure.tolist() == batch.failure.tolist()
+        assert db.failure_corner.tolist() == batch.failure_corner.tolist()
+        assert [r.failure for r in db.records] == batch.failure.tolist()
+
 
 def add_scored(db, points, scores):
     """Add one batch to db whose rows score (objective, violation) each; an
@@ -177,10 +192,8 @@ def add_scored(db, points, scores):
     ok = objective != -math.inf
     worst = np.zeros((ok.sum(), len(METRIC_NAMES)))
     worst[:, METRIC_NAMES.index("fom")] = objective[ok]
-    failed = np.flatnonzero(~ok)
-    batch = BatchResult((NOMINAL_CORNER,), worst[:, np.newaxis], np.flatnonzero(ok), failed,
-                        ("q_tank",) * len(failed), np.zeros(len(failed), dtype=np.intp),
-                        [(str,)] * len(failed))
+    rows = iter(worst)
+    batch = batch_of((NOMINAL_CORNER,), [[next(rows)] if good else "q_tank" for good in ok])
     return db.add(points, batch, worst, violation[ok], "initial")
 
 
