@@ -15,17 +15,17 @@ batch has this one shape, a step's batch of one included. A design that
 fails a model test leaves the batch there, so the later models run on the
 survivors only.
 The PSR curve is computed one distinct LDO corner at a time and only its
-peak is kept: its design-only terms are computed once per batch, and every
-corner's curve is written into the same five (designs, 1, 241) work
-buffers, three complex and two real, which the batch owns.
+peak is kept: its two design-only terms are computed once per batch, and
+every corner's curve is written into the same four real (designs, 1, 241)
+work buffers, which the batch owns.
 
 Every closed form is numpy arithmetic and ufuncs (np.sqrt, np.log10,
-np.arctan, np.power, x * x) over the grid, and the PSR curve is numpy
-complex arithmetic into those buffers (ufuncs with out=). Each design's
-outcome is the same, bit for bit, whatever else is in its batch: a ufunc
-gives an element the same bits in every layout numpy hands it (whole
-array, slice, 0-d array or Python float). The low bits follow numpy's SIMD
-dispatch, so they can differ between CPUs.
+np.arctan, np.power, x * x) over the grid, and the PSR curve is real
+arithmetic on squared magnitudes into those buffers (ufuncs with out=).
+Each design's outcome is the same, bit for bit, whatever else is in its
+batch: a ufunc gives an element the same bits in every layout numpy hands
+it (whole array, slice, 0-d array or Python float). The low bits follow
+numpy's SIMD dispatch, so they can differ between CPUs.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ MODES = ("ideal_supply", "coupled")
 # Designs per numpy pass of evaluate_batch: a screen batch of 200 and the
 # default LHS sample (at most 172) are each one pass, which spreads the
 # fixed cost of the models' ~150 numpy calls; the memory bound, since the
-# PSR curve's work buffers (five, and two design-only complex terms) hold
-# 241 points per design of the chunk, about 23 KB per design in all.
+# PSR curve's six real arrays (four work buffers and two design-only terms)
+# hold 241 points per design of the chunk, about 11.6 KB per design in all.
 CHUNK_DESIGNS = 200
 
 # The design variables map_vco and map_ldo read, and the fixed elements the
@@ -378,32 +378,6 @@ def combine_pn(parts: list[float]) -> float | np.ndarray:
     return np.where(ref == -math.inf, -math.inf, ref + 10.0 * np.log10(total))[()]
 
 
-def _recip(x) -> np.ndarray:
-    """1.0 / x of a real x, with -0.0 taken as +0.0: then 1.0 +- jf *
-    _recip(x) equals 1.0 +- jf / x bit for bit for a pure-imaginary jf
-    (numpy's complex division by a zero divides by its absolute value)."""
-    return 1.0 / (x + 0.0)
-
-
-def _loop_gain(a_dc, gbw, p2, f_z, jf, out: np.ndarray,
-               spare: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Complex loop gain on the dominant-pole + output-pole + zero model at
-    jf (j times the frequency, on a trailing axis), written into `out`; the
-    two `spare` buffers have its shape. The zero frequency is signed:
-    positive right-half-plane zeros lose phase, negative left-half-plane
-    ones add it."""
-    a_dc, gbw, p2, f_z = (_outer(x, jf) for x in (a_dc, gbw, p2, f_z))
-    p1 = gbw / a_dc
-    # a_dc * (1.0 - jf / f_z) / ((1.0 + jf / p1) * (1.0 + jf / p2)); an
-    # infinite f_z (no zero) makes jf / f_z exactly 0
-    pole1, pole2 = spare
-    np.subtract(1.0, np.multiply(jf, _recip(f_z), out=out), out=out)
-    np.multiply(a_dc, out, out=out)
-    np.add(1.0, np.multiply(jf, _recip(p1), out=pole1), out=pole1)
-    np.add(1.0, np.multiply(jf, _recip(p2), out=pole2), out=pole2)
-    return np.divide(out, np.multiply(pole1, pole2, out=pole1), out=out)
-
-
 @dataclass(frozen=True)
 class LdoDerived:
     """Loop and noise quantities over the (design, corner) grid; the
@@ -444,36 +418,53 @@ def _lambda(l_chan: float, lam_per_um: float) -> float:
 
 class _PsrWork:
     """What psr_curve needs of a batch beyond one corner's inputs: the
-    terms that depend on the design only, computed once, and the work
-    buffers, of the curves' shape, that every corner's curve is written
-    into."""
+    terms that depend on the design only, computed once, and the four real
+    work buffers, of the curves' shape, that every corner's curve is
+    written into."""
 
     def __init__(self, gds_pass, c_ds_pass, c_out, shape: tuple[int, ...]):
-        jw = 2j * math.pi * FREQ_GRID
-        self.jf = 1j * FREQ_GRID
-        self.gds_pass, c_ds_pass, c_out = (_outer(x, jw) for x in (gds_pass, c_ds_pass, c_out))
-        self.leak = self.gds_pass + jw * c_ds_pass
-        self.jw_c_out = jw * c_out
-        self.complex = tuple(np.empty(shape, dtype=complex) for _ in range(3))
-        self.real = tuple(np.empty(shape) for _ in range(2))
+        w = 2.0 * math.pi * FREQ_GRID
+        self.gds_pass, c_ds_pass, c_out = (_outer(x, w) for x in (gds_pass, c_ds_pass, c_out))
+        w_c_ds, w_c_out = w * c_ds_pass, w * c_out
+        self.leak_sq = self.gds_pass * self.gds_pass + w_c_ds * w_c_ds  # |gds + j w c_ds|^2
+        self.w_c_out_sq = w_c_out * w_c_out
+        self.buffers = tuple(np.empty(shape) for _ in range(4))
 
 
 def psr_curve(work: _PsrWork, gm_pass, a_dc, gbw, p2, f_z) -> np.ndarray:
     """Supply rejection in dB vs FREQ_GRID, on a trailing axis after the
     inputs' axes, written into a buffer of `work`: the (gds + j w c_ds)
-    leakage through the pass device against the output node admittance,
-    suppressed by the loop; the output capacitance (bypass included)
-    strictly attenuates it at every frequency."""
-    h_open, spare = work.complex[0], work.complex[1:]
-    mag_open, mag_loop = work.real
-    # (gds + j w c_ds) / (gm_pass + gds + j w c_out)
-    np.add(_outer(gm_pass, work.jf) + work.gds_pass, work.jw_c_out, out=h_open)
-    np.abs(np.divide(work.leak, h_open, out=h_open), out=mag_open)
-    loop = _loop_gain(a_dc, gbw, p2, f_z, work.jf, h_open, spare)
-    np.abs(np.add(1.0, loop, out=loop), out=mag_loop)
-    # 20 log10(|h_open| / |1 + loop|)
-    np.log10(np.divide(mag_open, mag_loop, out=mag_open), out=mag_open)
-    return np.multiply(20.0, mag_open, out=mag_open)
+    leakage through the pass device against the output node admittance
+    (gm_pass + gds + j w c_out), suppressed by the loop gain
+    a_dc (1 - j f/f_z) / ((1 + j f/p1)(1 + j f/p2)), p1 = gbw / a_dc; the
+    output capacitance (bypass included) strictly attenuates it at every
+    frequency. In real arithmetic, with y1 = f/p1, y2 = f/p2, x = f/f_z,
+    D = (1 - y1 y2) + j (y1 + y2) and N = D + a_dc (1 - j x), so that
+    1 + loop = N / D:
+
+        |h_open|^2 / |1 + loop|^2
+            = (gds^2 + (w c_ds)^2) |D|^2 / (((gm_pass + gds)^2 + (w c_out)^2) |N|^2)
+
+    y1, y2 and a_dc x are f times a (design, corner) column. The zero
+    frequency is signed (positive right-half-plane zeros lose phase,
+    negative left-half-plane ones add it), and an infinite f_z (no zero)
+    makes x exactly 0."""
+    f = FREQ_GRID
+    gm_pass, a_dc, gbw, p2, f_z = (_outer(x, f) for x in (gm_pass, a_dc, gbw, p2, f_z))
+    a, b, c, curve = work.buffers
+    y1 = np.multiply(f, a_dc / gbw, out=a)
+    y2 = np.multiply(f, 1.0 / p2, out=b)
+    d_re = np.subtract(1.0, np.multiply(y1, y2, out=c), out=c)
+    d_im = np.add(y1, y2, out=a)
+    n_im = np.subtract(d_im, np.multiply(f, a_dc / f_z, out=b), out=b)
+    d_sq = np.add(np.multiply(d_re, d_re, out=curve), np.multiply(d_im, d_im, out=a), out=curve)
+    n_re = np.add(d_re, a_dc, out=c)
+    n_sq = np.add(np.multiply(n_re, n_re, out=c), np.multiply(n_im, n_im, out=b), out=c)
+    g = gm_pass + work.gds_pass
+    den = np.multiply(np.add(g * g, work.w_c_out_sq, out=a), n_sq, out=c)
+    ratio = np.divide(np.multiply(work.leak_sq, d_sq, out=curve), den, out=curve)
+    # 10 log10(|h_open|^2 / |1 + loop|^2)
+    return np.multiply(10.0, np.log10(ratio, out=ratio), out=ratio)
 
 
 def _psr_max(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -271,6 +270,10 @@ def compare(
     with ExitStack() as stack:
         run_all = map
         if workers > 1:
+            # imported here: the process pool's import costs every process
+            # start about 20 ms, and a serial compare never uses it
+            from concurrent.futures import ProcessPoolExecutor
+
             # the pool starts all its workers at once: no more than there are tasks
             pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
             run_all = stack.enter_context(pool).map

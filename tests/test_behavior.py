@@ -46,7 +46,7 @@ from ldovco.behavior import (
 from ldovco.problem import (
     METRIC_NAMES, Corner, NOMINAL_CORNER, PerfMetrics, enumerate_corners, fom,
 )
-from ldovco.space import sample_initial
+from ldovco.space import repair, sample_initial
 
 IDEAL_AMP_LIMIT = 0.9 * 1.2
 
@@ -810,9 +810,29 @@ class TestPsrDistinctRows:
 
 
 def plain_psr_curve(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z):
-    """The PSR curve as one expression over the whole grid, with fresh
-    temporaries: the pass-device leakage over the output admittance,
-    suppressed by the two-pole-plus-zero loop."""
+    """The PSR curve's real closed form as one expression over the whole
+    grid, with fresh temporaries: the squared magnitude of the pass-device
+    leakage over the output admittance, times |D|^2 / |N|^2 for
+    1 + loop = N / D."""
+    f = FREQ_GRID
+    w = 2.0 * math.pi * f
+    gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z = (
+        np.asarray(x)[..., np.newaxis] for x in (gds_pass, c_ds_pass, c_out, gm_pass,
+                                                 a_dc, gbw, p2, f_z))
+    y1, y2 = f * (a_dc / gbw), f * (1.0 / p2)
+    d_re, d_im = 1.0 - y1 * y2, y1 + y2
+    n_re, n_im = d_re + a_dc, d_im - f * (a_dc / f_z)
+    g = gm_pass + gds_pass
+    leak_sq = gds_pass * gds_pass + (w * c_ds_pass) * (w * c_ds_pass)
+    out_sq = g * g + (w * c_out) * (w * c_out)
+    return 10.0 * np.log10(leak_sq * (d_re * d_re + d_im * d_im)
+                           / (out_sq * (n_re * n_re + n_im * n_im)))
+
+
+def complex_psr_curve(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z):
+    """The PSR curve's definition in complex arithmetic: the pass-device
+    leakage over the output admittance, suppressed by the
+    two-pole-plus-zero loop."""
     jw = 2j * math.pi * FREQ_GRID
     jf = 1j * FREQ_GRID
     gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z = (
@@ -824,38 +844,69 @@ def plain_psr_curve(gds_pass, c_ds_pass, c_out, gm_pass, a_dc, gbw, p2, f_z):
     return 20.0 * np.log10(np.abs(h_open) / np.abs(1.0 + loop))
 
 
+def psr_peak_call(monkeypatch, space, tc, points, corners):
+    """The inputs and the peaks of the one _psr_max call of a coupled batch
+    of `points`, which has more than 20 survivors."""
+    calls, psr_max = [], behavior._psr_max
+
+    def recorded(*inputs):
+        calls.append((inputs, psr_max(*inputs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(behavior, "_psr_max", recorded)
+    batch = evaluate_batch(space, points, corners, "coupled", tc)
+    [(inputs, peaks)] = calls
+    assert peaks.shape == (len(peaks), len(corners))
+    assert len(peaks) >= len(batch.survivors) > 20
+    return inputs, peaks
+
+
 class TestPsrWork:
-    """The batch's PSR peak, computed corner by corner in work buffers,
-    has the bits of the curve written as one plain expression."""
+    """The batch's PSR peak, computed corner by corner in real work
+    buffers, has the bits of its closed form written as one plain
+    expression, and the value of the complex definition."""
 
     @pytest.mark.parametrize("mode", ["coupled"])
     def test_batch_peak_equals_plain_expression(self, monkeypatch, space, tc, all_corners,
                                                 mode):
-        calls, psr_max = [], behavior._psr_max
-
-        def recorded(*inputs):
-            calls.append((inputs, psr_max(*inputs)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(behavior, "_psr_max", recorded)
-        batch = evaluate_batch(space, sample_initial(space, 120, seed=7), all_corners, mode, tc)
-        [(inputs, peaks)] = calls
-        assert peaks.shape == (len(peaks), len(all_corners))
-        assert len(peaks) >= len(batch.survivors) > 20
+        inputs, peaks = psr_peak_call(monkeypatch, space, tc,
+                                      sample_initial(space, 120, seed=7), all_corners)
         with np.errstate(all="ignore"):
             plain = plain_psr_curve(*inputs).max(axis=-1)
         assert peaks.tobytes() == plain.tobytes()
 
-    def test_reciprocal_equals_division_on_edge_values(self):
-        tiny = np.nextafter(0.0, 1.0)
-        x = np.array([0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1e-300, -1e-320,
-                      1.0, -1.0, -3e5, 7e8, 1.7e308, -1.7e308,
-                      math.inf, -math.inf, math.nan])[:, np.newaxis]
-        jf = 1j * FREQ_GRID
+    @pytest.mark.parametrize("points", ["lhs120", "golden"])
+    def test_closed_form_matches_complex_definition(self, monkeypatch, space, tc, all_corners,
+                                                    co_point, se_point, points):
+        if points == "lhs120":
+            batch = sample_initial(space, 120, seed=7)
+        else:  # the golden point set
+            batch = [co_point, se_point] + sample_initial(space, 64, seed=2024)
+        inputs, peaks = psr_peak_call(monkeypatch, space, tc, batch, all_corners)
         with np.errstate(all="ignore"):
-            for plain, by_recip in [(1.0 + jf / x, 1.0 + jf * behavior._recip(x)),
-                                    (1.0 - jf / x, 1.0 - jf * behavior._recip(x))]:
-                assert plain.tobytes() == by_recip.tobytes()
+            reference = complex_psr_curve(*inputs).max(axis=-1)
+        assert np.isfinite(reference).all()
+        np.testing.assert_allclose(peaks, reference, rtol=0.0, atol=1e-9)
+
+    def test_box_extremes_give_finite_peaks_or_named_failures(self, space, tc, all_corners):
+        # the box's lower and upper ends, and the two LDO/VCO mixes of them:
+        # a design that passes the headroom test has a finite peak at every
+        # corner; the others fail as they did under the complex curve
+        lo, hi = space.lowers(), space.uppers()
+        ldo = np.isin(space.names, LDO_VARIABLES)
+        points = repair(space, np.array([lo, hi, np.where(ldo, lo, hi), np.where(ldo, hi, lo)]))
+        batch = evaluate_batch(space, points, all_corners, "coupled", tc)
+        assert batch.failure.tolist() == ["pass_headroom", None, "pass_headroom", None]
+        assert batch.failure_corner.tolist() == [0, -1, 0, -1]
+        assert np.isfinite(batch.tables[..., METRIC_NAMES.index("psr_max")]).all()
+        # nor does any squared magnitude overflow for the designs that fail
+        # the headroom test: the loop model run on all four, loaded with the
+        # VCO's bias current as in the coupled path and a 1 pF load
+        v = _design_values(space, points)
+        with np.errstate(all="raise"):
+            ldo = map_ldo(v, apply_corners(tc, all_corners), tc.i_unit * v["M2"], 1e-12)
+        assert ldo.psr_max.shape == (4, len(all_corners))
+        assert np.isfinite(ldo.psr_max).all()
 
 
 class TestConstantsFile:

@@ -351,8 +351,6 @@ class TestCompare:
     def test_worker_pool_is_capped_at_the_task_count(self, workdir, monkeypatch):
         # the pool starts every worker it is given at once, so it gets no
         # more than the 2 flows x 2 seeds it has tasks for
-        from ldovco import flows
-
         opened = []
 
         class SerialPool:
@@ -368,7 +366,7 @@ class TestCompare:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(flows, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         args = ["compare", str(workdir / RUNCONFIG_FILE), "--seeds", "1,2", "--budget", "60",
                 "--workers", "64", "--out", "cmp_cap"]
         assert main(args) == 0

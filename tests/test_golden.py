@@ -30,7 +30,7 @@ from ldovco.surrogate import MlpConfig, fit, update
 
 GOLDEN_DIGESTS = {
     "ideal_supply": "a076d06dbcfe6e05cd27b25255722f2877c5b3fb16202c7f7b0c2b90fb8ec185",
-    "coupled": "0323d4503504279862653e8afb7fefc4774c823fb2a00f6e21ea085293e9c971",
+    "coupled": "1e3948d72cb41fd970f534d84181c9205abdd6cba378e9ea9d697ae71741e420",
 }
 
 
@@ -115,7 +115,7 @@ def test_pn_sweep_digest(space, tc, all_corners, golden_points):
 # quantity and corner label.
 BATCH_DIGESTS = {
     "ideal_supply": "2950c3d9af3793984dd49cc5780fc0ac54a5d01e829235ecbd275eabd7fdc242",
-    "coupled": "b58a6d381aa2c877e2c86b76bddcf8e5b4fae146ba29b70b43bcc7e02ccf22eb",
+    "coupled": "a24c0444193b90e76884e669f2b9d7323ed4b9a9a92333bf9474a044b02ed5f0",
 }
 
 
@@ -140,7 +140,7 @@ def test_batch_digest(space, tc, all_corners, golden_points, mode):
 # record contributes its eval_index, failure, objective, violation and worst
 # case (the repr of each), and the incumbent indices end the digest.
 SCREEN_DIGESTS = {
-    "coupled": "7e07662d4de520613bcb2b56f54733bc3f3bb61ee98dd79a1e537ce5858e7f4c",
+    "coupled": "9b06d34ddba4ff30f5075d31d081da369756639826e77b2341159bc0ddf1daa8",
     "ideal_supply": "97043796e2d1af1cef4c2898249468ed6a4d91b8dcca574a9d3de2d0cb0c057d",
 }
 SCREEN_PROBLEMS = {"coupled": coupled_problem, "ideal_supply": vco_stage_problem}
@@ -176,8 +176,8 @@ TRAINING_DIGESTS = {
 }
 
 FLOW_DIGESTS = {
-    "codesign": "03c297b2d2220813592589f52a58c1ea82259c977331b6465b119e60ee67edc9",
-    "sequential": "5adb15fa73a8eaed7983013e04c17c41bdad33e89aba1eebec41f6546a93c46c",
+    "codesign": "cc2ca4e78f3449a3ed1813051936160d39a3760f361df34940588d85d5bb2ad9",
+    "sequential": "a83e03f1c6d7e7cfc2a8d8b7952e751a3b10cab6410fb8f4b76546c65b654022",
 }
 
 
